@@ -27,6 +27,7 @@ from .photonics import (
     chained_postselect_factor,
     coincidence_rate,
     encode_shor_noisy,
+    encoder_sites,
     monte_carlo_coincidence,
     noisy_block_fidelity,
     shor_encoder_sites,
@@ -34,8 +35,6 @@ from .photonics import (
 )
 from .rates import optimize, sweep
 from .rgs import (
-    PauliString,
-    Scenario,
     bare_loss_scenario,
     encoded_loss_scenario,
     connect_scenario,
@@ -204,30 +203,16 @@ def cmd_loss_readout(args) -> None:
     _emit(_write_json(payload), args.out)
 
 
-def _scenario_noise_sites(scenario: Scenario) -> list:
-    """Interference sites of a scenario's RGS, in global photon indices."""
-    order = scenario.photon_order()
-    idx = {label: i for i, label in enumerate(order)}
-    sites = []
-    if scenario.rgs.kind == "partial":
-        sites.append(PauliString({idx["10'"]: "Z"}))
-        sites.append(PauliString({idx[p]: "X" for p in ("4'", "5'", "6'")}))
-    elif scenario.rgs.kind == "encoded":
-        sites.append(PauliString({idx[p]: "X" for p in ("4'", "5'", "6'")}))
-        for p in ("2'", "5'", "8'"):
-            sites.append(PauliString({idx[p]: "Z"}))
-    else:
-        sites.append(PauliString({idx["10'"]: "Z"}))
-    return sites
-
-
-def _run_witness_command(args, scenario_factory, command: str) -> None:
+def cmd_witness(args) -> None:
+    """connect, rgs-loss and bare-control: per-branch witness rows of the
+    command's scenario."""
     noise = _check_noise(args.noise)
-    scenario = scenario_factory(args.loss)
+    scenario = args.scenario_factory(args.loss)
     initial = None
     if noise is not None:
-        initial = apply_visibility_noise(scenario.initial_state(),
-                                         _scenario_noise_sites(scenario),
+        index = {p: i for i, p in enumerate(scenario.photon_order())}
+        sites = encoder_sites(scenario.rgs.kind, scenario.rgs_groups, index)
+        initial = apply_visibility_noise(scenario.initial_state(), sites,
                                          noise)
     branches = run_connection(scenario, mode="enumerate",
                               initial_state=initial)
@@ -238,28 +223,16 @@ def _run_witness_command(args, scenario_factory, command: str) -> None:
         for i, b in enumerate(branches)
     ]
     if args.format == "csv":
-        _emit(_write_csv(rows, WITNESS_COLUMNS, command), args.out)
+        _emit(_write_csv(rows, WITNESS_COLUMNS, args.command), args.out)
         return
     payload = {
-        "command": command,
+        "command": args.command,
         "loss_count": args.loss,
         "noise_visibility": noise,
         "scenario": scenario.to_json_dict(),
         "branches": [b.to_json_dict() for b in branches],
     }
     _emit(_write_json(payload), args.out)
-
-
-def cmd_connect(args) -> None:
-    _run_witness_command(args, connect_scenario, "connect")
-
-
-def cmd_rgs_loss(args) -> None:
-    _run_witness_command(args, encoded_loss_scenario, "rgs-loss")
-
-
-def cmd_bare_control(args) -> None:
-    _run_witness_command(args, bare_loss_scenario, "bare-control")
 
 
 def cmd_rate(args) -> None:
@@ -292,6 +265,15 @@ def cmd_rate(args) -> None:
         sys.stdout.write(report)
 
 
+def _stage_factors(factor: float) -> list | None:
+    """``factor`` as a list of 1/2 post-selection stages, or None when it
+    is not a power of 1/2."""
+    if factor <= 0.0:
+        return None
+    k = round(math.log(factor, 0.5))
+    return [0.5] * k if math.isclose(0.5 ** k, factor, rel_tol=1e-12) else None
+
+
 def cmd_photonics_rate(args) -> None:
     for name, val in (("--pair-prob", args.pair_prob),
                       ("--eta-pair", args.eta_pair),
@@ -311,8 +293,7 @@ def cmd_photonics_rate(args) -> None:
         "eta_pair": args.eta_pair,
         "rep_rate": args.rep_rate,
         "postselect_factor": args.factor,
-        "encoder_stage_factors": [0.5] * int(round(math.log(args.factor, 0.5)))
-        if 0 < args.factor < 1 else [],
+        "encoder_stage_factors": _stage_factors(args.factor),
         "predicted_rate_hz": coincidence_rate(params, args.sources,
                                               args.factor),
     }
@@ -384,18 +365,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_loss_readout)
 
-    for name, helptext, fn in (
+    for name, helptext, factory in (
             ("connect", "entanglement connection across the encoded RGS",
-             cmd_connect),
+             connect_scenario),
             ("rgs-loss", "witness between intact logical qubits under loss",
-             cmd_rgs_loss),
-            ("bare-control", "bare GHZ control run", cmd_bare_control)):
+             encoded_loss_scenario),
+            ("bare-control", "bare GHZ control run", bare_loss_scenario)):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--loss", type=int, default=0,
                        help="photons lost from the protected logical qubit")
         p.add_argument("--noise", type=float, default=None)
         _add_common(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_witness, scenario_factory=factory)
 
     p = sub.add_parser("rate", help="connection-rate sweep and optimum")
     p.add_argument("--eta", type=float, required=True)

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .shor import LogicalInput, SHOR_LAYOUT, encode_shor
+from .shor import LogicalInput, SHOR_LAYOUT, encode_block, encode_shor
 from .sim import (
     CNOT,
     DensityMatrix,
@@ -172,24 +172,39 @@ def apply_visibility_noise(state: State, sites: Sequence[PauliString],
     return rho
 
 
-def shor_encoder_sites() -> list:
-    """Effective site Paulis for the four encoders of the nine-qubit code.
+def encoder_sites(kind: str, groups: Sequence[Sequence],
+                  index: Mapping | None = None) -> list:
+    """Effective site Paulis of an RGS's encoders, in circuit order.
 
-    The leader-stage interference happens before the basis rotations,
-    so its kick propagates to an X string over the second block; the
-    three block-stage interferences happen last and stay Z kicks on one
-    photon of each block.
+    ``groups`` lists each logical qubit's photons, ``index`` maps photons
+    to qubit indices (photons are indices when it is omitted).  The GHZ
+    stage kicks the second logical qubit before its basis rotation: an X
+    string over an encoded block, Z on a bare photon.  A partially
+    encoded RGS rotates its encoded leader after that stage, so the
+    block's encoder kick is an X string too; a fully encoded RGS builds
+    its blocks last, each leaving a Z kick on its second photon.  A lone
+    block (one group) has no GHZ stage.
     """
-    block2 = SHOR_LAYOUT.block_qubits(1)
-    sites = [PauliString({q: "X" for q in block2})]
-    for b in range(3):
-        sites.append(PauliString({SHOR_LAYOUT.qubit_of(b, 1): "Z"}))
+    def site(photons, letter):
+        return PauliString({(index[p] if index else p): letter
+                            for p in photons})
+
+    def ghz_kick(group):
+        return site(group, "X") if len(group) > 1 else site(group, "Z")
+
+    sites = [ghz_kick(groups[1])] if len(groups) > 1 else []
+    if kind == "partial":
+        sites += [ghz_kick(g) for g in groups if len(g) > 1]
+    elif kind == "encoded":
+        sites += [site(g[1:2] or g, "Z") for g in groups]
     return sites
 
 
-def block_encoder_site(m: int = 3) -> PauliString:
-    """Site Pauli for a standalone m-photon code block (one encoder)."""
-    return PauliString({1: "Z"}) if m > 1 else PauliString({0: "Z"})
+def shor_encoder_sites() -> list:
+    """Site Paulis for the four encoders of the nine-qubit code, the
+    fully encoded (3, 3) case of :func:`encoder_sites`."""
+    return encoder_sites("encoded", [SHOR_LAYOUT.block_qubits(b)
+                                     for b in range(SHOR_LAYOUT.n_blocks)])
 
 
 def encode_shor_noisy(inp: LogicalInput, visibility: float) -> DensityMatrix:
@@ -200,11 +215,10 @@ def encode_shor_noisy(inp: LogicalInput, visibility: float) -> DensityMatrix:
 
 def noisy_block_fidelity(visibility: float, m: int = 3) -> float:
     """Fidelity of one noisy code block with the ideal (|0..0>+|1..1>)/sqrt2."""
-    from .shor import encode_block
-
     s = 1 / math.sqrt(2)
     ideal = encode_block(LogicalInput(s, s), m)
-    noisy = apply_visibility_noise(ideal, [block_encoder_site(m)], visibility)
+    noisy = apply_visibility_noise(ideal, encoder_sites("encoded", [range(m)]),
+                                   visibility)
     return fidelity(noisy, ideal)
 
 

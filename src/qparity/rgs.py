@@ -7,11 +7,16 @@ Bell-state measurements).  Running a scenario yields, per measurement
 branch, the corrected two-qubit state of the terminal photons together
 with its Bell-state witness.
 
-Pauli corrections are never hand-written: for each named scenario they
-are derived once from the lossless variant by requiring unit fidelity
-with |phi+> on every branch, and frozen into the versioned table file
-shipped under ``qparity/data``.  Lossy runs reuse the frozen tables,
-which is what makes the loss-tolerance claim meaningful.
+The plan runs through the walker shared with the Shor readout
+(:func:`qparity.sim.walk_plan`), whose measurement records become each
+branch's outcome key.  Pauli corrections are never hand-written: the
+shared search (:func:`qparity.sim.correction_table`) derives them from
+a scenario's lossless variant as the first terminal Pauli pair giving
+unit fidelity with |phi+>.  The factories' tables ship frozen under
+``qparity/data`` and serve every scenario whose lossless variant equals
+a factory's; other scenarios get derived tables.  Lossy runs reuse the
+lossless tables, which is what makes the loss-tolerance claim
+meaningful.
 
 Photon labels follow the conventional primed numbering: terminals 1'
 and 9', channel interfaces 2' and 8', RGS photons 3', 10', 7' plus the
@@ -22,28 +27,27 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from importlib import resources
-from typing import Sequence
 
 import numpy as np
 
-from .config import TOL
-from .errors import ConditionViolation, PreconditionError
+from .errors import ConditionViolation, ConfigError, PreconditionError
 from .shor import LogicalInput, encode_qpc
 from .sim import (
     CNOT,
     H,
     PAULI,
     PauliString,
+    PlanStep,
     PureState,
     State,
     apply_unitary,
-    bell_project,
+    correction_table,
     expectation,
-    measure_out,
     partial_trace,
+    walk_plan,
 )
 
 _DATA_FILE = "correction_tables.json"
@@ -60,9 +64,7 @@ def build_bare_rgs(n: int) -> PureState:
     """n-qubit GHZ state, the unprotected repeater graph state."""
     if not (2 <= n <= 10):
         raise ValueError(f"bare RGS size {n} outside 2..10")
-    amps = np.zeros(2 ** n, dtype=complex)
-    amps[0] = amps[-1] = 1 / math.sqrt(2)
-    return PureState(amps)
+    return PureState(_ghz_amps(n, n))
 
 
 def build_partial_encoded(m: int) -> PureState:
@@ -119,28 +121,6 @@ class RgsSpec:
         if self.kind == "partial":
             return build_partial_encoded(self.m)
         return build_encoded_rgs(self.n, self.m)
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    """One protocol instruction.
-
-    op="measure_x":      photons = (label,)
-    op="measure_block_z": photons = surviving subset is measured at runtime
-    op="bsm":            photons = (channel interface, RGS photon)
-    """
-
-    op: str
-    photons: tuple
-
-    def __post_init__(self):
-        if self.op not in ("measure_x", "measure_block_z", "bsm"):
-            raise ValueError(f"unknown plan op {self.op!r}")
-        object.__setattr__(self, "photons", tuple(self.photons))
-        if self.op == "measure_x" and len(self.photons) != 1:
-            raise ValueError("measure_x takes exactly one photon")
-        if self.op == "bsm" and len(self.photons) != 2:
-            raise ValueError("bsm takes exactly two photons")
 
 
 @dataclass(frozen=True)
@@ -214,34 +194,23 @@ class Scenario:
         return PureState(amps)
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "channels": [list(c) for c in self.channels],
-            "rgs": {"kind": self.rgs.kind, "n": self.rgs.n, "m": self.rgs.m},
-            "rgs_order": list(self.rgs_order),
-            "rgs_groups": [list(g) for g in self.rgs_groups],
-            "loss": list(self.loss),
-            "plan": [{"op": s.op, "photons": list(s.photons)}
-                     for s in self.plan],
-            "terminals": list(self.terminals),
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scenario":
-        return cls(
-            name=data["name"],
-            channels=tuple(tuple(c) for c in data["channels"]),
-            rgs=RgsSpec(**data["rgs"]),
-            rgs_order=tuple(data["rgs_order"]),
-            rgs_groups=tuple(tuple(g) for g in data["rgs_groups"]),
-            loss=tuple(data["loss"]),
-            plan=tuple(PlanStep(s["op"], tuple(s["photons"]))
-                       for s in data["plan"]),
-            terminals=tuple(data["terminals"]),
-        )
+        return cls(**{**data, "rgs": RgsSpec(**data["rgs"])})
 
 
 _C4 = ("4'", "5'", "6'")
+
+
+def _check_loss_count(loss_count: int, qubit: str) -> None:
+    if loss_count < 0:
+        raise ConfigError(f"loss count {loss_count} is negative")
+    if loss_count >= len(_C4):
+        raise ConditionViolation(
+            f"condition (ii) violated: the {qubit} must keep at least one "
+            f"photon, cannot lose {loss_count} of {len(_C4)}")
 
 
 def connect_scenario(loss_count: int = 0) -> Scenario:
@@ -251,10 +220,7 @@ def connect_scenario(loss_count: int = 0) -> Scenario:
     the surviving photons of the encoded block {4',5',6'} in Z, and the
     interfaces 2'/8' are Bell-measured against RGS photons 3'/7'.
     """
-    if not (0 <= loss_count <= 2):
-        raise ConditionViolation(
-            "condition (ii) violated: the encoded logical qubit must keep "
-            f"at least one photon, cannot lose {loss_count} of 3")
+    _check_loss_count(loss_count, "encoded logical qubit")
     return Scenario(
         name="connect",
         channels=(("1'", "2'"), ("9'", "8'")),
@@ -279,7 +245,8 @@ def bare_loss_scenario(loss_count: int = 1) -> Scenario:
     proceeds without its outcome and the terminals end up separable.
     """
     if loss_count not in (0, 1):
-        raise ValueError("the bare arm has a single photon")
+        raise ConfigError(f"loss count {loss_count} outside 0..1: the bare "
+                          "arm has a single photon")
     return Scenario(
         name="bare-control",
         channels=(("1'", "2'"), ("9'", "8'")),
@@ -304,10 +271,7 @@ def encoded_loss_scenario(loss_count: int = 0) -> Scenario:
     Photons 2',3' and 7',8' are measured in X, the survivors of the
     middle logical qubit {4',5',6'} in Z.
     """
-    if not (0 <= loss_count <= 2):
-        raise ConditionViolation(
-            "condition (ii) violated: the loss-affected logical qubit must "
-            f"keep at least one photon, cannot lose {loss_count} of 3")
+    _check_loss_count(loss_count, "loss-affected logical qubit")
     return Scenario(
         name="rgs-loss",
         channels=(),
@@ -384,81 +348,33 @@ class BranchResult:
         }
 
 
-def _walk_plan(state: State, order: list, plan: Sequence[PlanStep],
-               mode: str, rng, lost=frozenset()):
-    """Yield (tokens, probability, state, order) over measurement branches.
+def _outcome_tokens(plan: tuple, records: tuple) -> tuple:
+    """Outcome key tokens, one per plan step.
 
-    Measurements on lost photons cannot happen; those steps contribute a
-    trivial +1 token so that outcome keys keep the structure of the
-    lossless run the correction tables were derived from.
+    A block Z step contributes its first survivor's outcome, the block
+    sign.  A step whose photons are all lost measured nothing and
+    contributes a trivial +1, so that outcome keys keep the structure of
+    the lossless run the correction tables were derived from.
     """
-
-    def bsm_outcomes(st, ia, ib):
-        if mode == "sample":
-            return [bell_project(st, ia, ib, mode="sample", rng=rng)]
-        return bell_project(st, ia, ib, mode="enumerate")
-
-    def step_branches(st, order, step):
-        """Returns list of (token, prob, new_state, new_order)."""
-        if step.op == "measure_x":
-            label = step.photons[0]
-            if label not in order:
-                if label not in lost:
-                    raise PreconditionError(
-                        f"malformed plan: photon {label!r} already consumed")
-                return [(f"x({label})=+1", 1.0, st, order)]
-            idx = order.index(label)
-            new_order = [p for p in order if p != label]
-            if mode == "sample":
-                pairs = [measure_out(st, idx, "X", mode="sample", rng=rng)]
-            else:
-                pairs = measure_out(st, idx, "X", mode="distribution")
-            return [(f"x({label})={rec.outcome:+d}", rec.probability, nxt,
-                     new_order) for rec, nxt in pairs]
-        if step.op == "measure_block_z":
-            survivors = [p for p in step.photons if p in order]
-            group = ",".join(step.photons)
-            if not survivors:
-                # Fully lost logical qubit: nothing to measure, no sign
-                # information; proceed with the trivial +1 token.
-                return [(f"z({group})=+1", 1.0, st, order)]
-            out = [("", 1.0, st, order)]
-            for j, label in enumerate(survivors):
-                nxt_out = []
-                for token, p, s, ordr in out:
-                    idx = ordr.index(label)
-                    sub_order = [q for q in ordr if q != label]
-                    if mode == "sample":
-                        pairs = [measure_out(s, idx, "Z", mode="sample",
-                                             rng=rng)]
-                    else:
-                        pairs = measure_out(s, idx, "Z", mode="distribution")
-                    for rec, ns in pairs:
-                        tok = token if j else f"z({group})={rec.outcome:+d}"
-                        nxt_out.append((tok, p * rec.probability, ns,
-                                        sub_order))
-                out = nxt_out
-            return out
+    tokens = []
+    for step, recs in zip(plan, records):
+        group = ",".join(step.photons)
         if step.op == "bsm":
-            a, b = step.photons
-            for label in (a, b):
-                if label not in order:
-                    raise PreconditionError(
-                        f"BSM on lost photon {label!r}")
-            ia, ib = order.index(a), order.index(b)
-            new_order = [p for p in order if p not in (a, b)]
-            return [(f"bsm({a},{b})={lab}", p, s, new_order)
-                    for lab, p, s in bsm_outcomes(st, ia, ib)]
-        raise PreconditionError(f"malformed plan step {step.op!r}")
+            tokens.append(f"bsm({group})={recs[0].outcome}")
+        else:
+            kind = "x" if step.op == "measure_x" else "z"
+            sign = recs[0].outcome if recs else +1
+            tokens.append(f"{kind}({group})={sign:+d}")
+    return tuple(tokens)
 
-    stack = [((), 1.0, state, order)]
-    for step in plan:
-        nxt = []
-        for tokens, prob, st, ordr in stack:
-            for token, p, s, new_order in step_branches(st, ordr, step):
-                nxt.append((tokens + (token,), prob * p, s, new_order))
-        stack = nxt
-    yield from stack
+
+def _correct_terminals(state: State, order: tuple, terminals: tuple,
+                       pair: tuple) -> State:
+    """Apply one Pauli (by name) to each terminal photon."""
+    for label, pauli in zip(terminals, pair):
+        if pauli != "I":
+            state = apply_unitary(state, PAULI[pauli], [order.index(label)])
+    return state
 
 
 def run_connection(scenario: Scenario, mode: str = "enumerate",
@@ -476,10 +392,6 @@ def run_connection(scenario: Scenario, mode: str = "enumerate",
     BranchResult.  ``initial_state`` overrides the scenario's ideal
     state, e.g. to inject interference noise before the run.
     """
-    if mode not in ("enumerate", "sample"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sample" and rng is None:
-        raise ValueError("sample mode needs an rng")
     if corrections is None:
         corrections = connection_corrections(scenario)
 
@@ -494,23 +406,21 @@ def run_connection(scenario: Scenario, mode: str = "enumerate",
         order = [p for p in order if p not in scenario.loss]
 
     results = []
-    for tokens, prob, st, ordr in _walk_plan(state, order, scenario.plan,
-                                             mode, rng,
-                                             lost=frozenset(scenario.loss)):
-        if sorted(ordr) != sorted(scenario.terminals):
+    for branch in walk_plan(state, order, scenario.plan, mode, rng):
+        if sorted(branch.order) != sorted(scenario.terminals):
             raise PreconditionError(
-                f"malformed plan: photons {ordr} remain, expected the "
-                f"terminals {list(scenario.terminals)}")
+                f"malformed plan: photons {list(branch.order)} remain, "
+                f"expected the terminals {list(scenario.terminals)}")
+        tokens = _outcome_tokens(scenario.plan, branch.records)
         key = "|".join(tokens)
         if key not in corrections:
             raise PreconditionError(f"no correction entry for outcome {key!r}")
-        pl, pr = corrections[key]
-        for label, pauli in zip(scenario.terminals, (pl, pr)):
-            if pauli != "I":
-                st = apply_unitary(st, PAULI[pauli], [ordr.index(label)])
+        pair = corrections[key]
+        st = _correct_terminals(branch.state, branch.order,
+                                scenario.terminals, pair)
         results.append(BranchResult(
-            probability=prob, outcomes=tokens, correction=(pl, pr),
-            terminal=st, witness=witness(st)))
+            probability=branch.probability, outcomes=tokens,
+            correction=pair, terminal=st, witness=witness(st)))
     if mode == "sample":
         return results[0]
     return results
@@ -520,13 +430,13 @@ def run_connection(scenario: Scenario, mode: str = "enumerate",
 # correction tables
 # ---------------------------------------------------------------------------
 
-_PAULI_NAMES = ("I", "X", "Y", "Z")
+_PAULI_PAIRS = tuple((left, right) for left in "IXYZ" for right in "IXYZ")
 
 
 def derive_corrections(scenario: Scenario) -> dict:
     """Derive outcome -> (pauli, pauli) from the lossless scenario.
 
-    For every branch of the lossless run, the unique pair of terminal
+    For every branch of the lossless run, the first pair of terminal
     Paulis turning the branch state into |phi+> (fidelity 1) is
     recorded.  Keys are loss-independent: a Z measurement on an encoded
     block contributes only its block sign, which assumes GHZ-type
@@ -534,73 +444,63 @@ def derive_corrections(scenario: Scenario) -> dict:
     every code this package builds).
     """
     lossless = replace(scenario, loss=())
-    state: State = lossless.initial_state()
-    order = list(lossless.photon_order())
-    table = {}
-    for tokens, _prob, st, ordr in _walk_plan(state, order, lossless.plan,
-                                              "enumerate", None):
-        key = "|".join(tokens)
-        if key in table:
-            continue
-        for pl in _PAULI_NAMES:
-            cand = st if pl == "I" else apply_unitary(
-                st, PAULI[pl], [ordr.index(lossless.terminals[0])])
-            for pr in _PAULI_NAMES:
-                final = cand if pr == "I" else apply_unitary(
-                    cand, PAULI[pr], [ordr.index(lossless.terminals[1])])
-                fid = witness(final).fidelity
-                if fid > 1.0 - TOL.atol:
-                    table[key] = (pl, pr)
-                    break
-            if key in table:
-                break
-        else:
-            raise RuntimeError(f"no Pauli pair restores |phi+> for branch "
-                               f"{key!r}")
-    return table
+    branches = walk_plan(lossless.initial_state(), lossless.photon_order(),
+                         lossless.plan)
+
+    def key(records):
+        return "|".join(_outcome_tokens(lossless.plan, records))
+
+    def fix(state, order, pair):
+        return _correct_terminals(state, order, lossless.terminals, pair)
+
+    return correction_table(branches, key, _PAULI_PAIRS, fix, PHI_PLUS_2Q)
+
+
+_SHIPPED_FACTORIES = (connect_scenario, bare_loss_scenario,
+                      encoded_loss_scenario)
 
 
 @lru_cache(maxsize=None)
-def _frozen_tables() -> dict:
+def _shipped_tables() -> dict:
+    """Frozen tables keyed by the lossless scenario they belong to."""
     with resources.files("qparity").joinpath("data", _DATA_FILE).open() as fh:
         data = json.load(fh)
     if data.get("version") != _TABLE_VERSION:
         raise RuntimeError(f"correction table version "
                            f"{data.get('version')!r} != {_TABLE_VERSION}")
-    return {name: {k: tuple(v) for k, v in tab.items()}
-            for name, tab in data["tables"].items()}
+    tables = {}
+    for factory in _SHIPPED_FACTORIES:
+        scenario = factory(0)
+        tables[scenario] = {k: tuple(v) for k, v in
+                            data["tables"][scenario.name].items()}
+    return tables
 
 
-@lru_cache(maxsize=None)
-def _derived_for_name(name: str, scenario_json: str) -> dict:
-    return derive_corrections(
-        Scenario.from_json_dict(json.loads(scenario_json)))
+_derived = lru_cache(maxsize=None)(derive_corrections)
 
 
 def connection_corrections(scenario: Scenario) -> dict:
-    """Correction table for a scenario: frozen if shipped, else derived.
+    """Correction table for a scenario, derived from its lossless variant.
 
-    Scenario names identify the experiment family; the table is always
-    the one derived from the family's lossless variant.
+    The table is the shipped frozen one when the lossless variant equals
+    one of the scenario factories' loss-free scenarios (name included),
+    and is derived (once per lossless scenario) otherwise.
     """
-    try:
-        frozen = _frozen_tables()
-    except FileNotFoundError:
-        frozen = {}
-    if scenario.name in frozen:
-        return frozen[scenario.name]
     lossless = replace(scenario, loss=())
-    return _derived_for_name(lossless.name,
-                             json.dumps(lossless.to_json_dict(),
-                                        sort_keys=True))
+    try:
+        shipped = _shipped_tables()
+    except FileNotFoundError:
+        shipped = {}
+    table = shipped.get(lossless)
+    return table if table is not None else _derived(lossless)
 
 
 def freeze_correction_tables(path) -> dict:
     """Regenerate the shipped correction-table file for the named
     scenarios.  Returns the written payload."""
     tables = {}
-    for scen in (connect_scenario(0), bare_loss_scenario(0),
-                 encoded_loss_scenario(0)):
+    for factory in _SHIPPED_FACTORIES:
+        scen = factory(0)
         tables[scen.name] = {k: list(v)
                              for k, v in derive_corrections(scen).items()}
     payload = {"version": _TABLE_VERSION, "witness_target": "phi+",

@@ -5,11 +5,14 @@ maps to index = number - 1.  The Shor code is the (n=3, m=3) instance
 with blocks {0,1,2}, {3,4,5}, {6,7,8}; block leaders sit at indices
 0, m, 2m, ...
 
-Readout measures the surviving qubits of blocks 2 and 3 in Z and the
-non-leader survivors of block 1 in X, then applies a fixed Hadamard and
-one of {I, Z, X, ZX} to the leader.  The outcome-to-correction table is
-derived programmatically from the lossless encoding circuit the first
-time it is needed, never hand-written.
+Readout is a measurement plan run by the same walker as an RGS
+connection (:func:`qparity.sim.walk_plan`): Z on the survivors of blocks
+2..n (each block's sign is the outcome of its first survivor), then X on
+the non-leader survivors of block 1, every measured qubit removed.  The
+leader is left; it gets a fixed Hadamard and one of {I, Z, X, ZX}.  The
+outcome-to-correction table is derived the first time it is needed by
+the shared correction search (:func:`qparity.sim.correction_table`) over
+the lossless branches of a generic code word, never hand-written.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -27,19 +30,23 @@ from .errors import PreconditionError
 from .sim import (
     CNOT,
     H,
+    I2,
+    X,
+    Z,
     DensityMatrix,
-    MeasurementRecord,
     PauliString,
+    PlanStep,
     PureState,
     State,
     apply_pauli_channel,
     apply_unitary,
+    correction_table,
     expectation,
     fidelity,
-    measure,
     measure_pauli,
     partial_trace,
     state_from_qubit,
+    walk_plan,
 )
 
 
@@ -100,9 +107,6 @@ class CodeLayout:
 
 
 SHOR_LAYOUT = CodeLayout(3, 3)
-
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -351,14 +355,12 @@ def correct(state: State, hypothesis: ErrorHypothesis,
     if hypothesis.kind == "unidentifiable":
         raise PreconditionError("cannot correct an unidentifiable syndrome")
     if hypothesis.kind == "x":
-        return apply_unitary(state, _PAULI_X, [hypothesis.qubit])
+        return apply_unitary(state, X, [hypothesis.qubit])
     if hypothesis.kind == "z":
-        return apply_unitary(state, _PAULI_Z,
-                             [layout.qubit_of(hypothesis.block, 0)])
+        return apply_unitary(state, Z, [layout.qubit_of(hypothesis.block, 0)])
     if hypothesis.kind == "y":
         q = hypothesis.qubit
-        return apply_unitary(apply_unitary(state, _PAULI_Z, [q]),
-                             _PAULI_X, [q])
+        return apply_unitary(apply_unitary(state, Z, [q]), X, [q])
     raise ValueError(f"unknown hypothesis kind {hypothesis.kind!r}")
 
 
@@ -366,62 +368,29 @@ def correct(state: State, hypothesis: ErrorHypothesis,
 # readout with loss
 # ---------------------------------------------------------------------------
 
-_CORRECTION_OPS = {
-    "I": np.eye(2, dtype=complex),
-    "Z": _PAULI_Z,
-    "X": _PAULI_X,
-    "ZX": _PAULI_Z @ _PAULI_X,
-}
+_CORRECTION_OPS = {"I": I2, "Z": Z, "X": X, "ZX": Z @ X}
 
 
-def _readout_branches(state: State, alive: Sequence[int], mode: str,
-                      rng: np.random.Generator | None,
-                      layout: CodeLayout):
-    """Walk the readout measurement sequence.
-
-    Yields (s, t, probability, transcript, collapsed_state) where s is
-    the product of block signs for blocks >= 1 (each block's sign is the
-    Z outcome of its first surviving qubit) and t is the product of X
-    outcomes on block 0's surviving non-leader qubits.
-    """
-    pos = {q: i for i, q in enumerate(alive)}
-    z_targets = [[q for q in layout.block_qubits(b) if q in pos]
-                 for b in range(1, layout.n_blocks)]
-    x_targets = [q for q in layout.block_qubits(0)[1:] if q in pos]
-
-    def walk(st, step_list, acc_prob, transcript, signs, t_acc):
-        if not step_list:
-            s = 1
-            for first_outcome in signs:
-                s *= first_outcome
-            yield s, t_acc, acc_prob, transcript, st
-            return
-        (basis, qubit, block_first) = step_list[0]
-        if mode == "sample":
-            rec, nxt = measure(st, pos[qubit], basis, mode="sample", rng=rng)
-            branches = [(rec, nxt)]
-        else:
-            branches = measure(st, pos[qubit], basis, mode="distribution")
-        for rec, nxt in branches:
-            rec_orig = MeasurementRecord(qubit, basis, rec.outcome,
-                                         rec.probability)
-            new_signs = signs + [rec.outcome] if block_first else signs
-            new_t = t_acc * rec.outcome if basis == "X" else t_acc
-            yield from walk(nxt, step_list[1:], acc_prob * rec.probability,
-                            transcript + [rec_orig], new_signs, new_t)
-
-    steps = []
-    for block in z_targets:
-        for i, q in enumerate(block):
-            steps.append(("Z", q, i == 0))
-    for q in x_targets:
-        steps.append(("X", q, False))
-    yield from walk(state, steps, 1.0, [], [], 1)
+_READOUT_PLAN = tuple(
+    [PlanStep("measure_block_z", SHOR_LAYOUT.block_qubits(b))
+     for b in range(1, SHOR_LAYOUT.n_blocks)]
+    + [PlanStep("measure_x", (q,)) for q in SHOR_LAYOUT.block_qubits(0)[1:]])
 
 
-def _generic_reference_input() -> LogicalInput:
-    # Asymmetric amplitudes so that every wrong correction is detectable.
-    return LogicalInput(math.cos(0.35), cmath.exp(0.9j) * math.sin(0.35))
+def _readout_key(records: tuple) -> tuple:
+    """(s, t): s is the product of the block signs of blocks >= 1, t the
+    product of the X outcomes on block 0's surviving non-leaders."""
+    signs = {"Z": 1, "X": 1}
+    for recs in records:
+        if recs:
+            signs[recs[0].basis] *= recs[0].outcome
+    return signs["Z"], signs["X"]
+
+
+def _readout_fix(state: State, order: tuple, name: str) -> State:
+    """Hadamard, then the named correction, on the remaining leader."""
+    return apply_unitary(apply_unitary(state, H, [0]), _CORRECTION_OPS[name],
+                         [0])
 
 
 @lru_cache(maxsize=None)
@@ -429,26 +398,15 @@ def readout_correction_table() -> dict:
     """(block-sign product, X parity) -> correction in {I, Z, X, ZX}.
 
     Derived by enumerating every lossless readout branch of a generic
-    codeword and picking the unique correction that restores the input
+    codeword and picking the first correction that restores the input
     with fidelity 1.
     """
-    inp = _generic_reference_input()
-    target = inp.to_state()
-    state = encode_shor(inp)
-    table = {}
-    for s, t, _prob, _tr, st in _readout_branches(
-            state, list(range(9)), "enumerate", None, SHOR_LAYOUT):
-        reduced = partial_trace(st, [q for q in range(9) if q != 0])
-        reduced = apply_unitary(reduced, H, [0])
-        for name, op in _CORRECTION_OPS.items():
-            candidate = apply_unitary(reduced, op, [0])
-            if fidelity(candidate, target) > 1.0 - TOL.atol:
-                prev = table.setdefault((s, t), name)
-                if prev != name:
-                    raise RuntimeError("correction table is inconsistent")
-                break
-        else:
-            raise RuntimeError(f"no correction restores branch (s={s}, t={t})")
+    # Asymmetric amplitudes so that every wrong correction is detectable.
+    inp = LogicalInput(math.cos(0.35), cmath.exp(0.9j) * math.sin(0.35))
+    branches = walk_plan(encode_shor(inp), range(SHOR_LAYOUT.num_qubits),
+                         _READOUT_PLAN)
+    table = correction_table(branches, _readout_key, _CORRECTION_OPS,
+                             _readout_fix, inp.to_state())
     if len(table) != 4:
         raise RuntimeError(f"expected 4 table entries, derived {len(table)}")
     return table
@@ -486,19 +444,15 @@ def decode_readout(state: State, losses: Iterable[int] = (),
     degraded = bool(lost & set(layout.block_qubits(0)))
 
     table = readout_correction_table()
-    pos = {q: i for i, q in enumerate(alive)}
     results = []
-    for s, t, prob, transcript, st in _readout_branches(
-            work, alive, mode, rng, layout):
-        keep = pos[0]
-        others = [i for i in range(len(alive)) if i != keep]
-        reduced = partial_trace(st, others)
-        reduced = apply_unitary(reduced, H, [0])
-        name = table[(s, t)]
-        reduced = apply_unitary(reduced, _CORRECTION_OPS[name], [0])
-        results.append(DecodeResult(output=reduced, correction=name,
-                                    transcript=transcript, probability=prob,
-                                    degraded=degraded))
+    for branch in walk_plan(work, alive, _READOUT_PLAN, mode, rng):
+        name = table[_readout_key(branch.records)]
+        out = _readout_fix(branch.state, branch.order, name)
+        results.append(DecodeResult(
+            output=out if isinstance(out, DensityMatrix) else out.to_density(),
+            correction=name,
+            transcript=[r for recs in branch.records for r in recs],
+            probability=branch.probability, degraded=degraded))
     if mode == "sample":
         return results[0]
     return results

@@ -7,14 +7,19 @@ mutate their argument and return fresh state objects.
 
 Stochastic operations draw from a caller-supplied
 ``numpy.random.Generator``; for a fixed seed every run is bit-identical
-because every draw happens in documented call order.
+because every draw happens in documented call order: each sampled
+measurement makes exactly one draw.
+
+The measurement-plan walker (:func:`walk_plan`) and the correction
+search (:func:`correction_table`) shared by the Shor readout and the RGS
+connection protocol live here too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -238,24 +243,15 @@ def _dm_apply(rho: np.ndarray, mat: np.ndarray,
     return t.reshape(2 ** n, 2 ** n)
 
 
-def _pauli_vec(amps: np.ndarray, op: PauliString, n: int) -> np.ndarray:
-    """P |psi> as a raw vector."""
-    out = amps
+def _pauli_left(arr: np.ndarray, op: PauliString, n: int) -> np.ndarray:
+    """P |psi> for a raw vector, P rho for a raw matrix."""
+    total = arr.ndim * n
+    t = arr.reshape([2] * total)
     for q, letter in op.factors.items():
         if q >= n:
             raise PreconditionError(f"Pauli factor on qubit {q} out of range")
-        out = _vec_apply(out, PAULI[letter], [q], n)
-    return op.sign * out
-
-
-def _pauli_dm_left(rho: np.ndarray, op: PauliString, n: int) -> np.ndarray:
-    """P rho as a raw matrix."""
-    t = rho.reshape([2] * (2 * n))
-    for q, letter in op.factors.items():
-        if q >= n:
-            raise PreconditionError(f"Pauli factor on qubit {q} out of range")
-        t = _apply_to_axes(t, PAULI[letter], [q], 2 * n)
-    return op.sign * t.reshape(rho.shape)
+        t = _apply_to_axes(t, PAULI[letter], [q], total)
+    return op.sign * t.reshape(arr.shape)
 
 
 def _check_unitary(mat: np.ndarray) -> None:
@@ -320,32 +316,82 @@ def apply_unitary(state: State, matrix: np.ndarray,
                                    state.num_qubits))
 
 
-def _measure_branches(state: State, qubit: int, basis: str):
-    """Both collapse branches for a single-qubit measurement.
+def _select(branches: list, mode: str, rng: np.random.Generator | None,
+            outcome):
+    """Pick one (outcome, probability, state) branch.
 
-    Yields (outcome, probability, collapsed_state) for outcome +1 then
-    -1, skipping branches below the branch probability floor.
+    mode="forced" returns the branch with the given ``outcome``;
+    mode="sample" draws exactly one uniform number from ``rng`` and picks
+    by cumulative probability, falling back to the last branch.
     """
-    n = state.num_qubits
-    _check_targets([qubit], n)
-    if basis not in _BASIS_VECS:
+    if mode == "forced":
+        for branch in branches:
+            if branch[0] == outcome:
+                return branch
+        raise PreconditionError(f"forced outcome {outcome!r} has probability "
+                                f"below {TOL.branch_eps}")
+    if mode == "sample":
+        if rng is None:
+            raise ValueError("sample mode needs an rng")
+        r = rng.random()
+        acc = 0.0
+        for branch in branches:
+            acc += branch[1]
+            if r < acc:
+                return branch
+        return branches[-1]
+    raise ValueError(f"unknown measurement mode {mode!r}")
+
+
+def _project_out(state: State, targets: Sequence[int], basis: str) -> list:
+    """Project the target qubits onto each vector of ``basis`` (X, Y, Z
+    or "bell") and remove them.
+
+    Returns (outcome, probability, remaining state) for every branch
+    above the branch floor; the other qubits keep their relative order.
+    """
+    n, k = state.num_qubits, len(targets)
+    _check_targets(targets, n)
+    if k >= n:
+        raise ValueError("cannot remove every qubit")
+    if basis == "bell":
+        vecs, labels = BELL_STATES, BELL_LABELS
+    elif basis in _BASIS_VECS:
+        vecs, labels = _BASIS_VECS[basis].T, (+1, -1)
+    else:
         raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
-    vecs = _BASIS_VECS[basis]
+    rest = [q for q in range(n) if q not in targets]
     branches = []
-    for col, outcome in ((0, +1), (1, -1)):
-        v = vecs[:, col]
-        proj = np.outer(v, v.conj())
-        if isinstance(state, PureState):
-            collapsed = _vec_apply(state.amplitudes, proj, [qubit], n)
-            p = float(np.vdot(collapsed, collapsed).real)
+    if isinstance(state, PureState):
+        psi = state.amplitudes.reshape([2] * n)
+        psi = psi.transpose(list(targets) + rest).reshape(2 ** k, -1)
+        for label, vec in zip(labels, vecs):
+            v = vec.conj() @ psi
+            p = float(np.vdot(v, v).real)
             if p > TOL.branch_eps:
-                branches.append((outcome, p, PureState(_renorm(collapsed))))
-        else:
-            collapsed = _dm_apply(state.matrix, proj, [qubit], n)
-            p = float(np.trace(collapsed).real)
+                branches.append((label, p, PureState(_renorm(v))))
+    else:
+        t = state.matrix.reshape([2] * (2 * n))
+        perm = list(targets) + rest + [n + q for q in list(targets) + rest]
+        t = t.transpose(perm).reshape(2 ** k, 2 ** (n - k), 2 ** k,
+                                      2 ** (n - k))
+        for label, vec in zip(labels, vecs):
+            sub = np.einsum("a,abcd,c->bd", vec.conj(), t, vec)
+            p = float(np.trace(sub).real)
             if p > TOL.branch_eps:
-                branches.append((outcome, p, DensityMatrix(collapsed / p)))
+                branches.append((label, p, DensityMatrix(sub / p)))
     return branches
+
+
+def _recorded(qubit: int, basis: str, branches: list, mode: str, rng,
+              outcome):
+    """Single-qubit results, with MeasurementRecord in place of
+    (outcome, probability)."""
+    if mode == "distribution":
+        return [(MeasurementRecord(qubit, basis, o, p), st)
+                for o, p, st in branches]
+    o, p, st = _select(branches, mode, rng, outcome)
+    return MeasurementRecord(qubit, basis, o, p), st
 
 
 def measure(state: State, qubit: int, basis: str = "Z", mode: str = "sample",
@@ -359,31 +405,10 @@ def measure(state: State, qubit: int, basis: str = "Z", mode: str = "sample",
     ``(MeasurementRecord, collapsed_state)``; distribution returns a list
     of such pairs whose probabilities sum to 1.
     """
-    branches = _measure_branches(state, qubit, basis)
-    if mode == "distribution":
-        return [(MeasurementRecord(qubit, basis, o, p), s)
-                for o, p, s in branches]
-    if mode == "forced":
-        if outcome not in (+1, -1):
-            raise ValueError("forced mode needs outcome=+1 or -1")
-        for o, p, s in branches:
-            if o == outcome:
-                return MeasurementRecord(qubit, basis, o, p), s
-        raise PreconditionError(
-            f"forced outcome {outcome:+d} on qubit {qubit} has probability "
-            f"below {TOL.branch_eps}")
-    if mode == "sample":
-        if rng is None:
-            raise ValueError("sample mode needs an rng")
-        p_plus = sum(p for o, p, _ in branches if o == +1)
-        pick = +1 if rng.random() < p_plus else -1
-        for o, p, s in branches:
-            if o == pick:
-                return MeasurementRecord(qubit, basis, o, p), s
-        # only one branch realizable; rng draw already consumed
-        o, p, s = branches[0]
-        return MeasurementRecord(qubit, basis, o, p), s
-    raise ValueError(f"unknown measurement mode {mode!r}")
+    _check_targets([qubit], state.num_qubits)
+    branches = measure_pauli(state, PauliString({qubit: basis}),
+                             mode="distribution")
+    return _recorded(qubit, basis, branches, mode, rng, outcome)
 
 
 def measure_out(state: State, qubit: int, basis: str = "Z",
@@ -396,53 +421,8 @@ def measure_out(state: State, qubit: int, basis: str = "Z",
     contracted away, so the returned states have one qubit fewer (the
     rest keep their relative order).  The state must hold >= 2 qubits.
     """
-    n = state.num_qubits
-    _check_targets([qubit], n)
-    if n < 2:
-        raise ValueError("cannot remove the only qubit")
-    if basis not in _BASIS_VECS:
-        raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
-    rest = [q for q in range(n) if q != qubit]
-    branches = []
-    if isinstance(state, PureState):
-        psi = state.amplitudes.reshape([2] * n)
-        psi = psi.transpose([qubit] + rest).reshape(2, -1)
-        for col, o in ((0, +1), (1, -1)):
-            v = _BASIS_VECS[basis][:, col].conj() @ psi
-            p = float(np.vdot(v, v).real)
-            if p > TOL.branch_eps:
-                branches.append((MeasurementRecord(qubit, basis, o, p),
-                                 PureState(_renorm(v))))
-    else:
-        t = state.matrix.reshape([2] * (2 * n))
-        perm = [qubit] + rest + [n + qubit] + [n + q for q in rest]
-        t = t.transpose(perm).reshape(2, 2 ** (n - 1), 2, 2 ** (n - 1))
-        for col, o in ((0, +1), (1, -1)):
-            b = _BASIS_VECS[basis][:, col]
-            sub = np.einsum("a,abcd,c->bd", b.conj(), t, b)
-            p = float(np.trace(sub).real)
-            if p > TOL.branch_eps:
-                branches.append((MeasurementRecord(qubit, basis, o, p),
-                                 DensityMatrix(sub / p)))
-    if mode == "distribution":
-        return branches
-    if mode == "forced":
-        for rec, st in branches:
-            if rec.outcome == outcome:
-                return rec, st
-        raise PreconditionError(
-            f"forced outcome {outcome:+d} on qubit {qubit} has probability "
-            f"below {TOL.branch_eps}")
-    if mode == "sample":
-        if rng is None:
-            raise ValueError("sample mode needs an rng")
-        p_plus = sum(r.probability for r, _ in branches if r.outcome == +1)
-        pick = +1 if rng.random() < p_plus else -1
-        for rec, st in branches:
-            if rec.outcome == pick:
-                return rec, st
-        return branches[0]
-    raise ValueError(f"unknown measurement mode {mode!r}")
+    return _recorded(qubit, basis, _project_out(state, [qubit], basis), mode,
+                     rng, outcome)
 
 
 def measure_pauli(state: State, op: PauliString, mode: str = "sample",
@@ -457,7 +437,7 @@ def measure_pauli(state: State, op: PauliString, mode: str = "sample",
     n = state.num_qubits
     branches = []
     if isinstance(state, PureState):
-        pv = _pauli_vec(state.amplitudes, op, n)
+        pv = _pauli_left(state.amplitudes, op, n)
         for s in (+1, -1):
             collapsed = (state.amplitudes + s * pv) / 2.0
             p = float(np.vdot(collapsed, collapsed).real)
@@ -465,9 +445,9 @@ def measure_pauli(state: State, op: PauliString, mode: str = "sample",
                 branches.append((s, p, PureState(_renorm(collapsed))))
     else:
         rho = state.matrix
-        pr = _pauli_dm_left(rho, op, n)
+        pr = _pauli_left(rho, op, n)
         rp = pr.conj().T           # rho P, since P rho is (rho P)^dagger
-        prp = _pauli_dm_left(rp, op, n)
+        prp = _pauli_left(rp, op, n)
         for s in (+1, -1):
             collapsed = (rho + s * pr + s * rp + prp) / 4.0
             p = float(np.trace(collapsed).real)
@@ -475,36 +455,17 @@ def measure_pauli(state: State, op: PauliString, mode: str = "sample",
                 branches.append((s, p, DensityMatrix(collapsed / p)))
     if mode == "distribution":
         return branches
-    if mode == "forced":
-        for s, p, st in branches:
-            if s == outcome:
-                return (s, p), st
-        raise PreconditionError(
-            f"forced outcome {outcome:+d} of {op.label()} has probability "
-            f"below {TOL.branch_eps}")
-    if mode == "sample":
-        if rng is None:
-            raise ValueError("sample mode needs an rng")
-        p_plus = sum(p for s, p, _ in branches if s == +1)
-        pick = +1 if rng.random() < p_plus else -1
-        for s, p, st in branches:
-            if s == pick:
-                return (s, p), st
-        s, p, st = branches[0]
-        return (s, p), st
-    raise ValueError(f"unknown measurement mode {mode!r}")
+    s, p, st = _select(branches, mode, rng, outcome)
+    return (s, p), st
 
 
 def expectation(state: State, op: PauliString) -> float:
     """<P> for a signed Pauli product; real and clipped to [-1, 1]."""
     n = state.num_qubits
-    for q in op.factors:
-        if q >= n:
-            raise PreconditionError(f"operator qubit {q} out of range")
     if isinstance(state, PureState):
-        val = np.vdot(state.amplitudes, _pauli_vec(state.amplitudes, op, n))
+        val = np.vdot(state.amplitudes, _pauli_left(state.amplitudes, op, n))
     else:
-        val = np.trace(_pauli_dm_left(state.matrix, op, n))
+        val = np.trace(_pauli_left(state.matrix, op, n))
     return float(np.clip(val.real, -1.0, 1.0))
 
 
@@ -543,52 +504,10 @@ def bell_project(state: State, qa: int, qb: int, mode: str = "sample",
     returns the list of realizable branches in label order.  Remaining
     qubits keep their original relative order.
     """
-    n = state.num_qubits
-    if qa == qb:
-        raise ValueError("Bell projection needs two distinct qubits")
-    _check_targets([qa, qb], n)
-    if n < 3:
-        raise ValueError("Bell projection would remove every qubit")
-    rest = [q for q in range(n) if q not in (qa, qb)]
-    branches = []
-    if isinstance(state, PureState):
-        psi = state.amplitudes.reshape([2] * n)
-        psi = psi.transpose([qa, qb] + rest).reshape(4, -1)
-        for i, label in enumerate(BELL_LABELS):
-            v = BELL_STATES[i].conj() @ psi
-            p = float(np.vdot(v, v).real)
-            if p > TOL.branch_eps:
-                branches.append((label, p, PureState(_renorm(v))))
-    else:
-        t = state.matrix.reshape([2] * (2 * n))
-        perm = ([qa, qb] + rest + [n + qa, n + qb] + [n + q for q in rest])
-        t = t.transpose(perm).reshape(4, 2 ** (n - 2), 4, 2 ** (n - 2))
-        for i, label in enumerate(BELL_LABELS):
-            b = BELL_STATES[i]
-            sub = np.einsum("a,abcd,c->bd", b.conj(), t, b)
-            p = float(np.trace(sub).real)
-            if p > TOL.branch_eps:
-                branches.append((label, p, DensityMatrix(sub / p)))
+    branches = _project_out(state, [qa, qb], "bell")
     if mode == "enumerate":
         return branches
-    if mode == "forced":
-        for label, p, st in branches:
-            if label == outcome:
-                return label, p, st
-        raise PreconditionError(
-            f"forced Bell outcome {outcome!r} has probability below "
-            f"{TOL.branch_eps}")
-    if mode == "sample":
-        if rng is None:
-            raise ValueError("sample mode needs an rng")
-        r = rng.random()
-        acc = 0.0
-        for label, p, st in branches:
-            acc += p
-            if r < acc:
-                return label, p, st
-        return branches[-1]
-    raise ValueError(f"unknown mode {mode!r}")
+    return _select(branches, mode, rng, outcome)
 
 
 def fidelity(state: State, target: PureState) -> float:
@@ -614,5 +533,121 @@ def apply_pauli_channel(state: State, op: PauliString, p: float) -> DensityMatri
     rho = state.to_density() if isinstance(state, PureState) else state
     n = rho.num_qubits
     # P rho P = P (P rho)^dagger for Hermitian rho and P.
-    flipped = _pauli_dm_left(_pauli_dm_left(rho.matrix, op, n).conj().T, op, n)
+    flipped = _pauli_left(_pauli_left(rho.matrix, op, n).conj().T, op, n)
     return DensityMatrix((1.0 - p) * rho.matrix + p * flipped)
+
+
+# ---------------------------------------------------------------------------
+# measurement plans
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PlanStep:
+    """One protocol instruction.
+
+    op="measure_x":       photons = (label,)
+    op="measure_block_z": photons = one logical qubit; its surviving
+                          photons are measured in Z in the listed order
+    op="bsm":             photons = (channel interface, RGS photon)
+    """
+
+    op: str
+    photons: tuple
+
+    def __post_init__(self):
+        if self.op not in _STEP_BASIS:
+            raise ValueError(f"unknown plan op {self.op!r}")
+        object.__setattr__(self, "photons", tuple(self.photons))
+        if self.op == "measure_x" and len(self.photons) != 1:
+            raise ValueError("measure_x takes exactly one photon")
+        if self.op == "bsm" and len(set(self.photons)) != 2:
+            raise ValueError("bsm takes exactly two distinct photons")
+
+
+_STEP_BASIS = {"measure_x": "X", "measure_block_z": "Z", "bsm": "bell"}
+
+
+class PlanBranch(NamedTuple):
+    """One branch of a walked plan."""
+
+    records: tuple        # per plan step, the MeasurementRecords it made
+    probability: float
+    state: State
+    order: tuple          # labels of the qubits left in ``state``
+
+
+def walk_plan(state: State, order: Sequence, plan: Sequence[PlanStep],
+              mode: str = "enumerate",
+              rng: np.random.Generator | None = None) -> list:
+    """Run a measurement plan, removing every qubit it measures.
+
+    ``order`` labels the qubits of ``state``.  mode="enumerate" returns
+    every realizable branch, mode="sample" the one branch drawn from
+    ``rng``, as a list of PlanBranch.  ``records[i]`` holds the
+    MeasurementRecords of step i with photon labels in place of qubit
+    indices (the label pair and basis "bell" for a BSM).  Photons not in
+    ``order`` are lost and a step records nothing for them; measure_x on
+    a photon an earlier step consumed, or a BSM on a missing photon,
+    raises PreconditionError.
+    """
+    if mode not in ("enumerate", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
+    order, initial = list(order), set(order)
+    branches = [((), 1.0, state)]
+    for step in plan:
+        present = [p for p in step.photons if p in order]
+        if step.op == "bsm" and len(present) < 2:
+            raise PreconditionError(f"BSM {step.photons} on a lost photon")
+        if (step.op == "measure_x" and not present
+                and step.photons[0] in initial):
+            raise PreconditionError(f"malformed plan: photon "
+                                    f"{step.photons[0]!r} already consumed")
+        groups = ([step.photons] if step.op == "bsm"
+                  else [(p,) for p in present])
+        basis = _STEP_BASIS[step.op]
+        # (records so far, probability, state, this step's records,
+        # this step's probability)
+        growing = [(recs, prob, st, (), 1.0) for recs, prob, st in branches]
+        for group in groups:
+            targets = [order.index(p) for p in group]
+            label = group if len(group) > 1 else group[0]
+            nxt = []
+            for recs, prob, st, made, p_step in growing:
+                outs = _project_out(st, targets, basis)
+                if mode == "sample":
+                    outs = [_select(outs, mode, rng, None)]
+                nxt += [(recs, prob, ns,
+                         made + (MeasurementRecord(label, basis, o, p),),
+                         p_step * p) for o, p, ns in outs]
+            growing = nxt
+            order = [p for p in order if p not in group]
+        branches = [(recs + (made,), prob * p_step, st)
+                    for recs, prob, st, made, p_step in growing]
+    return [PlanBranch(recs, prob, st, tuple(order))
+            for recs, prob, st in branches]
+
+
+def correction_table(branches: Sequence[PlanBranch],
+                     key: Callable[[tuple], object], names: Iterable,
+                     apply: Callable[[State, tuple, object], State],
+                     target: PureState) -> dict:
+    """Map each branch key to the first correction restoring ``target``.
+
+    For every branch the candidate corrections ``names`` are tried in
+    order; the first for which ``apply(state, order, name)`` has
+    fidelity 1 with ``target`` is recorded under ``key(records)``.
+    Raises RuntimeError when no candidate restores a branch, or when two
+    branches with one key need different corrections.
+    """
+    table = {}
+    for branch in branches:
+        k = key(branch.records)
+        for name in names:
+            fixed = apply(branch.state, branch.order, name)
+            if fidelity(fixed, target) > 1.0 - TOL.atol:
+                break
+        else:
+            raise RuntimeError(f"no correction restores branch {k!r}")
+        if table.setdefault(k, name) != name:
+            raise RuntimeError(f"correction table is inconsistent at {k!r}")
+    return table

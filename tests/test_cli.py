@@ -105,8 +105,32 @@ class TestCommands:
         assert data["noise"]["block_fidelity"] < 1
         assert isinstance(data["noise"]["snr_hv"], float)
 
+    @pytest.mark.parametrize("factor,stages", [
+        ("0.3", None), ("0.125", [0.5] * 3), ("1", []), ("0", None)])
+    def test_photonics_rate_stage_factors(self, tmp_path, factor, stages):
+        """The listed stage factors multiply to --factor, or are null."""
+        rc, raw = run(tmp_path, "photonics-rate", "--factor", factor)
+        assert rc == 0
+        assert json.loads(raw)["encoder_stage_factors"] == stages
+
 
 class TestExitCodes:
+    INVALID = [
+        (("bare-control", "--loss", "2"), 2),
+        (("bare-control", "--loss", "-1"), 2),
+        (("connect", "--loss", "-1"), 2),
+        (("rgs-loss", "--loss", "-1"), 2),
+        (("connect", "--loss", "3"), 3),
+        (("rgs-loss", "--loss", "3"), 3),
+    ]
+
+    @pytest.mark.parametrize("argv,code", INVALID,
+                             ids=[" ".join(a) for a, _ in INVALID])
+    def test_invalid_input_exit_code(self, tmp_path, capsys, argv, code):
+        rc, _ = run(tmp_path, *argv)
+        assert rc == code
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_invalid_probability_is_config_error(self, tmp_path):
         rc, _ = run(tmp_path, "syndrome-scan", "--p-values", "0,2")
         assert rc == 2

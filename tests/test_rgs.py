@@ -14,7 +14,7 @@ from qparity.rgs import (
     PlanStep,
     RgsSpec,
     Scenario,
-    _walk_plan,
+    _outcome_tokens,
     bare_loss_scenario,
     build_bare_rgs,
     build_encoded_rgs,
@@ -34,6 +34,7 @@ from qparity.sim import (
     PureState,
     apply_unitary,
     expectation,
+    walk_plan,
 )
 
 S2 = 1 / math.sqrt(2)
@@ -267,6 +268,17 @@ class TestCorrections:
         for b in res:
             assert abs(b.witness.fidelity - 1) < 1e-10
 
+    @pytest.mark.parametrize("loss", [0, 2])
+    def test_tables_keyed_by_content_not_name(self, loss):
+        """A factory-named scenario with another plan gets a derived
+        table, not the shipped one of its name."""
+        scen = encoded_loss_scenario(loss)
+        reordered = replace(scen, plan=tuple(reversed(scen.plan)))
+        res = run_connection(reordered)
+        assert abs(sum(b.probability for b in res) - 1) < 1e-10
+        for b in res:
+            assert abs(b.witness.fidelity - 1) < 1e-10
+
 
 class TestLogicalLossTest:
     @pytest.mark.parametrize("loss", [0, 1, 2])
@@ -300,9 +312,8 @@ class TestSampleFrequencies:
         shots = 100_000
         counts = Counter()
         for _ in range(shots):
-            tokens, _, _, _ = next(iter(_walk_plan(
-                state, order, scen.plan, "sample", rng)))
-            counts["|".join(tokens)] += 1
+            (branch,) = walk_plan(state, order, scen.plan, "sample", rng)
+            counts["|".join(_outcome_tokens(scen.plan, branch.records))] += 1
         assert set(counts) <= set(probs)
         for key, p in probs.items():
             se = math.sqrt(p * (1 - p) / shots)

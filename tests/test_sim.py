@@ -182,6 +182,21 @@ class TestMeasure:
             np.testing.assert_allclose(reduced.matrix,
                                        sr.to_density().matrix, atol=1e-10)
 
+    @pytest.mark.parametrize("basis", ["X", "Y", "Z"])
+    def test_density_collapse_matches_oracle(self, basis):
+        rho = random_state(3, 17).to_density()
+        columns = {"Z": [[1, 0], [0, 1]], "X": [[1, 1], [1, -1]],
+                   "Y": [[1, 1], [1j, -1j]]}
+        for rec, post in measure(rho, 1, basis, mode="distribution"):
+            col = (1 - rec.outcome) // 2
+            v = np.array(columns[basis], dtype=complex)[:, col]
+            v = v / np.linalg.norm(v)
+            proj = ref.site_operator({1: np.outer(v, v.conj())}, 3)
+            want = proj @ rho.matrix @ proj
+            assert abs(np.trace(want).real - rec.probability) < 1e-12
+            np.testing.assert_allclose(post.matrix,
+                                       want / rec.probability, atol=1e-12)
+
     def test_measure_pauli_product(self):
         ghz = PureState(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2))
         op = PauliString({0: "Z", 1: "Z"})
@@ -368,3 +383,28 @@ class TestPauliString:
         op = PauliString({0: "X", 1: "Y", 2: "Z"})
         sq = op * op
         assert sq.factors == {} and sq.sign == 1
+
+
+class TestSampleDraws:
+    """Sample mode makes exactly one uniform draw per call, whatever the
+    number of realizable branches (the draw-order contract)."""
+
+    CALLS = {
+        "measure": lambda st, rng: measure(st, 1, "X", rng=rng),
+        "measure_out": lambda st, rng: measure_out(st, 1, "Y", rng=rng),
+        "measure_pauli": lambda st, rng: measure_pauli(
+            st, PauliString({0: "Z", 2: "X"}), rng=rng),
+        "bell_project": lambda st, rng: bell_project(st, 0, 2, rng=rng),
+    }
+
+    @pytest.mark.parametrize("density", [False, True])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_one_draw_per_call(self, name, density):
+        for state in (random_state(3, 4), make_basis_state(3)):
+            if density:
+                state = state.to_density()
+            rng = np.random.default_rng(123)
+            self.CALLS[name](state, rng)
+            ref_rng = np.random.default_rng(123)
+            ref_rng.random()
+            assert rng.random() == ref_rng.random()
