@@ -127,24 +127,22 @@ def cmd_encode(args) -> None:
     inp = _angles_input(args.theta, args.phi)
     noise = _check_noise(args.noise)
     state = encode_shor(inp)
+    rho = state if noise is None else encode_shor_noisy(inp, noise)
     payload = {
         "command": "encode",
         "input": {"theta": args.theta, "phi": args.phi},
         "stabilizers": [s.label() for s in stabilizers()],
+        "stabilizer_expectations": [expectation(rho, s)
+                                    for s in stabilizers()],
     }
     if noise is None:
-        payload["stabilizer_expectations"] = [
-            expectation(state, s) for s in stabilizers()]
         payload["nonzero_amplitudes"] = {
             format(i, "09b"): [a.real, a.imag]
             for i, a in enumerate(state.amplitudes) if abs(a) > 1e-12
         }
     else:
-        rho = encode_shor_noisy(inp, noise)
         payload["noise"] = {"visibility": noise}
-        payload["stabilizer_expectations"] = [
-            expectation(rho, s) for s in stabilizers()]
-        probs = np.diag(rho.matrix).real
+        probs = rho.probabilities()
         payload["basis_probabilities"] = {
             format(i, "09b"): float(p)
             for i, p in enumerate(probs) if p > 1e-12

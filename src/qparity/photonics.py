@@ -166,7 +166,7 @@ def apply_visibility_noise(state: State, sites: Sequence[PauliString],
     if not (0.0 <= visibility <= 1.0):
         raise ValueError(f"visibility {visibility} out of [0, 1]")
     p_kick = (1.0 - visibility) / 2.0
-    rho = state.to_density() if isinstance(state, PureState) else state
+    rho = state.to_density()
     for site in sites:
         rho = apply_pauli_channel(rho, site, p_kick)
     return rho
@@ -240,10 +240,7 @@ def snr_hv(rho: State, ideal: PureState | None = None) -> float:
     if rho.num_qubits != ideal.num_qubits:
         raise ValueError(f"state has {rho.num_qubits} qubits, ideal has "
                          f"{ideal.num_qubits}")
-    if isinstance(rho, PureState):
-        probs = np.abs(rho.amplitudes) ** 2
-    else:
-        probs = np.diag(rho.matrix).real
+    probs = rho.probabilities()
     support = ideal_support(ideal)
     signal = float(probs[support].sum())
     noise = float(probs.sum() - signal)

@@ -94,11 +94,6 @@ class CodeLayout:
             raise ValueError(f"position {position} out of range")
         return block * self.block_size + position
 
-    def block_of(self, qubit: int) -> int:
-        if not (0 <= qubit < self.num_qubits):
-            raise ValueError(f"qubit {qubit} out of range")
-        return qubit // self.block_size
-
     def block_qubits(self, block: int) -> tuple:
         return tuple(self.qubit_of(block, i) for i in range(self.block_size))
 
@@ -115,10 +110,6 @@ class LossPattern:
 
     lost: frozenset
 
-    @classmethod
-    def of(cls, qubits: Iterable[int]) -> "LossPattern":
-        return cls(frozenset(int(q) for q in qubits))
-
     def validate(self, layout: CodeLayout) -> None:
         for q in self.lost:
             if not (0 <= q < layout.num_qubits):
@@ -127,25 +118,29 @@ class LossPattern:
 
 @dataclass(frozen=True)
 class SyndromeRecord:
-    """Values of the eight stabilizers, in the order returned by
-    :func:`stabilizers` (six ZZ pairs then two X strings)."""
+    """Values of a layout's stabilizers, in the order returned by
+    :func:`stabilizers`: the n(m-1) ZZ pairs, then the n-1 X strings."""
 
     values: tuple
+    layout: CodeLayout = SHOR_LAYOUT
 
     def __post_init__(self):
-        if len(self.values) != 8:
-            raise ValueError("syndrome record needs exactly 8 values")
+        count = len(stabilizers(self.layout))
+        if len(self.values) != count:
+            raise ValueError(f"syndrome record of a {self.layout.n_blocks}x"
+                             f"{self.layout.block_size} layout needs "
+                             f"exactly {count} values")
         for v in self.values:
             if not (-1.0 - TOL.atol <= v <= 1.0 + TOL.atol):
                 raise ValueError(f"syndrome value {v} outside [-1, 1]")
 
     @property
     def sz(self) -> tuple:
-        return self.values[:6]
+        return self.values[:len(self.values) - (self.layout.n_blocks - 1)]
 
     @property
     def sx(self) -> tuple:
-        return self.values[6:]
+        return self.values[len(self.values) - (self.layout.n_blocks - 1):]
 
     def to_json_dict(self) -> dict:
         return {"SZ": list(self.sz), "SX": list(self.sx)}
@@ -266,7 +261,7 @@ def stabilizers(layout: CodeLayout = SHOR_LAYOUT) -> list:
 def measure_syndromes(state: State, mode: str = "expectation",
                       rng: np.random.Generator | None = None,
                       layout: CodeLayout = SHOR_LAYOUT):
-    """Evaluate the eight syndrome operators.
+    """Evaluate the layout's syndrome operators (:func:`stabilizers`).
 
     mode="expectation" leaves the state untouched and records <S_i>;
     mode="sample" measures the (commuting) operators sequentially in the
@@ -278,14 +273,15 @@ def measure_syndromes(state: State, mode: str = "expectation",
                          f"{layout.num_qubits}")
     gens = stabilizers(layout)
     if mode == "expectation":
-        return SyndromeRecord(tuple(expectation(state, g) for g in gens)), state
+        return (SyndromeRecord(tuple(expectation(state, g) for g in gens),
+                               layout), state)
     if mode == "sample":
         values = []
         for g in gens:
             (outcome, _), state = measure_pauli(state, g, mode="sample",
                                                 rng=rng)
             values.append(outcome)
-        return SyndromeRecord(tuple(values)), state
+        return SyndromeRecord(tuple(values), layout), state
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -303,32 +299,41 @@ def apply_flip_channel(state: State, qubit: int, kind: str,
 # diagnosis and correction
 # ---------------------------------------------------------------------------
 
-def _x_position(pair: tuple) -> int | None:
-    """Map the two ZZ outcomes of one block to the in-block X position."""
-    return {(1, 1): None, (-1, 1): 0, (-1, -1): 1, (1, -1): 2}[pair]
+def _flip_site(links: tuple):
+    """The one site whose flip explains a chain of +-1 links (link i
+    joins sites i and i+1): None for no flip, -1 when no site or several
+    sites explain it."""
+    if all(v == 1 for v in links):
+        return None
+    sites = [j for j in range(len(links) + 1)
+             if all((v == -1) == (i in (j - 1, j))
+                    for i, v in enumerate(links))]
+    return sites[0] if len(sites) == 1 else -1
 
 
-def diagnose(record: SyndromeRecord,
-             layout: CodeLayout = SHOR_LAYOUT) -> ErrorHypothesis:
+def diagnose(record: SyndromeRecord) -> ErrorHypothesis:
     """Minimal single-qubit hypothesis for a sampled (+-1) syndrome.
 
-    Z errors are degenerate within a block and reported per block.
-    Syndromes outside the single-error table come back unidentifiable.
+    Each block's X position comes from its chain of ZZ pairs, the Z
+    block from the chain of adjacent-block X strings.  Z errors are
+    degenerate within a block and reported per block.  Syndromes outside
+    the single-error table come back unidentifiable, and so does a flip
+    that two sites explain alike (X in a block of two, Z in a code of
+    two blocks).
     """
+    layout = record.layout
     vals = tuple(int(v) for v in record.values)
     if any(v not in (-1, 1) for v in vals):
         raise ValueError("diagnose needs a sampled record with +-1 entries")
-    sz, sx = vals[:6], vals[6:]
-
+    links = layout.block_size - 1
     x_hits = []
-    for b in range(3):
-        pos = _x_position((sz[2 * b], sz[2 * b + 1]))
+    for b in range(layout.n_blocks):
+        pos = _flip_site(vals[b * links:(b + 1) * links])
         if pos is not None:
             x_hits.append((b, pos))
-    if len(x_hits) > 1:
+    z_block = _flip_site(vals[layout.n_blocks * links:])
+    if len(x_hits) > 1 or -1 in (z_block, *(p for _, p in x_hits)):
         return ErrorHypothesis("unidentifiable")
-
-    z_block = {(1, 1): None, (-1, 1): 0, (-1, -1): 1, (1, -1): 2}[sx]
 
     if not x_hits and z_block is None:
         return ErrorHypothesis("none")
@@ -449,7 +454,7 @@ def decode_readout(state: State, losses: Iterable[int] = (),
         name = table[_readout_key(branch.records)]
         out = _readout_fix(branch.state, branch.order, name)
         results.append(DecodeResult(
-            output=out if isinstance(out, DensityMatrix) else out.to_density(),
+            output=out.to_density(),
             correction=name,
             transcript=[r for recs in branch.records for r in recs],
             probability=branch.probability, degraded=degraded))

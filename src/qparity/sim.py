@@ -5,6 +5,17 @@ the computational-basis index, so for two qubits the amplitude order is
 |00>, |01>, |10>, |11>.  All operations are pure functions: they never
 mutate their argument and return fresh state objects.
 
+Every state is an ensemble rho = sum_i w_i |v_i><v_i| of r amplitude
+rows ``vectors`` (r x 2^n, not necessarily normalized) with real
+``weights``; a :class:`PureState` is the case r = 1, w = 1.  Each
+operation is one code path over the rows: tracing a qubit out splits
+every row per discarded basis value, a Pauli channel returns [A; P A],
+and everything else acts row by row, so a mixed state costs r vectors
+instead of a 4^n matrix.  Dense matrices exist only at the boundary:
+``DensityMatrix(matrix)`` decomposes its argument once with ``eigh``,
+``DensityMatrix.matrix`` is rebuilt on demand, and a stack outgrowing
+2^n rows is compressed back through one ``eigh``.
+
 Stochastic operations draw from a caller-supplied
 ``numpy.random.Generator``; for a fixed seed every run is bit-identical
 because every draw happens in documented call order: each sampled
@@ -34,7 +45,6 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-S = np.array([[1, 0], [0, 1j]], dtype=complex)
 
 # CNOT acts on (control, target) with the control as the first axis.
 CNOT = np.array(
@@ -43,97 +53,127 @@ CNOT = np.array(
      [0, 0, 0, 1],
      [0, 0, 1, 0]], dtype=complex)
 
-SWAP = np.array(
-    [[1, 0, 0, 0],
-     [0, 0, 1, 0],
-     [0, 1, 0, 0],
-     [0, 0, 0, 1]], dtype=complex)
-
 PAULI = {"I": I2, "X": X, "Y": Y, "Z": Z}
-
-# Columns are the +1 / -1 eigenvectors of each measurement basis.
-_BASIS_VECS = {
-    "Z": np.array([[1, 0], [0, 1]], dtype=complex),
-    "X": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2),
-}
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
+# Per measurement basis, the outcome labels and the bras <v| of the
+# vectors it projects onto (for "bell", over the (qa, qb) axis pair).
+_S2 = 1.0 / math.sqrt(2)
+_BRAS = {
+    "Z": ((+1, -1), np.array([[1, 0], [0, 1]], dtype=complex)),
+    "X": ((+1, -1), np.array([[1, 1], [1, -1]], dtype=complex) * _S2),
+    "Y": ((+1, -1), np.array([[1, -1j], [1, 1j]], dtype=complex) * _S2),
+    "bell": (BELL_LABELS, np.array([[_S2, 0, 0, _S2],      # phi+
+                                    [_S2, 0, 0, -_S2],     # phi-
+                                    [0, _S2, _S2, 0],      # psi+
+                                    [0, _S2, -_S2, 0]],    # psi-
+                                   dtype=complex)),
+}
 
-def _bell_vectors() -> np.ndarray:
-    """4x4 array whose rows are the Bell states in (qa, qb) axis order."""
-    s = 1.0 / math.sqrt(2)
-    return np.array(
-        [[s, 0, 0, s],     # phi+ = (|00> + |11>)/sqrt2
-         [s, 0, 0, -s],    # phi- = (|00> - |11>)/sqrt2
-         [0, s, s, 0],     # psi+ = (|01> + |10>)/sqrt2
-         [0, s, -s, 0]],   # psi- = (|01> - |10>)/sqrt2
-        dtype=complex)
+
+def _check_dimension(dim: int, what: str) -> None:
+    n = dim.bit_length() - 1
+    if dim != 2 ** n or not (1 <= n <= MAX_QUBITS):
+        raise ValueError(f"{what} {dim} is not a power of two within "
+                         f"1..{MAX_QUBITS} qubits")
 
 
-BELL_STATES = _bell_vectors()
+def _dense(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i w_i |v_i><v_i| as a 2^n x 2^n matrix."""
+    return (vectors.T * weights) @ vectors.conj()
 
 
-class PureState:
-    """Normalized state vector of ``num_qubits`` qubits."""
+def _eigen_rows(mat: np.ndarray) -> tuple:
+    """Eigenvectors (as rows) and eigenvalues of a Hermitian matrix,
+    without the eigenvalues that are zero to working precision."""
+    evals, evecs = np.linalg.eigh(mat)
+    size = np.abs(evals)
+    keep = size > size.max() * len(evals) * np.finfo(float).eps
+    return np.ascontiguousarray(evecs.T[keep]), evals[keep]
 
-    __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes: np.ndarray):
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        n = int(round(math.log2(amps.size)))
-        if 2 ** n != amps.size or not (1 <= n <= MAX_QUBITS):
-            raise ValueError(f"amplitude vector length {amps.size} is not a "
-                             f"power of two within 1..{MAX_QUBITS} qubits")
-        norm = float(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > TOL.atol:
-            raise ValueError(f"state not normalized: sum |a|^2 = {norm!r}")
-        self.amplitudes = amps
+class _Ensemble:
+    """rho = sum_i weights[i] |vectors[i]><vectors[i]|."""
+
+    __slots__ = ("vectors", "weights")
+
+    @classmethod
+    def _from_rows(cls, vectors: np.ndarray, weights: np.ndarray):
+        """Unchecked constructor for states made by library operations;
+        more rows than amplitudes are compressed through ``eigh``."""
+        if len(vectors) > vectors.shape[1]:
+            vectors, weights = _eigen_rows(_dense(vectors, weights))
+        state = object.__new__(cls)
+        state.vectors = vectors
+        state.weights = weights
+        return state
 
     @property
     def num_qubits(self) -> int:
-        return int(round(math.log2(self.amplitudes.size)))
+        return self.vectors.shape[1].bit_length() - 1
 
     def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityMatrix._from_rows(self.vectors, self.weights)
 
-    def amplitude(self, bits: str) -> complex:
-        """Amplitude of the basis string, qubit 0 leftmost."""
-        return complex(self.amplitudes[int(bits, 2)])
+    def probabilities(self) -> np.ndarray:
+        """Computational-basis probabilities, in amplitude order."""
+        return (self.weights[:, None] * np.abs(self.vectors) ** 2).sum(axis=0)
 
     def __repr__(self) -> str:
-        return f"PureState(num_qubits={self.num_qubits})"
+        return f"{type(self).__name__}(num_qubits={self.num_qubits})"
 
 
-class DensityMatrix:
-    """Hermitian, unit-trace density operator.
+class PureState(_Ensemble):
+    """Normalized state vector of ``num_qubits`` qubits: the ensemble of
+    one row with weight 1."""
 
-    Hermiticity and trace are checked on construction; positivity is
-    checked only by :meth:`validate` because an eigendecomposition per
-    intermediate state would dominate branch-enumeration runtimes.
+    __slots__ = ()
+
+    def __init__(self, amplitudes: np.ndarray):
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        _check_dimension(amps.size, "amplitude vector length")
+        norm = float(np.vdot(amps, amps).real)
+        if abs(norm - 1.0) > TOL.atol:
+            raise ValueError(f"state not normalized: sum |a|^2 = {norm!r}")
+        self.vectors = amps.reshape(1, -1)
+        self.weights = np.ones(1)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        return self.vectors[0]
+
+
+class DensityMatrix(_Ensemble):
+    """Hermitian, unit-trace density operator, held as an ensemble.
+
+    The constructor checks Hermiticity and trace of ``matrix``, then
+    decomposes it once with ``eigh``: the eigenvectors become the rows
+    and the eigenvalues the weights.  A weight may be negative, so a
+    matrix that is not positive semidefinite still constructs;
+    positivity is checked only by :meth:`validate`.  ``matrix`` is a
+    read-only dense view, rebuilt on each access.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ()
 
     def __init__(self, matrix: np.ndarray):
         mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
-        n = int(round(math.log2(mat.shape[0])))
-        if 2 ** n != mat.shape[0] or not (1 <= n <= MAX_QUBITS):
-            raise ValueError(f"dimension {mat.shape[0]} is not a power of two "
-                             f"within 1..{MAX_QUBITS} qubits")
+        _check_dimension(mat.shape[0], "dimension")
         if np.max(np.abs(mat - mat.conj().T)) > TOL.atol:
             raise ValueError("density matrix not Hermitian")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TOL.atol:
             raise ValueError(f"density matrix trace {tr!r} != 1")
-        self.matrix = mat
+        self.vectors, self.weights = _eigen_rows(mat)
 
     @property
-    def num_qubits(self) -> int:
-        return int(round(math.log2(self.matrix.shape[0])))
+    def matrix(self) -> np.ndarray:
+        mat = _dense(self.vectors, self.weights)
+        mat.flags.writeable = False
+        return mat
 
     def validate(self) -> None:
         """Raise if any eigenvalue is more negative than the PSD slack."""
@@ -141,9 +181,6 @@ class DensityMatrix:
         if evals.min() < -TOL.psd_slack:
             raise ValueError(f"density matrix not PSD: min eigenvalue "
                              f"{evals.min():.3e}")
-
-    def __repr__(self) -> str:
-        return f"DensityMatrix(num_qubits={self.num_qubits})"
 
 
 State = Union[PureState, DensityMatrix]
@@ -170,9 +207,6 @@ class PauliString:
                 raise ValueError(f"bad Pauli letter {letter!r} on qubit {q}")
             if q < 0:
                 raise ValueError(f"negative qubit index {q}")
-
-    def support(self) -> tuple:
-        return tuple(self.factors)
 
     def commutes_with(self, other: "PauliString") -> bool:
         overlap = set(self.factors) & set(other.factors)
@@ -217,47 +251,24 @@ class MeasurementRecord:
 # ---------------------------------------------------------------------------
 
 def _apply_to_axes(tensor: np.ndarray, mat: np.ndarray,
-                   axes: Sequence[int], total: int) -> np.ndarray:
-    """Apply ``mat`` (2^k x 2^k) to the given axes of a [2]*total tensor."""
-    k = len(axes)
-    rest = [a for a in range(total) if a not in axes]
+                   axes: Sequence[int]) -> np.ndarray:
+    """Apply ``mat`` (2^k x 2^k) to the given axes of ``tensor``."""
+    rest = [a for a in range(tensor.ndim) if a not in axes]
     perm = list(axes) + rest
-    out = tensor.transpose(perm).reshape(2 ** k, -1)
-    out = mat @ out
-    out = out.reshape([2] * total).transpose(np.argsort(perm))
-    return out
+    out = tensor.transpose(perm)
+    shape = out.shape
+    out = mat @ out.reshape(len(mat), -1)
+    return out.reshape(shape).transpose(np.argsort(perm))
 
 
-def _vec_apply(amps: np.ndarray, mat: np.ndarray,
-               targets: Sequence[int], n: int) -> np.ndarray:
-    t = _apply_to_axes(amps.reshape([2] * n), mat, list(targets), n)
-    return t.reshape(-1)
-
-
-def _dm_apply(rho: np.ndarray, mat: np.ndarray,
-              targets: Sequence[int], n: int) -> np.ndarray:
-    """U rho U^dagger on the target qubits."""
-    t = rho.reshape([2] * (2 * n))
-    t = _apply_to_axes(t, mat, list(targets), 2 * n)
-    t = _apply_to_axes(t, mat.conj(), [n + q for q in targets], 2 * n)
-    return t.reshape(2 ** n, 2 ** n)
-
-
-def _pauli_left(arr: np.ndarray, op: PauliString, n: int) -> np.ndarray:
-    """P |psi> for a raw vector, P rho for a raw matrix."""
-    total = arr.ndim * n
-    t = arr.reshape([2] * total)
+def _pauli_left(vectors: np.ndarray, op: PauliString, n: int) -> np.ndarray:
+    """P |v_i> for every row of the stack."""
+    t = vectors.reshape([-1] + [2] * n)
     for q, letter in op.factors.items():
         if q >= n:
             raise PreconditionError(f"Pauli factor on qubit {q} out of range")
-        t = _apply_to_axes(t, PAULI[letter], [q], total)
-    return op.sign * t.reshape(arr.shape)
-
-
-def _check_unitary(mat: np.ndarray) -> None:
-    d = mat.shape[0]
-    if np.max(np.abs(mat.conj().T @ mat - np.eye(d))) > TOL.atol:
-        raise ValueError("matrix is not unitary within tolerance")
+        t = _apply_to_axes(t, PAULI[letter], [1 + q])
+    return op.sign * t.reshape(vectors.shape)
 
 
 def _check_targets(targets: Sequence[int], n: int) -> None:
@@ -266,10 +277,6 @@ def _check_targets(targets: Sequence[int], n: int) -> None:
     for q in targets:
         if not (0 <= q < n):
             raise ValueError(f"target qubit {q} out of range for {n} qubits")
-
-
-def _renorm(v: np.ndarray) -> np.ndarray:
-    return v / math.sqrt(float(np.vdot(v, v).real))
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +314,38 @@ def apply_unitary(state: State, matrix: np.ndarray,
     if mat.shape != (2 ** k, 2 ** k) or k not in (1, 2):
         raise ValueError(f"matrix shape {mat.shape} does not match "
                          f"{k} target(s)")
-    _check_unitary(mat)
-    _check_targets(targets, state.num_qubits)
-    if isinstance(state, PureState):
-        return PureState(_vec_apply(state.amplitudes, mat, targets,
-                                    state.num_qubits))
-    return DensityMatrix(_dm_apply(state.matrix, mat, targets,
-                                   state.num_qubits))
+    if np.max(np.abs(mat.conj().T @ mat - np.eye(2 ** k))) > TOL.atol:
+        raise ValueError("matrix is not unitary within tolerance")
+    n = state.num_qubits
+    _check_targets(targets, n)
+    rows = _apply_to_axes(state.vectors.reshape([-1] + [2] * n), mat,
+                          [1 + q for q in targets])
+    return state._from_rows(rows.reshape(state.vectors.shape), state.weights)
 
 
-def _select(branches: list, mode: str, rng: np.random.Generator | None,
-            outcome):
-    """Pick one (outcome, probability, state) branch.
+def _realizable(state: State, candidates: Iterable) -> list:
+    """(outcome, probability, unnormalized rows) for each (outcome, rows)
+    candidate above the branch floor; the probability is
+    sum_i w_i |row_i|^2, one ``vdot`` over the weighted stack."""
+    w = state.weights[:, None]
+    branches = []
+    for outcome, rows in candidates:
+        p = float(np.vdot(rows, w * rows).real)
+        if p > TOL.branch_eps:
+            branches.append((outcome, p, rows))
+    return branches
+
+
+def _built(state: State, branch: tuple) -> tuple:
+    """(outcome, probability, state): the branch rows, renormalized, as
+    a state of the input's kind."""
+    outcome, p, rows = branch
+    return outcome, p, state._from_rows(rows / math.sqrt(p), state.weights)
+
+
+def _select(state: State, branches: list, mode: str,
+            rng: np.random.Generator | None, outcome) -> tuple:
+    """Pick one (outcome, probability, rows) branch and build its state.
 
     mode="forced" returns the branch with the given ``outcome``;
     mode="sample" draws exactly one uniform number from ``rng`` and picks
@@ -327,7 +354,7 @@ def _select(branches: list, mode: str, rng: np.random.Generator | None,
     if mode == "forced":
         for branch in branches:
             if branch[0] == outcome:
-                return branch
+                return _built(state, branch)
         raise PreconditionError(f"forced outcome {outcome!r} has probability "
                                 f"below {TOL.branch_eps}")
     if mode == "sample":
@@ -338,8 +365,8 @@ def _select(branches: list, mode: str, rng: np.random.Generator | None,
         for branch in branches:
             acc += branch[1]
             if r < acc:
-                return branch
-        return branches[-1]
+                return _built(state, branch)
+        return _built(state, branches[-1])
     raise ValueError(f"unknown measurement mode {mode!r}")
 
 
@@ -347,50 +374,41 @@ def _project_out(state: State, targets: Sequence[int], basis: str) -> list:
     """Project the target qubits onto each vector of ``basis`` (X, Y, Z
     or "bell") and remove them.
 
-    Returns (outcome, probability, remaining state) for every branch
+    Returns (outcome, probability, unnormalized rows) for every branch
     above the branch floor; the other qubits keep their relative order.
     """
     n, k = state.num_qubits, len(targets)
     _check_targets(targets, n)
     if k >= n:
         raise ValueError("cannot remove every qubit")
-    if basis == "bell":
-        vecs, labels = BELL_STATES, BELL_LABELS
-    elif basis in _BASIS_VECS:
-        vecs, labels = _BASIS_VECS[basis].T, (+1, -1)
-    else:
+    if basis not in _BRAS or _BRAS[basis][1].shape[1] != 2 ** k:
         raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
+    labels, bras = _BRAS[basis]
     rest = [q for q in range(n) if q not in targets]
-    branches = []
-    if isinstance(state, PureState):
-        psi = state.amplitudes.reshape([2] * n)
-        psi = psi.transpose(list(targets) + rest).reshape(2 ** k, -1)
-        for label, vec in zip(labels, vecs):
-            v = vec.conj() @ psi
-            p = float(np.vdot(v, v).real)
-            if p > TOL.branch_eps:
-                branches.append((label, p, PureState(_renorm(v))))
-    else:
-        t = state.matrix.reshape([2] * (2 * n))
-        perm = list(targets) + rest + [n + q for q in list(targets) + rest]
-        t = t.transpose(perm).reshape(2 ** k, 2 ** (n - k), 2 ** k,
-                                      2 ** (n - k))
-        for label, vec in zip(labels, vecs):
-            sub = np.einsum("a,abcd,c->bd", vec.conj(), t, vec)
-            p = float(np.trace(sub).real)
-            if p > TOL.branch_eps:
-                branches.append((label, p, DensityMatrix(sub / p)))
-    return branches
+    psi = state.vectors.reshape([-1] + [2] * n).transpose(
+        [0] + [1 + q for q in list(targets) + rest])
+    psi = psi.reshape(-1, 2 ** k, 2 ** (n - k))
+    return _realizable(state, ((label, bra @ psi)
+                               for label, bra in zip(labels, bras)))
 
 
-def _recorded(qubit: int, basis: str, branches: list, mode: str, rng,
-              outcome):
+def _pauli_branches(state: State, op: PauliString) -> list:
+    """The +1 and -1 branches of a Pauli product measurement, as
+    (outcome, probability, unnormalized rows)."""
+    vectors = state.vectors
+    pv = _pauli_left(vectors, op, state.num_qubits)
+    return _realizable(state, ((s, (vectors + s * pv) / 2.0)
+                               for s in (+1, -1)))
+
+
+def _recorded(state: State, qubit: int, basis: str, branches: list,
+              mode: str, rng, outcome):
     """Single-qubit results, with MeasurementRecord in place of
     (outcome, probability)."""
     if mode == "distribution":
         return [(MeasurementRecord(qubit, basis, o, p), st)
-                for o, p, st in branches]
-    o, p, st = _select(branches, mode, rng, outcome)
+                for o, p, st in (_built(state, b) for b in branches)]
+    o, p, st = _select(state, branches, mode, rng, outcome)
     return MeasurementRecord(qubit, basis, o, p), st
 
 
@@ -406,9 +424,8 @@ def measure(state: State, qubit: int, basis: str = "Z", mode: str = "sample",
     of such pairs whose probabilities sum to 1.
     """
     _check_targets([qubit], state.num_qubits)
-    branches = measure_pauli(state, PauliString({qubit: basis}),
-                             mode="distribution")
-    return _recorded(qubit, basis, branches, mode, rng, outcome)
+    branches = _pauli_branches(state, PauliString({qubit: basis}))
+    return _recorded(state, qubit, basis, branches, mode, rng, outcome)
 
 
 def measure_out(state: State, qubit: int, basis: str = "Z",
@@ -421,8 +438,8 @@ def measure_out(state: State, qubit: int, basis: str = "Z",
     contracted away, so the returned states have one qubit fewer (the
     rest keep their relative order).  The state must hold >= 2 qubits.
     """
-    return _recorded(qubit, basis, _project_out(state, [qubit], basis), mode,
-                     rng, outcome)
+    return _recorded(state, qubit, basis,
+                     _project_out(state, [qubit], basis), mode, rng, outcome)
 
 
 def measure_pauli(state: State, op: PauliString, mode: str = "sample",
@@ -434,38 +451,18 @@ def measure_pauli(state: State, op: PauliString, mode: str = "sample",
     reported as (op, outcome, probability) tuples in place of
     MeasurementRecord.
     """
-    n = state.num_qubits
-    branches = []
-    if isinstance(state, PureState):
-        pv = _pauli_left(state.amplitudes, op, n)
-        for s in (+1, -1):
-            collapsed = (state.amplitudes + s * pv) / 2.0
-            p = float(np.vdot(collapsed, collapsed).real)
-            if p > TOL.branch_eps:
-                branches.append((s, p, PureState(_renorm(collapsed))))
-    else:
-        rho = state.matrix
-        pr = _pauli_left(rho, op, n)
-        rp = pr.conj().T           # rho P, since P rho is (rho P)^dagger
-        prp = _pauli_left(rp, op, n)
-        for s in (+1, -1):
-            collapsed = (rho + s * pr + s * rp + prp) / 4.0
-            p = float(np.trace(collapsed).real)
-            if p > TOL.branch_eps:
-                branches.append((s, p, DensityMatrix(collapsed / p)))
+    branches = _pauli_branches(state, op)
     if mode == "distribution":
-        return branches
-    s, p, st = _select(branches, mode, rng, outcome)
+        return [_built(state, b) for b in branches]
+    s, p, st = _select(state, branches, mode, rng, outcome)
     return (s, p), st
 
 
 def expectation(state: State, op: PauliString) -> float:
     """<P> for a signed Pauli product; real and clipped to [-1, 1]."""
-    n = state.num_qubits
-    if isinstance(state, PureState):
-        val = np.vdot(state.amplitudes, _pauli_left(state.amplitudes, op, n))
-    else:
-        val = np.trace(_pauli_left(state.matrix, op, n))
+    vectors = state.vectors
+    pv = _pauli_left(vectors, op, state.num_qubits)
+    val = np.vdot(vectors, state.weights[:, None] * pv)
     return float(np.clip(val.real, -1.0, 1.0))
 
 
@@ -473,7 +470,9 @@ def partial_trace(state: State, discard: Iterable[int]) -> DensityMatrix:
     """Trace out the given qubits.
 
     The kept qubits are reindexed in ascending order of their original
-    indices (original relative order is preserved).
+    indices (original relative order is preserved).  Each row splits
+    into one row per basis value of the discarded qubits; rows that
+    vanish are dropped.
     """
     n = state.num_qubits
     disc = sorted(set(int(q) for q in discard))
@@ -483,15 +482,11 @@ def partial_trace(state: State, discard: Iterable[int]) -> DensityMatrix:
     keep = [q for q in range(n) if q not in disc]
     if not keep:
         raise ValueError("cannot trace out every qubit")
-    k, d = len(keep), len(disc)
-    if isinstance(state, PureState):
-        psi = state.amplitudes.reshape([2] * n)
-        psi = psi.transpose(keep + disc).reshape(2 ** k, 2 ** d)
-        return DensityMatrix(psi @ psi.conj().T)
-    t = state.matrix.reshape([2] * (2 * n))
-    perm = keep + disc + [n + q for q in keep] + [n + q for q in disc]
-    t = t.transpose(perm).reshape(2 ** k, 2 ** d, 2 ** k, 2 ** d)
-    return DensityMatrix(np.einsum("adbd->ab", t))
+    rows = state.vectors.reshape([-1] + [2] * n).transpose(
+        [0] + [1 + q for q in disc + keep]).reshape(-1, 2 ** len(keep))
+    weights = np.repeat(state.weights, 2 ** len(disc))
+    nonzero = rows.any(axis=1)
+    return DensityMatrix._from_rows(rows[nonzero], weights[nonzero])
 
 
 def bell_project(state: State, qa: int, qb: int, mode: str = "sample",
@@ -506,35 +501,35 @@ def bell_project(state: State, qa: int, qb: int, mode: str = "sample",
     """
     branches = _project_out(state, [qa, qb], "bell")
     if mode == "enumerate":
-        return branches
-    return _select(branches, mode, rng, outcome)
+        return [_built(state, b) for b in branches]
+    return _select(state, branches, mode, rng, outcome)
 
 
 def fidelity(state: State, target: PureState) -> float:
-    """<target| rho |target>, or |<target|psi>|^2 for pure input."""
+    """<target| rho |target> = sum_i w_i |<target|v_i>|^2."""
     if state.num_qubits != target.num_qubits:
         raise ValueError(f"qubit count mismatch: {state.num_qubits} vs "
                          f"{target.num_qubits}")
     t = target.amplitudes
-    if isinstance(state, PureState):
-        val = abs(np.vdot(t, state.amplitudes)) ** 2
-    else:
-        val = np.vdot(t, state.matrix @ t).real
+    val = sum(w * abs(np.vdot(t, v)) ** 2
+              for w, v in zip(state.weights, state.vectors))
     return float(np.clip(val, 0.0, 1.0))
 
 
 def apply_pauli_channel(state: State, op: PauliString, p: float) -> DensityMatrix:
     """rho -> (1-p) rho + p P rho P.
 
-    Always promotes to a density matrix: flip channels are stochastic.
+    The rows A become [A; P A] with weights [(1-p) w; p w]; rows of
+    weight zero are dropped.
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"channel probability {p} out of [0, 1]")
-    rho = state.to_density() if isinstance(state, PureState) else state
-    n = rho.num_qubits
-    # P rho P = P (P rho)^dagger for Hermitian rho and P.
-    flipped = _pauli_left(_pauli_left(rho.matrix, op, n).conj().T, op, n)
-    return DensityMatrix((1.0 - p) * rho.matrix + p * flipped)
+    vectors, weights = state.vectors, state.weights
+    rows = np.concatenate([vectors, _pauli_left(vectors, op,
+                                                state.num_qubits)])
+    weights = np.concatenate([(1.0 - p) * weights, p * weights])
+    kept = weights != 0.0
+    return DensityMatrix._from_rows(rows[kept], weights[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +609,9 @@ def walk_plan(state: State, order: Sequence, plan: Sequence[PlanStep],
             nxt = []
             for recs, prob, st, made, p_step in growing:
                 outs = _project_out(st, targets, basis)
-                if mode == "sample":
-                    outs = [_select(outs, mode, rng, None)]
+                outs = ([_select(st, outs, mode, rng, None)]
+                        if mode == "sample"
+                        else [_built(st, b) for b in outs])
                 nxt += [(recs, prob, ns,
                          made + (MeasurementRecord(label, basis, o, p),),
                          p_step * p) for o, p, ns in outs]

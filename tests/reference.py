@@ -77,15 +77,13 @@ def partial_trace_dense(rho: np.ndarray, keep: list, n: int) -> np.ndarray:
     """Brute-force partial trace by summing over basis strings."""
     disc = [q for q in range(n) if q not in keep]
     dim_k = 2 ** len(keep)
+    # index[a, d]: the full basis index of kept bits a and discarded bits d
+    index = np.array([[_compose_index(keep, a, disc, d, n)
+                       for d in range(2 ** len(disc))]
+                      for a in range(dim_k)])
     out = np.zeros((dim_k, dim_k), dtype=complex)
-    for a in range(dim_k):
-        for b in range(dim_k):
-            total = 0.0 + 0j
-            for d in range(2 ** len(disc)):
-                ia = _compose_index(keep, a, disc, d, n)
-                ib = _compose_index(keep, b, disc, d, n)
-                total += rho[ia, ib]
-            out[a, b] = total
+    for d in range(2 ** len(disc)):
+        out += rho[np.ix_(index[:, d], index[:, d])]
     return out
 
 
@@ -133,3 +131,35 @@ def inverse_circuit_decode(amps: np.ndarray, n: int = 3,
     if residual > 1e-9:
         raise AssertionError("state was not in the code space")
     return out
+
+
+def pauli_on_vector(factors: dict, amps: np.ndarray, n: int) -> np.ndarray:
+    """P|psi> for a Pauli product by basis-index arithmetic: X reads the
+    amplitude of the index with the qubit's bit flipped, Z signs by the
+    bit, Y = iXZ does both.  No full matrix, so it serves 12 qubits."""
+    idx = np.arange(2 ** n)
+    out = np.asarray(amps, dtype=complex)
+    for q, letter in factors.items():
+        mask = 1 << (n - 1 - q)
+        bit = (idx & mask) != 0
+        if letter in ("X", "Y"):
+            out = out[idx ^ mask]
+        if letter == "Z":
+            out = np.where(bit, -out, out)
+        elif letter == "Y":
+            out = np.where(bit, 1j * out, -1j * out)
+    return out
+
+
+def qpc_codeword(alpha: complex, beta: complex, n: int, m: int) -> np.ndarray:
+    """alpha |0_L>^n + beta |1_L>^n with |0/1_L> = (|0..0> +- |1..1>)/sqrt2
+    per block of m qubits, written out string by string."""
+    amps = np.zeros(2 ** (n * m), dtype=complex)
+    for pattern in range(2 ** n):
+        ones = [(pattern >> (n - 1 - b)) & 1 for b in range(n)]
+        index = 0
+        for b, one in enumerate(ones):
+            if one:
+                index |= ((1 << m) - 1) << (m * (n - 1 - b))
+        amps[index] = (alpha + beta * (-1) ** sum(ones)) / 2 ** (n / 2)
+    return amps

@@ -27,6 +27,7 @@ from qparity.rgs import (
     run_connection,
     witness,
 )
+from qparity import sim
 from qparity.shor import LogicalInput, encode_shor
 from qparity.sim import (
     DensityMatrix,
@@ -318,3 +319,24 @@ class TestSampleFrequencies:
         for key, p in probs.items():
             se = math.sqrt(p * (1 - p) / shots)
             assert abs(counts[key] / shots - p) <= 3 * se, key
+
+    def test_sampled_walks_build_one_state_per_measurement(self, monkeypatch):
+        """Sample mode builds only the kept branch's state: 2000 lossless
+        connect walks of 6 measurements each construct 12000 states."""
+        scen = connect_scenario(0)
+        state = scen.initial_state()
+        order = list(scen.photon_order())
+        built = []
+        original = sim._Ensemble._from_rows.__func__
+
+        def counting(cls, vectors, weights):
+            built.append(cls)
+            return original(cls, vectors, weights)
+
+        monkeypatch.setattr(sim._Ensemble, "_from_rows",
+                            classmethod(counting))
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            walk_plan(state, order, scen.plan, "sample", rng)
+        assert len(built) == 12000
+        assert set(built) == {PureState}

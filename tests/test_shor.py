@@ -407,3 +407,73 @@ class TestLayout:
         seen = {layout.qubit_of(b, p)
                 for b in range(4) for p in range(3)}
         assert seen == set(range(12))
+
+
+# Every (blocks, block size) layout the syndrome tests cover, up to the
+# 12-qubit cap.
+LAYOUTS = [(2, 3), (3, 3), (4, 3), (3, 4), (2, 5)]
+
+
+class TestLayoutSyndromes:
+    """Syndromes, diagnosis and correction of every single-qubit Pauli
+    error on generalized (n, m) codes, against the index-arithmetic
+    oracle of tests/reference.py."""
+
+    @pytest.mark.parametrize("n,m", LAYOUTS)
+    def test_single_errors_against_oracle(self, n, m):
+        layout = CodeLayout(n, m)
+        inp = LogicalInput.from_angles(1.1, 0.7)
+        word = encode_qpc(inp, n, m)
+        oracle = ref.qpc_codeword(inp.alpha, inp.beta, n, m)
+        np.testing.assert_allclose(word.amplitudes, oracle, atol=1e-12)
+        gens = stabilizers(layout)
+        assert len(gens) == n * (m - 1) + n - 1
+        rng = np.random.default_rng(n * 10 + m)
+        for q in range(n * m):
+            for letter in "XYZ":
+                damaged = ref.pauli_on_vector({q: letter}, oracle, n * m)
+                want = [np.vdot(damaged, ref.pauli_on_vector(
+                    g.factors, damaged, n * m)).real for g in gens]
+                state = PureState(damaged)
+                record, _ = measure_syndromes(state, layout=layout)
+                np.testing.assert_allclose(record.values, want, atol=1e-10)
+                sampled, _ = measure_syndromes(state, mode="sample",
+                                               rng=rng, layout=layout)
+                assert sampled.values == tuple(round(v) for v in want)
+                assert len(sampled.sz) == n * (m - 1)
+                assert len(sampled.sx) == n - 1
+                hyp = diagnose(sampled)
+                # A flip two sites explain alike cannot be located: X in
+                # a block of two, Z in a code of two blocks.
+                if (letter != "Z" and m < 3) or (letter != "X" and n < 3):
+                    assert hyp.kind == "unidentifiable", (q, letter)
+                    continue
+                if letter == "Z":
+                    assert (hyp.kind, hyp.block) == ("z", q // m)
+                else:
+                    assert (hyp.kind, hyp.qubit) == (letter.lower(), q)
+                fixed = correct(state, hyp, layout)
+                assert abs(fidelity(fixed, word) - 1) < 1e-10, (q, letter)
+
+    def test_index_oracle_matches_kronecker_oracle(self):
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=32) + 1j * rng.normal(size=32)
+        for factors in ({0: "X"}, {1: "Y", 3: "Z"}, {0: "Y", 2: "X", 4: "Y"}):
+            np.testing.assert_allclose(ref.pauli_on_vector(factors, v, 5),
+                                       ref.pauli_matrix(factors, 5) @ v,
+                                       atol=1e-12)
+        inp = LogicalInput.from_angles(1.1, 0.7)
+        np.testing.assert_allclose(
+            ref.inverse_circuit_decode(
+                ref.qpc_codeword(inp.alpha, inp.beta, 2, 3), 2, 3),
+            [inp.alpha, inp.beta], atol=1e-12)
+
+    def test_record_length_follows_layout(self):
+        layout = CodeLayout(2, 3)
+        record = SyndromeRecord((1, 1, 1, 1, -1), layout)
+        assert record.sz == (1, 1, 1, 1) and record.sx == (-1,)
+        assert diagnose(record).kind == "unidentifiable"
+        with pytest.raises(ValueError):
+            SyndromeRecord((1,) * 8, layout)
+        with pytest.raises(ValueError):
+            SyndromeRecord((1,) * 5)

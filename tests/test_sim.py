@@ -1,10 +1,14 @@
 """Core simulator tests against Kronecker-product oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import reference as ref
 from qparity.errors import PreconditionError
+from qparity.photonics import apply_visibility_noise, encoder_sites
+from qparity.shor import CodeLayout, LogicalInput, encode_qpc, stabilizers
 from qparity.sim import (
     BELL_LABELS,
     CNOT,
@@ -196,6 +200,11 @@ class TestMeasure:
             assert abs(np.trace(want).real - rec.probability) < 1e-12
             np.testing.assert_allclose(post.matrix,
                                        want / rec.probability, atol=1e-12)
+
+    @pytest.mark.parametrize("basis", ["bell", "Q"])
+    def test_measure_out_rejects_other_bases(self, basis):
+        with pytest.raises(ValueError, match="basis must be X, Y or Z"):
+            measure_out(make_basis_state(3), 0, basis, mode="distribution")
 
     def test_measure_pauli_product(self):
         ghz = PureState(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2))
@@ -408,3 +417,197 @@ class TestSampleDraws:
             ref_rng = np.random.default_rng(123)
             ref_rng.random()
             assert rng.random() == ref_rng.random()
+
+
+def random_ensemble(n, rank, seed, negative=False):
+    """A DensityMatrix built through the public constructor from a dense
+    sum of ``rank`` random projectors, and that dense matrix.  With
+    ``negative`` the first weight is negative (a non-PSD matrix)."""
+    rng = np.random.default_rng(seed)
+    shape = (rank, 2 ** n)
+    vecs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    weights = rng.uniform(0.2, 1.0, size=rank)
+    if negative:
+        weights[0] = -0.1 * weights[1:].sum()
+    weights /= weights.sum()
+    mat = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
+    return DensityMatrix(mat), mat
+
+
+def ensemble_cases():
+    """(n, rank, negative) over 1..8 qubits and ranks 1..4, a non-PSD
+    matrix wherever a rank leaves room for one."""
+    for n in range(1, 9):
+        for rank in range(1, min(4, 2 ** n) + 1):
+            yield n, rank, False
+            if 2 <= rank < 2 ** n:
+                yield n, rank, True
+
+
+class TestEnsembleOracle:
+    """Every state operation on weighted ensembles against the dense
+    Kronecker formulas of tests/reference.py."""
+
+    ATOL = 1e-10
+
+    def test_public_construction_round_trips(self):
+        for case, (n, rank, negative) in enumerate(ensemble_cases()):
+            state, mat = random_ensemble(n, rank, case, negative)
+            np.testing.assert_allclose(state.matrix, mat, atol=self.ATOL)
+            assert len(state.vectors) == rank == len(state.weights)
+            if negative:
+                with pytest.raises(ValueError):
+                    state.validate()
+            else:
+                state.validate()
+            with pytest.raises(ValueError):
+                state.matrix[0, 0] = 0
+
+    def test_unitaries_channels_traces_and_values(self):
+        letters = ["X", "Y", "Z"]
+        for case, (n, rank, negative) in enumerate(ensemble_cases()):
+            state, mat = random_ensemble(n, rank, 100 + case, negative)
+            rng = np.random.default_rng(case)
+            q = int(rng.integers(n))
+            got = apply_unitary(state, H, [q])
+            full = ref.site_operator({q: ref.H}, n)
+            np.testing.assert_allclose(got.matrix, full @ mat @ full.conj().T,
+                                       atol=self.ATOL)
+            factors = {int(s): letters[rng.integers(3)]
+                       for s in rng.choice(n, size=min(n, 2), replace=False)}
+            op, pauli = PauliString(factors), ref.pauli_matrix(factors, n)
+            want = np.clip(np.trace(pauli @ mat).real, -1, 1)
+            assert abs(expectation(state, op) - want) < self.ATOL
+            p = float(rng.uniform())
+            got = apply_pauli_channel(state, op, p)
+            np.testing.assert_allclose(
+                got.matrix, (1 - p) * mat + p * pauli @ mat @ pauli,
+                atol=self.ATOL)
+            target = random_state(n, 500 + case)
+            want = np.vdot(target.amplitudes, mat @ target.amplitudes).real
+            assert abs(fidelity(state, target) - np.clip(want, 0, 1)) \
+                < self.ATOL
+            if n >= 2:
+                c, t = (int(x) for x in rng.choice(n, size=2, replace=False))
+                got = apply_unitary(state, CNOT, [c, t])
+                full = ref.cnot_matrix(c, t, n)
+                np.testing.assert_allclose(got.matrix, full @ mat @ full.T,
+                                           atol=self.ATOL)
+                disc = sorted(int(x) for x in rng.choice(
+                    n, size=int(rng.integers(1, n)), replace=False))
+                keep = [k for k in range(n) if k not in disc]
+                np.testing.assert_allclose(
+                    partial_trace(state, disc).matrix,
+                    ref.partial_trace_dense(mat, keep, n), atol=self.ATOL)
+
+    def assert_branches(self, branches, projectors, mat, reduce=None):
+        """Each (label, probability, state) branch against its projector;
+        labels without a branch must be unrealizable."""
+        got = {label: (p, st) for label, p, st in branches}
+        for label, proj in projectors.items():
+            collapsed = proj @ mat @ proj
+            want_p = np.trace(collapsed).real
+            if label not in got:
+                assert want_p <= 1e-12
+                continue
+            p, st = got[label]
+            assert abs(p - want_p) < self.ATOL
+            post = collapsed / want_p
+            np.testing.assert_allclose(
+                st.to_density().matrix, reduce(post) if reduce else post,
+                atol=self.ATOL)
+
+    def test_measurements_in_distribution_mode(self):
+        columns = {"Z": [[1, 0], [0, 1]], "X": [[1, 1], [1, -1]],
+                   "Y": [[1, 1], [1j, -1j]]}
+        for case, (n, rank, negative) in enumerate(ensemble_cases()):
+            state, mat = random_ensemble(n, rank, 200 + case, negative)
+            rng = np.random.default_rng(case)
+            q = int(rng.integers(n))
+            basis = "XYZ"[case % 3]
+            projectors = {}
+            for col, outcome in ((0, +1), (1, -1)):
+                v = np.array(columns[basis], dtype=complex)[:, col]
+                v = v / np.linalg.norm(v)
+                projectors[outcome] = ref.site_operator(
+                    {q: np.outer(v, v.conj())}, n)
+            factors = {q: basis}
+            if n >= 2:
+                factors[(q + 1) % n] = "XYZ"[(case + 1) % 3]
+            pauli = ref.pauli_matrix(factors, n)
+            eye = np.eye(2 ** n)
+            self.assert_branches(
+                measure_pauli(state, PauliString(factors),
+                              mode="distribution"),
+                {+1: (eye + pauli) / 2, -1: (eye - pauli) / 2}, mat)
+            if negative:
+                continue  # records need probabilities in [0, 1]
+            self.assert_branches(
+                [(r.outcome, r.probability, st) for r, st in
+                 measure(state, q, basis, mode="distribution")],
+                projectors, mat)
+            if n < 2:
+                continue
+            keep = [k for k in range(n) if k != q]
+            self.assert_branches(
+                [(r.outcome, r.probability, st) for r, st in
+                 measure_out(state, q, basis, mode="distribution")],
+                projectors, mat,
+                reduce=lambda m: ref.partial_trace_dense(m, keep, n))
+            if n < 3:
+                continue
+            qa, qb = (int(x) for x in rng.choice(n, size=2, replace=False))
+            keep = [k for k in range(n) if k not in (qa, qb)]
+            self.assert_branches(
+                bell_project(state, qa, qb, mode="enumerate"),
+                {label: ref.bell_projector(label, qa, qb, n)
+                 for label in BELL_LABELS}, mat,
+                reduce=lambda m: ref.partial_trace_dense(m, keep, n))
+
+    def test_pure_state_is_one_unit_row(self):
+        state = random_state(4, 21)
+        assert state.vectors.shape == (1, 16)
+        assert state.weights.tolist() == [1.0]
+        rho = state.to_density()
+        assert isinstance(rho, DensityMatrix)
+        np.testing.assert_allclose(
+            rho.matrix, np.outer(state.amplitudes, state.amplitudes.conj()),
+            atol=1e-15)
+
+    def test_rows_compress_to_the_dense_dimension(self):
+        """Channels on a 2-qubit state would make 8 rows; the stack is
+        compressed back to at most 4 with the same matrix."""
+        state, mat = random_ensemble(2, 2, 7)
+        for q, letter in ((0, "X"), (1, "Z"), (0, "Y")):
+            op = PauliString({q: letter})
+            state = apply_pauli_channel(state, op, 0.3)
+            pauli = ref.pauli_matrix({q: letter}, 2)
+            mat = 0.7 * mat + 0.3 * pauli @ mat @ pauli
+        assert len(state.vectors) <= 4
+        np.testing.assert_allclose(state.matrix, mat, atol=1e-12)
+
+
+class TestMemoryAtTheCap:
+    def test_noisy_lossy_twelve_qubit_pipeline_stays_small(self):
+        """Encoding, interference noise, one loss, every stabilizer and a
+        measurement at 12 qubits peak far below the 268 MB of one dense
+        matrix."""
+        layout = CodeLayout(4, 3)
+        tracemalloc.start()
+        try:
+            word = encode_qpc(LogicalInput(0.6, 0.8), 4, 3)
+            sites = encoder_sites("encoded", [layout.block_qubits(b)
+                                              for b in range(4)])
+            noisy = apply_visibility_noise(word, sites, 0.8)
+            values = [expectation(noisy, s) for s in stabilizers(layout)]
+            lossy = partial_trace(noisy, [11])
+            kept = [s for s in stabilizers(layout) if 11 not in s.factors]
+            values += [expectation(lossy, s) for s in kept]
+            branches = measure_out(lossy, 0, "X", mode="distribution")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20, peak
+        assert lossy.num_qubits == 11 and len(branches) == 2
+        assert all(-1 <= v <= 1 for v in values)
