@@ -282,6 +282,10 @@ def cmd_photonics_rate(args) -> None:
         raise ConfigError("--rep-rate must be positive")
     if args.sources < 1:
         raise ConfigError("--sources must be >= 1")
+    if args.shots is not None and args.shots < 1:
+        raise ConfigError("--shots must be >= 1")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     noise = _check_noise(args.noise)
     params = SourceParams(args.pair_prob, args.eta_pair, args.rep_rate)
     payload = {
@@ -295,7 +299,7 @@ def cmd_photonics_rate(args) -> None:
         "predicted_rate_hz": coincidence_rate(params, args.sources,
                                               args.factor),
     }
-    if args.shots:
+    if args.shots is not None:
         if args.seed is None:
             raise ConfigError("--shots needs --seed for reproducibility")
         est, se = monte_carlo_coincidence(params, args.sources, args.factor,

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import and_
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .rates import _fold
 from .shor import LogicalInput, SHOR_LAYOUT, encode_block, encode_shor
 from .sim import (
     CNOT,
@@ -106,6 +108,14 @@ def chained_postselect_factor(n_stages: int) -> float:
 # coincidence rates
 # ---------------------------------------------------------------------------
 
+def _check_coincidence(n_sources: int, postselect_factor: float) -> None:
+    if n_sources < 1:
+        raise ValueError("need n_sources >= 1")
+    if not (0.0 <= postselect_factor <= 1.0):
+        raise ValueError(f"postselect_factor {postselect_factor} "
+                         "out of [0, 1]")
+
+
 def coincidence_rate(params: SourceParams, n_sources: int = 5,
                      postselect_factor: float = 1.0) -> float:
     """Predicted accepted-event rate (events/second).
@@ -114,11 +124,7 @@ def coincidence_rate(params: SourceParams, n_sources: int = 5,
     every source must emit and deliver its pair in the same pulse, and
     the event must survive the optical post-selection.
     """
-    if n_sources < 1:
-        raise ValueError("need n_sources >= 1")
-    if not (0.0 <= postselect_factor <= 1.0):
-        raise ValueError(f"postselect_factor {postselect_factor} "
-                         "out of [0, 1]")
+    _check_coincidence(n_sources, postselect_factor)
     per_pulse = (params.pair_prob * params.eta_pair) ** n_sources
     return params.rep_rate * per_pulse * postselect_factor
 
@@ -133,6 +139,7 @@ def monte_carlo_coincidence(params: SourceParams, n_sources: int,
     Returns (rate estimate, standard error of the rate), both in
     events/second.
     """
+    _check_coincidence(n_sources, postselect_factor)
     if pulses < 1:
         raise ValueError("need pulses >= 1")
     rng = np.random.default_rng(seed)
@@ -143,7 +150,7 @@ def monte_carlo_coincidence(params: SourceParams, n_sources: int,
         k = min(chunk, pulses - done)
         emitted = rng.random((k, n_sources)) < params.pair_prob
         delivered = emitted & (rng.random((k, n_sources)) < params.eta_pair)
-        events = delivered.all(axis=1)
+        events = _fold(and_, delivered)
         passed = events & (rng.random(k) < postselect_factor)
         hits += int(passed.sum())
         done += k

@@ -20,12 +20,20 @@ modeling choice this module makes explicit rather than hides.
 
 The bare scheme has no redundancy: all 2n photons must arrive and at
 least one Bell measurement per side must succeed.
+
+The Monte-Carlo samplers draw every photon's arrival and every Bell
+measurement explicitly, so their estimates are independent of the
+closed forms.  Their per-arm and per-side any/all reductions run over
+axes of one to a few entries, where a slice-by-slice fold is several
+times faster than NumPy's axis reduction and gives the same booleans.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from operator import and_, or_
 
 import numpy as np
 
@@ -123,6 +131,16 @@ def optimize(eta: float, q: float, n_max: int, m_max: int,
     return res.n, res.m, res
 
 
+def _fold(op, flags: np.ndarray) -> np.ndarray:
+    """Reduce a boolean array over its last axis with ``op`` (``or_`` for
+    any, ``and_`` for all), one slice at a time.
+
+    The last axis must not be empty: the fold has no identity element.
+    """
+    return functools.reduce(op, (flags[..., j]
+                                 for j in range(flags.shape[-1])))
+
+
 def _sample_side_success(model: RateModel, shots: int,
                          rng: np.random.Generator) -> np.ndarray:
     """Boolean array of per-shot one-side successes.
@@ -131,10 +149,10 @@ def _sample_side_success(model: RateModel, shots: int,
     explicitly so the estimate is independent of the closed forms.
     """
     arrived = rng.random((shots, model.n, model.m)) < model.eta
-    alive = arrived.any(axis=2)
-    intact = arrived.all(axis=2)
+    alive = _fold(or_, arrived)
+    intact = _fold(and_, arrived)
     bsm_ok = rng.random((shots, model.n)) < model.q
-    return alive.all(axis=1) & (intact & bsm_ok).any(axis=1)
+    return _fold(and_, alive) & _fold(or_, intact & bsm_ok)
 
 
 def monte_carlo_side(model: RateModel, shots: int, seed: int):
@@ -164,13 +182,19 @@ def monte_carlo_rate(model: RateModel, shots: int, seed: int):
 
 
 def monte_carlo_bare(n: int, eta: float, q: float, shots: int, seed: int):
-    """Monte-Carlo estimate of the bare-scheme connection probability."""
+    """Monte-Carlo estimate of the bare-scheme connection probability.
+
+    Draws every photon's arrival (2 sides x n), then every BSM outcome.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if shots < 1:
         raise ValueError("need shots >= 1")
     rng = np.random.default_rng(seed)
     arrived = rng.random((shots, 2, n)) < eta
     bsm_ok = rng.random((shots, 2, n)) < q
-    success = arrived.all(axis=(1, 2)) & bsm_ok.any(axis=2).all(axis=1)
+    success = (_fold(and_, arrived.reshape(shots, 2 * n))
+               & _fold(and_, _fold(or_, bsm_ok)))
     hits = int(success.sum())
     p_hat = hits / shots
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / shots)

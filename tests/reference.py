@@ -163,3 +163,62 @@ def qpc_codeword(alpha: complex, beta: complex, n: int, m: int) -> np.ndarray:
                 index |= ((1 << m) - 1) << (m * (n - 1 - b))
         amps[index] = (alpha + beta * (-1) ** sum(ones)) / 2 ** (n / 2)
     return amps
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo samplers with NumPy axis reductions
+# ---------------------------------------------------------------------------
+# The package folds its short any/all axes slice by slice; these are the
+# same samplers written with .any/.all, drawing the same numbers in the
+# same order, so their (estimate, standard error) must match exactly.
+
+def _estimate(hits: int, shots: int):
+    p_hat = hits / shots
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / shots)
+
+
+def side_success_anyall(eta, q, n, m, shots, rng):
+    arrived = rng.random((shots, n, m)) < eta
+    alive = arrived.any(axis=2)
+    intact = arrived.all(axis=2)
+    bsm_ok = rng.random((shots, n)) < q
+    return alive.all(axis=1) & (intact & bsm_ok).any(axis=1)
+
+
+def monte_carlo_side_anyall(eta, q, n, m, shots, seed):
+    rng = np.random.default_rng(seed)
+    hits = int(side_success_anyall(eta, q, n, m, shots, rng).sum())
+    return _estimate(hits, shots)
+
+
+def monte_carlo_rate_anyall(eta, q, n, m, shots, seed):
+    rng = np.random.default_rng(seed)
+    left = side_success_anyall(eta, q, n, m, shots, rng)
+    right = side_success_anyall(eta, q, n, m, shots, rng)
+    return _estimate(int((left & right).sum()), shots)
+
+
+def monte_carlo_bare_anyall(n, eta, q, shots, seed):
+    rng = np.random.default_rng(seed)
+    arrived = rng.random((shots, 2, n)) < eta
+    bsm_ok = rng.random((shots, 2, n)) < q
+    success = arrived.all(axis=(1, 2)) & bsm_ok.any(axis=2).all(axis=1)
+    return _estimate(int(success.sum()), shots)
+
+
+def monte_carlo_coincidence_anyall(pair_prob, eta_pair, rep_rate, n_sources,
+                                   postselect_factor, pulses, seed):
+    rng = np.random.default_rng(seed)
+    hits = 0
+    chunk = 1_000_000
+    done = 0
+    while done < pulses:
+        k = min(chunk, pulses - done)
+        emitted = rng.random((k, n_sources)) < pair_prob
+        delivered = emitted & (rng.random((k, n_sources)) < eta_pair)
+        events = delivered.all(axis=1)
+        passed = events & (rng.random(k) < postselect_factor)
+        hits += int(passed.sum())
+        done += k
+    p_hat, se_p = _estimate(hits, pulses)
+    return rep_rate * p_hat, rep_rate * se_p

@@ -122,6 +122,10 @@ class TestExitCodes:
         (("rgs-loss", "--loss", "-1"), 2),
         (("connect", "--loss", "3"), 3),
         (("rgs-loss", "--loss", "3"), 3),
+        (("photonics-rate", "--shots", "0", "--seed", "1"), 2),
+        (("photonics-rate", "--shots", "-5", "--seed", "1"), 2),
+        (("photonics-rate", "--shots", "10", "--seed", "-1"), 2),
+        (("photonics-rate", "--seed", "-1"), 2),
     ]
 
     @pytest.mark.parametrize("argv,code", INVALID,

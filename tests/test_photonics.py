@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import reference as ref
 from qparity.photonics import (
     NoiseParams,
     SourceParams,
@@ -125,6 +126,24 @@ class TestCoincidenceRate:
         a = monte_carlo_coincidence(params, 2, 0.5, 10 ** 5, seed=5)
         b = monte_carlo_coincidence(params, 2, 0.5, 10 ** 5, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("sources", range(1, 7))
+    def test_monte_carlo_matches_anyall_oracle(self, sources):
+        """The slice fold gives the estimate of the .all(axis=1) sampler in
+        tests/reference.py, also across the 10^6-pulse chunk boundary."""
+        params = SourceParams(0.8, 0.9, 1e6)
+        for pulses, seed in ((7, 1), (99_999, 2), (1_000_003, 3)):
+            got = monte_carlo_coincidence(params, sources, 0.5, pulses, seed)
+            want = ref.monte_carlo_coincidence_anyall(
+                0.8, 0.9, 1e6, sources, 0.5, pulses, seed)
+            assert got == want
+
+    @pytest.mark.parametrize("sources,factor", [(0, 0.5), (2, 1.5),
+                                                (2, -0.1)])
+    def test_monte_carlo_validation(self, sources, factor):
+        with pytest.raises(ValueError):
+            monte_carlo_coincidence(SourceParams(0.5, 0.5), sources, factor,
+                                    10, seed=0)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

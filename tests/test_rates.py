@@ -2,6 +2,7 @@
 
 import pytest
 
+import reference as ref
 from qparity.rates import (
     RateModel,
     evaluate,
@@ -83,6 +84,36 @@ class TestMonteCarlo:
     def test_shots_validated(self):
         with pytest.raises(ValueError):
             monte_carlo_rate(RateModel(0.5), 0, seed=0)
+
+    def test_bare_needs_an_arm(self):
+        with pytest.raises(ValueError):
+            monte_carlo_bare(0, 0.9, 0.5, 10, seed=0)
+
+
+# (seed, eta, q, shots): odd shot counts, losses from mild to heavy.
+ORACLE_RUNS = ((3, 0.9, 0.5, 4097), (41, 0.75, 0.35, 10_001),
+               (2024, 0.97, 0.8, 999))
+
+
+class TestFoldMatchesAnyAll:
+    """The slice folds give bit-identical estimates to the any/all
+    samplers of tests/reference.py on the same draws."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_side_and_rate(self, n, m):
+        for seed, eta, q, shots in ORACLE_RUNS:
+            model = RateModel(eta, q, n, m)
+            assert (monte_carlo_side(model, shots, seed)
+                    == ref.monte_carlo_side_anyall(eta, q, n, m, shots, seed))
+            assert (monte_carlo_rate(model, shots, seed)
+                    == ref.monte_carlo_rate_anyall(eta, q, n, m, shots, seed))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_bare(self, n):
+        for seed, eta, q, shots in ORACLE_RUNS:
+            assert (monte_carlo_bare(n, eta, q, shots, seed)
+                    == ref.monte_carlo_bare_anyall(n, eta, q, shots, seed))
 
 
 class TestOptimizer:
