@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
-
-import numpy as np
 
 from .errors import ConfigError, PreconditionError
 from .photonics import (
@@ -52,6 +51,8 @@ from .sim import expectation
 
 SCHEMA_VERSION = 1
 SYNDROME_COLUMNS = ["SZ1", "SZ2", "SZ3", "SZ4", "SZ5", "SZ6", "SX1", "SX2"]
+# Largest --n-max x --m-max grid that `rate` evaluates (about 0.3 s).
+RATE_GRID_CAP = 10_000
 WITNESS_COLUMNS = ["branch", "probability", "outcomes", "correction",
                    "xx", "yy", "zz", "fidelity", "witness"]
 
@@ -236,6 +237,9 @@ def cmd_witness(args) -> None:
 def cmd_rate(args) -> None:
     if args.n_max < 1 or args.m_max < 1:
         raise ConfigError("--n-max and --m-max must be >= 1")
+    if args.n_max * args.m_max > RATE_GRID_CAP:
+        raise ConfigError(f"--n-max x --m-max = {args.n_max * args.m_max} "
+                          f"exceeds the grid cap of {RATE_GRID_CAP} points")
     if not (0.0 <= args.eta <= 1.0) or not (0.0 <= args.q <= 1.0):
         raise ConfigError("--eta and --q must lie in [0, 1]")
     rows = [
@@ -331,7 +335,10 @@ def _add_common(parser: argparse.ArgumentParser, formats=("json", "csv"),
                         help="JSON file of defaults; explicit flags win")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused:
+    parsing leaves it unchanged, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="qparity",
         description="Loss-tolerant quantum-parity-code repeater toolkit")
@@ -380,10 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.set_defaults(func=cmd_witness, scenario_factory=factory)
 
-    p = sub.add_parser("rate", help="connection-rate sweep and optimum")
+    p = sub.add_parser(
+        "rate", help="connection-rate sweep and optimum",
+        description=f"Sweep the (n, m) grid and report the optimum; the "
+                    f"grid holds at most {RATE_GRID_CAP} points.")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--n-max", type=int, default=5)
+    p.add_argument("--n-max", type=int, default=5,
+                   help=f"n-max x m-max <= {RATE_GRID_CAP}")
     p.add_argument("--m-max", type=int, default=5)
     p.add_argument("--metric", choices=("p_connect", "efficiency"),
                    default="p_connect")
@@ -408,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv) -> list:
+def _apply_config_file(argv) -> list:
     """Fold --config file values in as defaults; explicit flags win."""
     if "--config" not in argv:
         return list(argv)
@@ -434,10 +445,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv) -> list:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_apply_config_file(argv))
         args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

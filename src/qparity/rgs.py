@@ -38,11 +38,11 @@ from .shor import LogicalInput, encode_qpc
 from .sim import (
     CNOT,
     H,
-    PAULI,
     PauliString,
     PlanStep,
     PureState,
     State,
+    apply_pauli,
     apply_unitary,
     correction_table,
     expectation,
@@ -313,13 +313,14 @@ class WitnessResult:
                 "fidelity": self.fidelity, "witness": self.witness}
 
 
+_WITNESS_OPS = tuple(PauliString({0: letter, 1: letter}) for letter in "XYZ")
+
+
 def witness(rho: State) -> WitnessResult:
     """Evaluate the |phi+> witness on a two-qubit state."""
     if rho.num_qubits != 2:
         raise ValueError(f"witness needs 2 qubits, got {rho.num_qubits}")
-    xx = expectation(rho, PauliString({0: "X", 1: "X"}))
-    yy = expectation(rho, PauliString({0: "Y", 1: "Y"}))
-    zz = expectation(rho, PauliString({0: "Z", 1: "Z"}))
+    xx, yy, zz = (expectation(rho, op) for op in _WITNESS_OPS)
     fid = (1.0 + xx - yy + zz) / 4.0
     return WitnessResult(xx=xx, yy=yy, zz=zz, fidelity=fid,
                          witness=0.5 - fid)
@@ -371,10 +372,9 @@ def _outcome_tokens(plan: tuple, records: tuple) -> tuple:
 def _correct_terminals(state: State, order: tuple, terminals: tuple,
                        pair: tuple) -> State:
     """Apply one Pauli (by name) to each terminal photon."""
-    for label, pauli in zip(terminals, pair):
-        if pauli != "I":
-            state = apply_unitary(state, PAULI[pauli], [order.index(label)])
-    return state
+    return apply_pauli(state, PauliString({
+        order.index(label): pauli
+        for label, pauli in zip(terminals, pair) if pauli != "I"}))
 
 
 def run_connection(scenario: Scenario, mode: str = "enumerate",

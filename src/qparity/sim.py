@@ -11,10 +11,12 @@ rows ``vectors`` (r x 2^n, not necessarily normalized) with real
 operation is one code path over the rows: tracing a qubit out splits
 every row per discarded basis value, a Pauli channel returns [A; P A],
 and everything else acts row by row, so a mixed state costs r vectors
-instead of a 4^n matrix.  Dense matrices exist only at the boundary:
-``DensityMatrix(matrix)`` decomposes its argument once with ``eigh``,
-``DensityMatrix.matrix`` is rebuilt on demand, and a stack outgrowing
-2^n rows is compressed back through one ``eigh``.
+instead of a 4^n matrix.  A Pauli string acts on all rows at once
+as one cached index gather and one phase multiply.  Dense matrices
+exist only at the boundary: ``DensityMatrix(matrix)`` decomposes its
+argument once with ``eigh``, ``DensityMatrix.matrix`` is rebuilt on
+demand, and a stack outgrowing 2^n rows is compressed back through one
+``eigh``.
 
 Stochastic operations draw from a caller-supplied
 ``numpy.random.Generator``; for a fixed seed every run is bit-identical
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -261,14 +264,41 @@ def _apply_to_axes(tensor: np.ndarray, mat: np.ndarray,
     return out.reshape(shape).transpose(np.argsort(perm))
 
 
-def _pauli_left(vectors: np.ndarray, op: PauliString, n: int) -> np.ndarray:
-    """P |v_i> for every row of the stack."""
-    t = vectors.reshape([-1] + [2] * n)
-    for q, letter in op.factors.items():
+@lru_cache(maxsize=128)
+def _pauli_action(factors: tuple, sign: int, n: int) -> tuple:
+    """Index gather and phase of a Pauli product on n qubits.
+
+    ``factors`` is a tuple of (qubit, letter) pairs.  Returns read-only
+    arrays (src, phase) with (P v)[k] = phase[k] * v[src[k]]: src flips
+    the bits of the X and Y factors, and phase is the sign times -1 per
+    set Z or Y bit of k times -i per Y factor, since
+    (Y v)[b] = -i (-1)^b v[1 - b].
+    """
+    k = np.arange(2 ** n)
+    signs = np.full(2 ** n, sign)
+    xmask = n_y = 0
+    for q, letter in factors:
         if q >= n:
             raise PreconditionError(f"Pauli factor on qubit {q} out of range")
-        t = _apply_to_axes(t, PAULI[letter], [1 + q])
-    return op.sign * t.reshape(vectors.shape)
+        bit = 1 << (n - 1 - q)
+        if letter != "Z":
+            xmask |= bit
+        if letter != "X":
+            signs[k & bit != 0] *= -1
+        n_y += letter == "Y"
+    re, im = ((1, 0), (0, -1), (-1, 0), (0, 1))[n_y % 4]
+    phase = np.empty(2 ** n, dtype=complex)
+    phase.real, phase.imag = signs * re, signs * im
+    src = k ^ xmask
+    src.flags.writeable = False
+    phase.flags.writeable = False
+    return src, phase
+
+
+def _pauli_rows(vectors: np.ndarray, op: PauliString, n: int) -> np.ndarray:
+    """P |v_i> for every row of the stack: one gather and one multiply."""
+    src, phase = _pauli_action(tuple(op.factors.items()), op.sign, n)
+    return phase * vectors.take(src, axis=1)
 
 
 def _check_targets(targets: Sequence[int], n: int) -> None:
@@ -396,7 +426,7 @@ def _pauli_branches(state: State, op: PauliString) -> list:
     """The +1 and -1 branches of a Pauli product measurement, as
     (outcome, probability, unnormalized rows)."""
     vectors = state.vectors
-    pv = _pauli_left(vectors, op, state.num_qubits)
+    pv = _pauli_rows(vectors, op, state.num_qubits)
     return _realizable(state, ((s, (vectors + s * pv) / 2.0)
                                for s in (+1, -1)))
 
@@ -461,9 +491,16 @@ def measure_pauli(state: State, op: PauliString, mode: str = "sample",
 def expectation(state: State, op: PauliString) -> float:
     """<P> for a signed Pauli product; real and clipped to [-1, 1]."""
     vectors = state.vectors
-    pv = _pauli_left(vectors, op, state.num_qubits)
-    val = np.vdot(vectors, state.weights[:, None] * pv)
-    return float(np.clip(val.real, -1.0, 1.0))
+    pv = _pauli_rows(vectors, op, state.num_qubits)
+    val = float(np.vdot(vectors, state.weights[:, None] * pv).real)
+    return min(max(val, -1.0), 1.0)   # NaN passes through
+
+
+def apply_pauli(state: State, op: PauliString) -> State:
+    """Apply a signed Pauli product: P|psi> for a pure state (sign
+    included), P rho P for a mixed one; returns the same kind of state."""
+    return state._from_rows(_pauli_rows(state.vectors, op, state.num_qubits),
+                            state.weights)
 
 
 def partial_trace(state: State, discard: Iterable[int]) -> DensityMatrix:
@@ -525,7 +562,7 @@ def apply_pauli_channel(state: State, op: PauliString, p: float) -> DensityMatri
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"channel probability {p} out of [0, 1]")
     vectors, weights = state.vectors, state.weights
-    rows = np.concatenate([vectors, _pauli_left(vectors, op,
+    rows = np.concatenate([vectors, _pauli_rows(vectors, op,
                                                 state.num_qubits)])
     weights = np.concatenate([(1.0 - p) * weights, p * weights])
     kept = weights != 0.0

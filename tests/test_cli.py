@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qparity.cli import main
+from qparity.cli import RATE_GRID_CAP, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -115,17 +115,39 @@ class TestCommands:
 
 
 class TestExitCodes:
+    # Bad input exits 2 (ConfigError), a physically illegal request 3
+    # (PreconditionError); both print one "error:" line.
     INVALID = [
         (("bare-control", "--loss", "2"), 2),
         (("bare-control", "--loss", "-1"), 2),
         (("connect", "--loss", "-1"), 2),
         (("rgs-loss", "--loss", "-1"), 2),
         (("connect", "--loss", "3"), 3),
-        (("rgs-loss", "--loss", "3"), 3),
+        (("connect", "--loss", "5"), 3),
+        (("rgs-loss", "--loss", "3"), 3),   # condition (ii) violated
         (("photonics-rate", "--shots", "0", "--seed", "1"), 2),
         (("photonics-rate", "--shots", "-5", "--seed", "1"), 2),
         (("photonics-rate", "--shots", "10", "--seed", "-1"), 2),
         (("photonics-rate", "--seed", "-1"), 2),
+        (("photonics-rate", "--shots", "10"), 2),   # no --seed
+        (("photonics-rate", "--sources", "0"), 2),
+        (("photonics-rate", "--factor", "2"), 2),
+        (("photonics-rate", "--pair-prob", "2"), 2),
+        (("photonics-rate", "--eta-pair", "-1"), 2),
+        (("photonics-rate", "--rep-rate", "0"), 2),
+        (("syndrome-scan", "--p-values", "0,2"), 2),
+        (("syndrome-scan", "--p-values", "x"), 2),
+        (("syndrome-scan", "--channel", "amplitude"), 2),
+        (("syndrome-scan", "--qubit", "0"), 2),
+        (("syndrome-scan", "--qubit", "10"), 2),
+        (("loss-readout", "--lose", "10"), 2),
+        (("loss-readout", "--lose", "1"), 3),   # the output qubit
+        (("encode", "--theta", "nan"), 2),
+        (("encode", "--noise", "2"), 2),
+        (("encode", "--config", "/nonexistent"), 2),
+        (("rate", "--eta", "nan"), 2),
+        (("rate", "--eta", "0.9", "--n-max", "0"), 2),
+        (("rate", "--eta", "0.9", "--n-max", "101", "--m-max", "100"), 2),
     ]
 
     @pytest.mark.parametrize("argv,code", INVALID,
@@ -135,30 +157,44 @@ class TestExitCodes:
         assert rc == code
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_invalid_probability_is_config_error(self, tmp_path):
-        rc, _ = run(tmp_path, "syndrome-scan", "--p-values", "0,2")
-        assert rc == 2
-
-    def test_bad_channel_kind(self, tmp_path):
-        rc, _ = run(tmp_path, "syndrome-scan", "--channel", "amplitude")
-        assert rc == 2
-
-    def test_shots_without_seed(self, tmp_path):
-        rc, _ = run(tmp_path, "photonics-rate", "--shots", "10")
-        assert rc == 2
-
-    def test_output_qubit_loss_is_precondition(self, tmp_path):
-        rc, _ = run(tmp_path, "loss-readout", "--lose", "1")
-        assert rc == 3
-
-    def test_condition_ii_violation(self, tmp_path):
-        rc, _ = run(tmp_path, "rgs-loss", "--loss", "3")
-        assert rc == 3
+    def test_rate_grid_cap_is_inclusive(self, tmp_path):
+        assert RATE_GRID_CAP == 100 * 100
+        rc, _ = run(tmp_path, "rate", "--eta", "0.9", "--n-max", "100",
+                    "--m-max", "100")
+        assert rc == 0
 
     def test_unknown_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    """One parser per process: reusing it across commands, config files
+    and usage errors leaves every output as on its first run."""
+
+    def test_alternating_goldens_with_config_and_usage_error(self, tmp_path):
+        parser = build_parser()
+        first = {}
+        for name, argv in TestGoldens.CASES:
+            rc, first[name] = run(tmp_path, *argv)
+            assert rc == 0
+            assert first[name] == (GOLDEN / name).read_bytes()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"loss": 2, "format": "csv"}))
+        rc, from_config = run(tmp_path, "rgs-loss", "--config", str(cfg))
+        assert rc == 0
+        with pytest.raises(SystemExit):
+            main(["encode", "--bogus"])
+        for name, argv in reversed(TestGoldens.CASES):
+            rc, raw = run(tmp_path, *argv)
+            assert rc == 0
+            assert raw == first[name]
+            assert build_parser() is parser
+        rc, from_flags = run(tmp_path, "rgs-loss", "--loss", "2",
+                             "--format", "csv")
+        assert rc == 0
+        assert from_flags == from_config
 
 
 class TestConfigFile:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reference as ref
+from qparity import sim
 from qparity.errors import PreconditionError
 from qparity.photonics import apply_visibility_noise, encoder_sites
 from qparity.shor import CodeLayout, LogicalInput, encode_qpc, stabilizers
@@ -16,6 +17,7 @@ from qparity.sim import (
     DensityMatrix,
     PauliString,
     PureState,
+    apply_pauli,
     apply_pauli_channel,
     apply_unitary,
     bell_project,
@@ -373,6 +375,80 @@ class TestPauliChannel:
         rho = apply_pauli_channel(s, PauliString({0: "Z", 2: "X"}), 0.3)
         rho.validate()
         assert abs(np.trace(rho.matrix).real - 1) < 1e-10
+
+
+class TestPauliKernel:
+    """The one gather-and-phase Pauli action behind apply_pauli,
+    apply_pauli_channel, expectation and the Pauli measurements, against
+    index arithmetic (tests/reference.py::pauli_on_vector) up to 12
+    qubits and the dense Kronecker matrix up to 8."""
+
+    @staticmethod
+    def random_case(n, rank, rng):
+        """A random signed Pauli string on n qubits (identity factors
+        dropped, Y included) and a state of ``rank`` normalized rows with
+        random weights summing to 1 (a PureState when rank is 1)."""
+        letters = rng.integers(0, 4, size=n)
+        op = PauliString({q: "IXYZ"[l] for q, l in enumerate(letters) if l},
+                         sign=int(rng.choice([1, -1])))
+        shape = (rank, 2 ** n)
+        rows = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        if rank == 1:
+            return op, PureState(rows[0])
+        weights = rng.dirichlet(np.ones(rank))
+        return op, DensityMatrix._from_rows(rows, weights)
+
+    def test_rows_match_index_oracle(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 13):
+            # at most 2^(n-1) rows, so the channel's doubled stack is not
+            # compressed and its rows can be compared one by one
+            for rank in sorted({1, min(3, 2 ** (n - 1))}):
+                for _ in range(3):
+                    op, state = self.random_case(n, rank, rng)
+                    want = np.array([op.sign * ref.pauli_on_vector(
+                        op.factors, row, n) for row in state.vectors])
+                    out = apply_pauli(state, op)
+                    assert type(out) is type(state)
+                    np.testing.assert_allclose(out.vectors, want, atol=1e-12)
+                    np.testing.assert_array_equal(out.weights, state.weights)
+                    p = float(rng.uniform(0.1, 0.9))
+                    mixed = apply_pauli_channel(state, op, p)
+                    np.testing.assert_allclose(
+                        mixed.vectors,
+                        np.concatenate([state.vectors, want]), atol=1e-12)
+                    np.testing.assert_allclose(
+                        mixed.weights, np.concatenate(
+                            [(1 - p) * state.weights, p * state.weights]))
+
+    def test_expectation_matches_dense_oracle(self):
+        rng = np.random.default_rng(6)
+        for n in range(1, 9):
+            for rank in sorted({1, min(3, 2 ** n)}):
+                for _ in range(4):
+                    op, state = self.random_case(n, rank, rng)
+                    full = ref.pauli_matrix(op.factors, n, op.sign)
+                    want = sum(w * np.vdot(v, full @ v).real for w, v in
+                               zip(state.weights, state.vectors))
+                    assert abs(expectation(state, op) - want) < 1e-12
+
+    def test_out_of_range_factor_raises(self):
+        state = random_state(3, 21)
+        op = PauliString({1: "X", 3: "Z"})
+        for call in (lambda: apply_pauli(state, op),
+                     lambda: apply_pauli_channel(state, op, 0.5),
+                     lambda: expectation(state, op),
+                     lambda: measure_pauli(state, op, mode="distribution")):
+            with pytest.raises(PreconditionError):
+                call()
+
+    def test_cached_arrays_are_read_only_and_the_cache_bounded(self):
+        src, phase = sim._pauli_action(((0, "Y"), (2, "X")), -1, 3)
+        for array in (src, phase):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert sim._pauli_action.cache_info().maxsize is not None
 
 
 class TestPauliString:
