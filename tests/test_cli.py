@@ -163,6 +163,10 @@ class TestExitCodes:
                     "--m-max", "100")
         assert rc == 0
 
+    def test_condition_ii_violation(self, tmp_path):
+        rc, _ = run(tmp_path, "rgs-loss", "--loss", "3")
+        assert rc == 3
+
     def test_unknown_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
