@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .rates import _fold
+from .rates import _estimate, _fold, _uniform_chunks
 from .shor import LogicalInput, SHOR_LAYOUT, encode_block, encode_shor
 from .sim import (
     CNOT,
@@ -129,6 +129,10 @@ def coincidence_rate(params: SourceParams, n_sources: int = 5,
     return params.rep_rate * per_pulse * postselect_factor
 
 
+# Pulses per block of the coincidence sampler's stream layout.
+PULSE_BLOCK = 1_000_000
+
+
 def monte_carlo_coincidence(params: SourceParams, n_sources: int,
                             postselect_factor: float, pulses: int,
                             seed) -> tuple:
@@ -138,24 +142,26 @@ def monte_carlo_coincidence(params: SourceParams, n_sources: int,
     eta_pair; the event passes post-selection with postselect_factor.
     Returns (rate estimate, standard error of the rate), both in
     events/second.
+
+    Stream layout: per block of ``PULSE_BLOCK`` pulses, every pulse's
+    emissions (k x n_sources), then deliveries (k x n_sources), then
+    post-selections (k).  Each block is read in chunks of
+    ``rates.CHUNK_SHOTS`` pulses, so memory stays bounded.
     """
     _check_coincidence(n_sources, postselect_factor)
     if pulses < 1:
         raise ValueError("need pulses >= 1")
     rng = np.random.default_rng(seed)
     hits = 0
-    chunk = 1_000_000
-    done = 0
-    while done < pulses:
-        k = min(chunk, pulses - done)
-        emitted = rng.random((k, n_sources)) < params.pair_prob
-        delivered = emitted & (rng.random((k, n_sources)) < params.eta_pair)
-        events = _fold(and_, delivered)
-        passed = events & (rng.random(k) < postselect_factor)
-        hits += int(passed.sum())
-        done += k
-    p_hat = hits / pulses
-    se_p = math.sqrt(p_hat * (1.0 - p_hat) / pulses)
+    widths = (n_sources, n_sources, 1)
+    for done in range(0, pulses, PULSE_BLOCK):
+        k = min(PULSE_BLOCK, pulses - done)
+        for emit, deliver, post in _uniform_chunks(rng, k, widths):
+            delivered = ((emit < params.pair_prob)
+                         & (deliver < params.eta_pair))
+            passed = _fold(and_, delivered) & (post[:, 0] < postselect_factor)
+            hits += int(np.count_nonzero(passed))
+    p_hat, se_p = _estimate(hits, pulses)
     return params.rep_rate * p_hat, params.rep_rate * se_p
 
 

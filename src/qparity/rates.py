@@ -26,10 +26,18 @@ measurement explicitly, so their estimates are independent of the
 closed forms.  Their per-arm and per-side any/all reductions run over
 axes of one to a few entries, where a slice-by-slice fold is several
 times faster than NumPy's axis reduction and gives the same booleans.
+
+Stream layout: a sampler's uniforms are whole arrays, one row per shot,
+drawn one after another from a PCG64 stream (for ``monte_carlo_side``:
+all shots' photons, then all shots' BSMs).  The samplers read these
+arrays in chunks of at most ``CHUNK_SHOTS`` shots, from copies of the
+generator advanced to where each array starts, so peak memory does not
+grow with ``shots`` and the numbers are those of the whole arrays.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -38,6 +46,12 @@ from operator import and_, or_
 import numpy as np
 
 DEFAULT_BSM_SUCCESS = 0.5
+
+# Shots per chunk of sampler draws.  A 3 x 3 rate chunk's uniforms take
+# 1.5 MB, reused from chunk to chunk: no page faults, and the chunk's
+# comparisons and folds run in cache.  2**12..2**15 measured within noise
+# of each other on the montecarlo workload; 2**13 was among the fastest.
+CHUNK_SHOTS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -141,47 +155,97 @@ def _fold(op, flags: np.ndarray) -> np.ndarray:
                                  for j in range(flags.shape[-1])))
 
 
-def _sample_side_success(model: RateModel, shots: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Boolean array of per-shot one-side successes.
+def _uniform_chunks(rng: np.random.Generator, shots: int, widths):
+    """Chunks of ``[rng.random((shots, w)) for w in widths]``.
+
+    The returned iterator gives, for each run of at most ``CHUNK_SHOTS``
+    shots, one ``(k, w)`` array per width holding exactly those rows of
+    the whole arrays.  The arrays are buffers that the next chunk
+    overwrites.  ``rng`` itself is stepped past every draw at once, as
+    the whole-array draws would leave it.
+    """
+    bitgen = rng.bit_generator
+    # These two take one 64-bit output per double, and advance() counts
+    # outputs.  np.random is looked up here, not at import: loading it
+    # costs about 15 ms.
+    if not isinstance(bitgen, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise ValueError(
+            f"Monte-Carlo samplers need a PCG64 or PCG64DXSM generator to "
+            f"position their chunked draws, got {type(bitgen).__name__}")
+    streams = []
+    offset = 0
+    for w in widths:
+        stream = copy.deepcopy(rng)
+        stream.bit_generator.advance(offset)
+        streams.append(stream)
+        offset += shots * w
+    # advance() drops a buffered 32-bit half, which double draws keep.
+    state = bitgen.state
+    bitgen.advance(offset)
+    bitgen.state = {**bitgen.state, "has_uint32": state["has_uint32"],
+                    "uinteger": state["uinteger"]}
+    bufs = [np.empty((min(CHUNK_SHOTS, shots), w)) for w in widths]
+    return ([stream.random(out=buf[:min(CHUNK_SHOTS, shots - done)])
+             for stream, buf in zip(streams, bufs)]
+            for done in range(0, shots, CHUNK_SHOTS))
+
+
+def _side_success(model: RateModel, photons: np.ndarray,
+                  bsms: np.ndarray) -> np.ndarray:
+    """Per-shot one-side successes from uniforms of shape (k, n*m) for
+    the photons' arrivals and (k, n) for the intact arms' BSMs.
 
     Each photon's survival and each intact arm's BSM are sampled
     explicitly so the estimate is independent of the closed forms.
     """
-    arrived = rng.random((shots, model.n, model.m)) < model.eta
+    arrived = (photons < model.eta).reshape(-1, model.n, model.m)
     alive = _fold(or_, arrived)
     intact = _fold(and_, arrived)
-    bsm_ok = rng.random((shots, model.n)) < model.q
+    bsm_ok = bsms < model.q
     return _fold(and_, alive) & _fold(or_, intact & bsm_ok)
 
 
-def monte_carlo_side(model: RateModel, shots: int, seed: int):
-    """Monte-Carlo estimate of p_side: (estimate, standard error)."""
-    if shots < 1:
-        raise ValueError("need shots >= 1")
-    rng = np.random.default_rng(seed)
-    hits = int(_sample_side_success(model, shots, rng).sum())
+def _estimate(hits: int, shots: int):
     p_hat = hits / shots
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / shots)
 
 
-def monte_carlo_rate(model: RateModel, shots: int, seed: int):
-    """Monte-Carlo estimate of p_connect (both sides independently).
+def monte_carlo_side(model: RateModel, shots: int, seed):
+    """Monte-Carlo estimate of p_side: (estimate, standard error).
 
-    Draw order per shot: left-side photons, left BSMs, right-side
-    photons, right BSMs; fixed seed gives a bit-identical estimate.
+    ``seed`` is anything :func:`numpy.random.default_rng` takes; a PCG64
+    ``Generator`` is used in place and stepped past the draws.
     """
     if shots < 1:
         raise ValueError("need shots >= 1")
     rng = np.random.default_rng(seed)
-    left = _sample_side_success(model, shots, rng)
-    right = _sample_side_success(model, shots, rng)
-    hits = int((left & right).sum())
-    p_hat = hits / shots
-    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / shots)
+    widths = (model.n * model.m, model.n)
+    hits = sum(int(np.count_nonzero(_side_success(model, photons, bsms)))
+               for photons, bsms in _uniform_chunks(rng, shots, widths))
+    return _estimate(hits, shots)
 
 
-def monte_carlo_bare(n: int, eta: float, q: float, shots: int, seed: int):
+def monte_carlo_rate(model: RateModel, shots: int, seed):
+    """Monte-Carlo estimate of p_connect (both sides independently).
+
+    Stream layout: all shots' left-side photons (shots x n*m), then all
+    left BSMs (shots x n), then the right side's photons and BSMs, as
+    whole arrays.  They are read in chunks of ``CHUNK_SHOTS`` shots, so
+    memory stays bounded whatever ``shots`` is, and a fixed seed gives
+    a bit-identical estimate.
+    """
+    if shots < 1:
+        raise ValueError("need shots >= 1")
+    rng = np.random.default_rng(seed)
+    nm = model.n * model.m
+    hits = sum(int(np.count_nonzero(_side_success(model, lp, lb)
+                                    & _side_success(model, rp, rb)))
+               for lp, lb, rp, rb in _uniform_chunks(
+                   rng, shots, (nm, model.n, nm, model.n)))
+    return _estimate(hits, shots)
+
+
+def monte_carlo_bare(n: int, eta: float, q: float, shots: int, seed):
     """Monte-Carlo estimate of the bare-scheme connection probability.
 
     Draws every photon's arrival (2 sides x n), then every BSM outcome.
@@ -191,10 +255,10 @@ def monte_carlo_bare(n: int, eta: float, q: float, shots: int, seed: int):
     if shots < 1:
         raise ValueError("need shots >= 1")
     rng = np.random.default_rng(seed)
-    arrived = rng.random((shots, 2, n)) < eta
-    bsm_ok = rng.random((shots, 2, n)) < q
-    success = (_fold(and_, arrived.reshape(shots, 2 * n))
-               & _fold(and_, _fold(or_, bsm_ok)))
-    hits = int(success.sum())
-    p_hat = hits / shots
-    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / shots)
+    hits = 0
+    for photons, bsms in _uniform_chunks(rng, shots, (2 * n, 2 * n)):
+        bsm_ok = (bsms < q).reshape(-1, 2, n)
+        success = (_fold(and_, photons < eta)
+                   & _fold(and_, _fold(or_, bsm_ok)))
+        hits += int(np.count_nonzero(success))
+    return _estimate(hits, shots)

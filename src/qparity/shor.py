@@ -173,7 +173,7 @@ class DecodeResult:
     correction: str                      # element of {"I", "Z", "X", "ZX"}
     transcript: list = field(default_factory=list)
     probability: float = 1.0
-    degraded: bool = False               # block-1 loss: no guarantee
+    degraded: bool = False               # output-block loss: no guarantee
 
     def fidelity_to(self, inp: LogicalInput) -> float:
         return fidelity(self.output, inp.to_state())
@@ -423,8 +423,12 @@ def decode_readout(state: State, losses: Iterable[int] = (),
     """Read the encoded qubit back out of a (possibly lossy) code word.
 
     ``state`` may be the full 9-qubit word (losses are traced out here)
-    or one already reduced to the surviving qubits.  Loss inside block 1
-    beyond the leader is tolerated but flags the result as degraded.
+    or one already reduced to the surviving qubits.  Loss in the output
+    block (block 0, qubits 0..m-1) beyond its leader is read out but
+    flags every branch ``degraded``: the output's fidelity to the input
+    is then not guaranteed (for the (3, 3) code it drops to about 0.79
+    for a generic input).  Without that flag every branch has
+    fidelity 1.
     mode="enumerate" returns every measurement branch as a list of
     DecodeResult; mode="sample" follows a single random path.
     """

@@ -1,5 +1,6 @@
 """Post-selected gates, source statistics, visibility noise."""
 
+import copy
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import reference as ref
 from qparity.photonics import (
+    PULSE_BLOCK,
     NoiseParams,
     SourceParams,
     apply_visibility_noise,
@@ -20,6 +22,7 @@ from qparity.photonics import (
     shor_encoder_sites,
     snr_hv,
 )
+from qparity.rates import CHUNK_SHOTS
 from qparity.shor import LogicalInput, encode_shor
 from qparity.sim import (
     CNOT,
@@ -137,6 +140,35 @@ class TestCoincidenceRate:
             want = ref.monte_carlo_coincidence_anyall(
                 0.8, 0.9, 1e6, sources, 0.5, pulses, seed)
             assert got == want
+
+    @pytest.mark.parametrize("pulses", [
+        CHUNK_SHOTS - 1, CHUNK_SHOTS, CHUNK_SHOTS + 1, 3 * CHUNK_SHOTS + 7,
+        PULSE_BLOCK + CHUNK_SHOTS + 1])
+    @pytest.mark.parametrize("sources", (1, 3))
+    def test_monte_carlo_chunk_edges_match_oracle(self, sources, pulses):
+        """Chunks of CHUNK_SHOTS pulses inside each PULSE_BLOCK block read
+        the oracle's whole-block draws, also past the block edge."""
+        params = SourceParams(0.8, 0.9, 1e6)
+        seed = pulses + sources
+        got = monte_carlo_coincidence(params, sources, 0.5, pulses, seed)
+        want = ref.monte_carlo_coincidence_anyall(
+            0.8, 0.9, 1e6, sources, 0.5, pulses, seed)
+        assert got == want
+
+    def test_monte_carlo_generator_seed(self):
+        """A PCG64 Generator ends where the oracle's draws leave it; an
+        MT19937 one cannot be positioned and is refused."""
+        params = SourceParams(0.8, 0.9, 1e6)
+        rng = np.random.default_rng(23)
+        twin = copy.deepcopy(rng)
+        pulses = PULSE_BLOCK + 3
+        assert (monte_carlo_coincidence(params, 2, 0.5, pulses, rng)
+                == ref.monte_carlo_coincidence_anyall(0.8, 0.9, 1e6, 2, 0.5,
+                                                      pulses, twin))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        with pytest.raises(ValueError, match="PCG64"):
+            monte_carlo_coincidence(params, 2, 0.5, 10, np.random.Generator(
+                np.random.MT19937(1)))
 
     @pytest.mark.parametrize("sources,factor", [(0, 0.5), (2, 1.5),
                                                 (2, -0.1)])

@@ -1,9 +1,13 @@
 """Closed-form rate model vs Monte-Carlo oracles, and the optimizer."""
 
+import copy
+
+import numpy as np
 import pytest
 
 import reference as ref
 from qparity.rates import (
+    CHUNK_SHOTS,
     RateModel,
     evaluate,
     monte_carlo_bare,
@@ -114,6 +118,75 @@ class TestFoldMatchesAnyAll:
         for seed, eta, q, shots in ORACLE_RUNS:
             assert (monte_carlo_bare(n, eta, q, shots, seed)
                     == ref.monte_carlo_bare_anyall(n, eta, q, shots, seed))
+
+
+# One shot short of a chunk, one chunk, one over, and three chunks plus a
+# remainder: every way the last chunk can end.
+CHUNK_EDGES = (CHUNK_SHOTS - 1, CHUNK_SHOTS, CHUNK_SHOTS + 1,
+               3 * CHUNK_SHOTS + 7)
+
+
+class TestChunkedDraws:
+    """Draws read in chunks of CHUNK_SHOTS shots are the numbers of the
+    whole-array draws of tests/reference.py: the estimates are equal."""
+
+    @pytest.mark.parametrize("shots", CHUNK_EDGES)
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 3)])
+    def test_side_and_rate(self, shots, n, m):
+        seed = shots + 10 * n + m
+        model = RateModel(0.8, 0.6, n, m)
+        assert (monte_carlo_side(model, shots, seed)
+                == ref.monte_carlo_side_anyall(0.8, 0.6, n, m, shots, seed))
+        assert (monte_carlo_rate(model, shots, seed)
+                == ref.monte_carlo_rate_anyall(0.8, 0.6, n, m, shots, seed))
+
+    @pytest.mark.parametrize("shots", CHUNK_EDGES)
+    @pytest.mark.parametrize("n", (1, 3))
+    def test_bare(self, shots, n):
+        seed = shots + n
+        assert (monte_carlo_bare(n, 0.9, 0.5, shots, seed)
+                == ref.monte_carlo_bare_anyall(n, 0.9, 0.5, shots, seed))
+
+
+# Each sampler beside its whole-array oracle, over a shot count that
+# spans two chunks.
+SAMPLERS = {
+    "side": (lambda g: monte_carlo_side(RateModel(0.8, 0.6, 2, 3),
+                                        CHUNK_SHOTS + 5, g),
+             lambda g: ref.monte_carlo_side_anyall(0.8, 0.6, 2, 3,
+                                                   CHUNK_SHOTS + 5, g)),
+    "rate": (lambda g: monte_carlo_rate(RateModel(0.8, 0.6, 2, 3),
+                                        CHUNK_SHOTS + 5, g),
+             lambda g: ref.monte_carlo_rate_anyall(0.8, 0.6, 2, 3,
+                                                   CHUNK_SHOTS + 5, g)),
+    "bare": (lambda g: monte_carlo_bare(3, 0.9, 0.5, CHUNK_SHOTS + 5, g),
+             lambda g: ref.monte_carlo_bare_anyall(3, 0.9, 0.5,
+                                                   CHUNK_SHOTS + 5, g)),
+}
+
+
+class TestGeneratorSeeds:
+    @pytest.mark.parametrize("kind", SAMPLERS)
+    @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.SFC64,
+                                        np.random.Philox])
+    def test_unpositionable_generator_rejected(self, kind, bitgen):
+        """MT19937 and SFC64 cannot advance; Philox advances by blocks of
+        four outputs, not by one output per double."""
+        sampler, _ = SAMPLERS[kind]
+        with pytest.raises(ValueError, match="PCG64"):
+            sampler(np.random.Generator(bitgen(5)))
+
+    @pytest.mark.parametrize("kind", SAMPLERS)
+    def test_pcg64_generator_ends_past_the_draws(self, kind):
+        """A Generator seed is drawn from in place and left where the
+        whole-array draws leave it, buffered 32-bit half included."""
+        sampler, oracle = SAMPLERS[kind]
+        rng = np.random.default_rng(17)
+        rng.random(dtype=np.float32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        twin = copy.deepcopy(rng)
+        assert sampler(rng) == oracle(twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestOptimizer:

@@ -371,6 +371,21 @@ class TestDecodeReadout:
         assert all(b.degraded for b in branches)
         assert abs(sum(b.probability for b in branches) - 1) < 1e-10
 
+    @pytest.mark.parametrize("losses,degraded", [
+        ((1,), True), ((2,), True), ((1, 4), True),
+        ((4,), False), ((4, 6), False)])
+    def test_degraded_means_no_fidelity_guarantee(self, losses, degraded):
+        """Loss in the output block flags every branch and costs
+        fidelity; loss elsewhere keeps every branch at fidelity 1."""
+        inp = LogicalInput.from_angles(math.pi / 3, 0.5)
+        branches = decode_readout(encode_shor(inp), losses=losses)
+        for b in branches:
+            assert b.degraded is degraded
+            if degraded:
+                assert abs(b.fidelity_to(inp) - 0.789) < 1e-3
+            else:
+                assert abs(b.fidelity_to(inp) - 1) < 1e-12
+
     def test_output_qubit_loss_rejected(self):
         with pytest.raises(PreconditionError):
             decode_readout(encode_shor(D_INPUT), losses=[0])

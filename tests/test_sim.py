@@ -8,7 +8,18 @@ import pytest
 import reference as ref
 from qparity import sim
 from qparity.errors import PreconditionError
-from qparity.photonics import apply_visibility_noise, encoder_sites
+from qparity.photonics import (
+    SourceParams,
+    apply_visibility_noise,
+    encoder_sites,
+    monte_carlo_coincidence,
+)
+from qparity.rates import (
+    RateModel,
+    monte_carlo_bare,
+    monte_carlo_rate,
+    monte_carlo_side,
+)
 from qparity.shor import CodeLayout, LogicalInput, encode_qpc, stabilizers
 from qparity.sim import (
     BELL_LABELS,
@@ -687,3 +698,40 @@ class TestMemoryAtTheCap:
         assert peak < 64 * 2 ** 20, peak
         assert lossy.num_qubits == 11 and len(branches) == 2
         assert all(-1 <= v <= 1 for v in values)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestSamplerMemory:
+    """The Monte-Carlo samplers draw in chunks of shots, so a 10^6-shot
+    call peaks far below its whole draw arrays (48-78 MB)."""
+
+    BOUND = 16 * 2 ** 20
+    CALLS = {
+        "side": lambda: monte_carlo_side(RateModel(0.9, 0.5, 3, 3),
+                                         10 ** 6, 1),
+        "rate": lambda: monte_carlo_rate(RateModel(0.9, 0.5, 3, 3),
+                                         10 ** 6, 2),
+        "bare": lambda: monte_carlo_bare(3, 0.9, 0.5, 10 ** 6, 3),
+        "coincidence": lambda: monte_carlo_coincidence(
+            SourceParams(0.6, 0.8, 1e6), 5, 0.5, 10 ** 6, 4),
+    }
+
+    @pytest.mark.parametrize("kind", CALLS)
+    def test_million_shot_call_stays_small(self, kind):
+        peak = _traced_peak(self.CALLS[kind])
+        assert peak < self.BOUND, peak
+
+    def test_bound_does_not_grow_with_shots(self):
+        """10^7 shots at n = m = 1 are an 80 MB whole draw."""
+        peak = _traced_peak(lambda: monte_carlo_side(
+            RateModel(0.9, 0.5, 1, 1), 10 ** 7, 5))
+        assert peak < self.BOUND, peak
