@@ -21,6 +21,7 @@ import sys
 
 from .errors import ConfigError, PreconditionError
 from .photonics import (
+    MAX_SAMPLED_SOURCES,
     SourceParams,
     apply_visibility_noise,
     chained_postselect_factor,
@@ -282,10 +283,13 @@ def cmd_photonics_rate(args) -> None:
                       ("--factor", args.factor)):
         if not (0.0 <= val <= 1.0):
             raise ConfigError(f"{name} {val} outside [0, 1]")
-    if args.rep_rate <= 0:
-        raise ConfigError("--rep-rate must be positive")
+    if not (0.0 < args.rep_rate < math.inf):
+        raise ConfigError("--rep-rate must be positive and finite")
     if args.sources < 1:
         raise ConfigError("--sources must be >= 1")
+    if args.shots is not None and args.sources > MAX_SAMPLED_SOURCES:
+        raise ConfigError(f"--sources {args.sources} exceeds the Monte-Carlo "
+                          f"cap of {MAX_SAMPLED_SOURCES} sources")
     if args.shots is not None and args.shots < 1:
         raise ConfigError("--shots must be >= 1")
     if args.seed is not None and args.seed < 0:
@@ -401,12 +405,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, formats=("csv",), default_format="csv")
     p.set_defaults(func=cmd_rate)
 
-    p = sub.add_parser("photonics-rate",
-                       help="predicted coincidence rate of the source chain")
+    p = sub.add_parser(
+        "photonics-rate",
+        help="predicted coincidence rate of the source chain",
+        description=f"Predict the coincidence rate of a chain of pair "
+                    f"sources; the Monte-Carlo check (--shots) takes at most "
+                    f"{MAX_SAMPLED_SOURCES} sources.")
     p.add_argument("--pair-prob", type=float, default=0.06)
     p.add_argument("--eta-pair", type=float, default=0.38)
     p.add_argument("--rep-rate", type=float, default=80e6)
-    p.add_argument("--sources", type=int, default=5)
+    p.add_argument("--sources", type=int, default=5,
+                   help=f"pair sources, at most {MAX_SAMPLED_SOURCES} with "
+                        f"--shots")
     p.add_argument("--factor", type=float,
                    default=chained_postselect_factor(4))
     p.add_argument("--shots", type=int, default=None,

@@ -53,8 +53,9 @@ class SourceParams:
             raise ValueError(f"pair_prob {self.pair_prob} out of [0, 1]")
         if not (0.0 <= self.eta_pair <= 1.0):
             raise ValueError(f"eta_pair {self.eta_pair} out of [0, 1]")
-        if self.rep_rate <= 0:
-            raise ValueError("rep_rate must be positive")
+        if not (0.0 < self.rep_rate < math.inf):
+            raise ValueError(f"rep_rate {self.rep_rate} must be positive "
+                             "and finite")
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,9 @@ def coincidence_rate(params: SourceParams, n_sources: int = 5,
 
 # Pulses per block of the coincidence sampler's stream layout.
 PULSE_BLOCK = 1_000_000
+# Most sources the coincidence sampler takes: its chunk buffers hold
+# CHUNK_SHOTS * (2 * sources + 1) doubles, about 8.5 MB at 64.
+MAX_SAMPLED_SOURCES = 64
 
 
 def monte_carlo_coincidence(params: SourceParams, n_sources: int,
@@ -146,9 +150,13 @@ def monte_carlo_coincidence(params: SourceParams, n_sources: int,
     Stream layout: per block of ``PULSE_BLOCK`` pulses, every pulse's
     emissions (k x n_sources), then deliveries (k x n_sources), then
     post-selections (k).  Each block is read in chunks of
-    ``rates.CHUNK_SHOTS`` pulses, so memory stays bounded.
+    ``rates.CHUNK_SHOTS`` pulses, so memory stays bounded; so does
+    ``n_sources``, by ``MAX_SAMPLED_SOURCES``.
     """
     _check_coincidence(n_sources, postselect_factor)
+    if n_sources > MAX_SAMPLED_SOURCES:
+        raise ValueError(f"n_sources {n_sources} exceeds the sampler's cap "
+                         f"of {MAX_SAMPLED_SOURCES}")
     if pulses < 1:
         raise ValueError("need pulses >= 1")
     rng = np.random.default_rng(seed)

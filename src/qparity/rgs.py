@@ -8,7 +8,7 @@ branch, the corrected two-qubit state of the terminal photons together
 with its Bell-state witness.
 
 The plan runs through the walker shared with the Shor readout
-(:func:`qparity.sim.walk_plan`), whose measurement records become each
+(:func:`qparity.sim.walk_stack`), whose measurement records become each
 branch's outcome key.  Pauli corrections are never hand-written: the
 shared search (:func:`qparity.sim.correction_table`) derives them from
 a scenario's lossless variant as the first terminal Pauli pair giving
@@ -42,12 +42,13 @@ from .sim import (
     PlanStep,
     PureState,
     State,
+    _pauli_action,
     apply_pauli,
     apply_unitary,
     correction_table,
-    expectation,
     partial_trace,
     walk_plan,
+    walk_stack,
 )
 
 _DATA_FILE = "correction_tables.json"
@@ -313,17 +314,34 @@ class WitnessResult:
                 "fidelity": self.fidelity, "witness": self.witness}
 
 
-_WITNESS_OPS = tuple(PauliString({0: letter, 1: letter}) for letter in "XYZ")
+_WITNESS_FACTORS = tuple(((0, letter), (1, letter)) for letter in "XYZ")
+
+
+def _witnesses(vectors: np.ndarray, weights: np.ndarray) -> list:
+    """The |phi+> witness of every two-qubit ensemble of a stack
+    (B x r x 4 rows, B x r weights).
+
+    <XX>, <YY> and <ZZ> are one reduction over the stack: per branch
+    sum_i w_i <v_i|P v_i>, clipped to [-1, 1] like
+    :func:`qparity.sim.expectation`.
+    """
+    actions = [_pauli_action(factors, 1, 2) for factors in _WITNESS_FACTORS]
+    moved = np.stack([weights[:, :, None] * (phase * vectors[:, :, src])
+                      for src, phase in actions])
+    values = np.vecdot(vectors.reshape(len(vectors), -1),
+                       moved.reshape(3, len(vectors), -1)).real
+    xx, yy, zz = np.clip(values, -1.0, 1.0)
+    fid = (1.0 + xx - yy + zz) / 4.0
+    return [WitnessResult(xx=x, yy=y, zz=z, fidelity=f, witness=0.5 - f)
+            for x, y, z, f in zip(xx.tolist(), yy.tolist(), zz.tolist(),
+                                  fid.tolist())]
 
 
 def witness(rho: State) -> WitnessResult:
     """Evaluate the |phi+> witness on a two-qubit state."""
     if rho.num_qubits != 2:
         raise ValueError(f"witness needs 2 qubits, got {rho.num_qubits}")
-    xx, yy, zz = (expectation(rho, op) for op in _WITNESS_OPS)
-    fid = (1.0 + xx - yy + zz) / 4.0
-    return WitnessResult(xx=xx, yy=yy, zz=zz, fidelity=fid,
-                         witness=0.5 - fid)
+    return _witnesses(rho.vectors[None], rho.weights[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,24 +375,37 @@ def _outcome_tokens(plan: tuple, records: tuple) -> tuple:
     contributes a trivial +1, so that outcome keys keep the structure of
     the lossless run the correction tables were derived from.
     """
-    tokens = []
-    for step, recs in zip(plan, records):
+    return _branch_tokens(plan, [records])[0]
+
+
+def _branch_tokens(plan: tuple, branch_records: list) -> list:
+    """:func:`_outcome_tokens` of every branch, built step by step: each
+    step formats its token once per distinct outcome."""
+    columns = []
+    for step, step_records in zip(plan, zip(*branch_records)):
+        signs = [recs[0].outcome if recs else +1 for recs in step_records]
         group = ",".join(step.photons)
         if step.op == "bsm":
-            tokens.append(f"bsm({group})={recs[0].outcome}")
+            token = {s: f"bsm({group})={s}" for s in set(signs)}
         else:
             kind = "x" if step.op == "measure_x" else "z"
-            sign = recs[0].outcome if recs else +1
-            tokens.append(f"{kind}({group})={sign:+d}")
-    return tuple(tokens)
+            token = {s: f"{kind}({group})={s:+d}" for s in set(signs)}
+        columns.append([token[s] for s in signs])
+    return list(zip(*columns)) if columns else [()] * len(branch_records)
+
+
+def _terminal_pauli(order: tuple, terminals: tuple,
+                    pair: tuple) -> PauliString:
+    """One Pauli (by name) on each terminal photon."""
+    return PauliString({order.index(label): pauli
+                        for label, pauli in zip(terminals, pair)
+                        if pauli != "I"})
 
 
 def _correct_terminals(state: State, order: tuple, terminals: tuple,
                        pair: tuple) -> State:
     """Apply one Pauli (by name) to each terminal photon."""
-    return apply_pauli(state, PauliString({
-        order.index(label): pauli
-        for label, pauli in zip(terminals, pair) if pauli != "I"}))
+    return apply_pauli(state, _terminal_pauli(order, terminals, pair))
 
 
 def run_connection(scenario: Scenario, mode: str = "enumerate",
@@ -391,6 +422,10 @@ def run_connection(scenario: Scenario, mode: str = "enumerate",
     mode="sample" follows one random path and returns a single
     BranchResult.  ``initial_state`` overrides the scenario's ideal
     state, e.g. to inject interference noise before the run.
+
+    The branches stay one stack (:func:`qparity.sim.walk_stack`) to the
+    end: the corrections are one gather and phase of the terminal rows,
+    and the witnesses one reduction over them.
     """
     if corrections is None:
         corrections = connection_corrections(scenario)
@@ -405,22 +440,30 @@ def run_connection(scenario: Scenario, mode: str = "enumerate",
         state = partial_trace(state, idxs)
         order = [p for p in order if p not in scenario.loss]
 
-    results = []
-    for branch in walk_plan(state, order, scenario.plan, mode, rng):
-        if sorted(branch.order) != sorted(scenario.terminals):
-            raise PreconditionError(
-                f"malformed plan: photons {list(branch.order)} remain, "
-                f"expected the terminals {list(scenario.terminals)}")
-        tokens = _outcome_tokens(scenario.plan, branch.records)
-        key = "|".join(tokens)
+    stack = walk_stack(state, order, scenario.plan, mode, rng)
+    if sorted(stack.order) != sorted(scenario.terminals):
+        raise PreconditionError(
+            f"malformed plan: photons {list(stack.order)} remain, "
+            f"expected the terminals {list(scenario.terminals)}")
+    tokens = _branch_tokens(scenario.plan, stack.records)
+    pairs = []
+    for toks in tokens:
+        key = "|".join(toks)
         if key not in corrections:
             raise PreconditionError(f"no correction entry for outcome {key!r}")
-        pair = corrections[key]
-        st = _correct_terminals(branch.state, branch.order,
-                                scenario.terminals, pair)
-        results.append(BranchResult(
-            probability=branch.probability, outcomes=tokens,
-            correction=pair, terminal=st, witness=witness(st)))
+        pairs.append(corrections[key])
+    actions = {}
+    for pair in set(pairs):
+        op = _terminal_pauli(stack.order, scenario.terminals, pair)
+        actions[pair] = _pauli_action(tuple(op.factors.items()), op.sign, 2)
+    src, phase = map(np.array, zip(*(actions[pair] for pair in pairs)))
+    corrected = stack._replace(vectors=phase[:, None, :] * np.take_along_axis(
+        stack.vectors, src[:, None, :], axis=2))
+    results = [BranchResult(probability=p, outcomes=toks, correction=pair,
+                            terminal=st, witness=wit)
+               for p, toks, pair, st, wit in zip(
+                   stack.probabilities, tokens, pairs, corrected.states(),
+                   _witnesses(corrected.vectors, corrected.weights))]
     if mode == "sample":
         return results[0]
     return results

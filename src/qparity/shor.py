@@ -6,7 +6,7 @@ with blocks {0,1,2}, {3,4,5}, {6,7,8}; block leaders sit at indices
 0, m, 2m, ...
 
 Readout is a measurement plan run by the same walker as an RGS
-connection (:func:`qparity.sim.walk_plan`): Z on the survivors of blocks
+connection (:func:`qparity.sim.walk_stack`): Z on the survivors of blocks
 2..n (each block's sign is the outcome of its first survivor), then X on
 the non-leader survivors of block 1, every measured qubit removed.  The
 leader is left; it gets a fixed Hadamard and one of {I, Z, X, ZX}.  The
@@ -47,6 +47,7 @@ from .sim import (
     partial_trace,
     state_from_qubit,
     walk_plan,
+    walk_stack,
 )
 
 
@@ -453,15 +454,20 @@ def decode_readout(state: State, losses: Iterable[int] = (),
     degraded = bool(lost & set(layout.block_qubits(0)))
 
     table = readout_correction_table()
-    results = []
-    for branch in walk_plan(work, alive, _READOUT_PLAN, mode, rng):
-        name = table[_readout_key(branch.records)]
-        out = _readout_fix(branch.state, branch.order, name)
-        results.append(DecodeResult(
-            output=out.to_density(),
-            correction=name,
-            transcript=[r for recs in branch.records for r in recs],
-            probability=branch.probability, degraded=degraded))
+    stack = walk_stack(work, alive, _READOUT_PLAN, mode, rng)
+    names = [table[_readout_key(recs)] for recs in stack.records]
+    # Hadamard, then each branch's correction, on the stacked leader rows.
+    rows = (H @ stack.vectors.reshape(-1, 2).T).T.reshape(stack.vectors.shape)
+    fixes = np.array([_CORRECTION_OPS[name] for name in names])
+    fixed = stack._replace(
+        vectors=(fixes @ rows.swapaxes(1, 2)).swapaxes(1, 2),
+        kind=DensityMatrix)
+    results = [DecodeResult(output=out, correction=name,
+                            transcript=[r for recs in records for r in recs],
+                            probability=p, degraded=degraded)
+               for out, name, records, p in zip(
+                   fixed.states(), names, stack.records,
+                   stack.probabilities)]
     if mode == "sample":
         return results[0]
     return results

@@ -23,9 +23,16 @@ Stochastic operations draw from a caller-supplied
 because every draw happens in documented call order: each sampled
 measurement makes exactly one draw.
 
-The measurement-plan walker (:func:`walk_plan`) and the correction
-search (:func:`correction_table`) shared by the Shor readout and the RGS
-connection protocol live here too.
+The measurement-plan walker and the correction search
+(:func:`correction_table`) shared by the Shor readout and the RGS
+connection protocol live here too.  The walker's unit of work is a
+step, not a branch: it holds the live branches as one stack of rows
+(B x r x 2^n) with weights (B x r), so each measurement is one
+projection of every branch, and a stack outgrowing 2^n rows per branch
+is compressed by one stacked ``eigh`` (lower ranks padded with rows of
+weight zero).  :func:`walk_stack` returns that stack; :func:`walk_plan`
+builds one state per branch from it.  Sample mode is the stack of one
+branch.
 """
 
 from __future__ import annotations
@@ -83,17 +90,37 @@ def _check_dimension(dim: int, what: str) -> None:
 
 
 def _dense(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_i w_i |v_i><v_i| as a 2^n x 2^n matrix."""
-    return (vectors.T * weights) @ vectors.conj()
+    """sum_i w_i |v_i><v_i| as a 2^n x 2^n matrix, per leading index of a
+    stack of ensembles."""
+    return (vectors.swapaxes(-1, -2) * weights[..., None, :]) @ vectors.conj()
 
 
-def _eigen_rows(mat: np.ndarray) -> tuple:
-    """Eigenvectors (as rows) and eigenvalues of a Hermitian matrix,
-    without the eigenvalues that are zero to working precision."""
-    evals, evecs = np.linalg.eigh(mat)
+def _eigen_rows(mats: np.ndarray) -> tuple:
+    """Eigenvectors (as rows) and eigenvalues of a stack of Hermitian
+    matrices (B x d x d), without the eigenvalues that are zero to
+    working precision.
+
+    Members of lower rank are padded to the largest rank with
+    eigenvectors of weight zero.  Returns rows (B x rank x d) and
+    weights (B x rank); kept rows stay in ascending eigenvalue order.
+    """
+    evals, evecs = np.linalg.eigh(mats)
     size = np.abs(evals)
-    keep = size > size.max() * len(evals) * np.finfo(float).eps
-    return np.ascontiguousarray(evecs.T[keep]), evals[keep]
+    keep = size > (size.max(axis=1, keepdims=True) * evals.shape[1]
+                   * np.finfo(float).eps)
+    first = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(1).max()]
+    rows = np.take_along_axis(evecs, first[:, None, :], axis=2)
+    weights = np.where(np.take_along_axis(keep, first, axis=1),
+                       np.take_along_axis(evals, first, axis=1), 0.0)
+    return np.ascontiguousarray(rows.swapaxes(1, 2)), weights
+
+
+def _compressed(vectors: np.ndarray, weights: np.ndarray) -> tuple:
+    """A stack of ensembles (B x r x d, B x r) with more rows than
+    amplitudes, rebuilt from one stacked ``eigh``; others unchanged."""
+    if vectors.shape[1] > vectors.shape[2]:
+        return _eigen_rows(_dense(vectors, weights))
+    return vectors, weights
 
 
 class _Ensemble:
@@ -106,7 +133,8 @@ class _Ensemble:
         """Unchecked constructor for states made by library operations;
         more rows than amplitudes are compressed through ``eigh``."""
         if len(vectors) > vectors.shape[1]:
-            vectors, weights = _eigen_rows(_dense(vectors, weights))
+            vectors, weights = _compressed(vectors[None], weights[None])
+            vectors, weights = vectors[0], weights[0]
         state = object.__new__(cls)
         state.vectors = vectors
         state.weights = weights
@@ -170,7 +198,8 @@ class DensityMatrix(_Ensemble):
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TOL.atol:
             raise ValueError(f"density matrix trace {tr!r} != 1")
-        self.vectors, self.weights = _eigen_rows(mat)
+        vectors, weights = _eigen_rows(mat[None])
+        self.vectors, self.weights = vectors[0], weights[0]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -353,93 +382,124 @@ def apply_unitary(state: State, matrix: np.ndarray,
     return state._from_rows(rows.reshape(state.vectors.shape), state.weights)
 
 
-def _realizable(state: State, candidates: Iterable) -> list:
-    """(outcome, probability, unnormalized rows) for each (outcome, rows)
-    candidate above the branch floor; the probability is
-    sum_i w_i |row_i|^2, one ``vdot`` over the weighted stack."""
-    w = state.weights[:, None]
-    branches = []
-    for outcome, rows in candidates:
-        p = float(np.vdot(rows, w * rows).real)
-        if p > TOL.branch_eps:
-            branches.append((outcome, p, rows))
-    return branches
+def _branch_probabilities(rows: np.ndarray,
+                          weights: np.ndarray | None) -> np.ndarray:
+    """sum_i w_i |row_i|^2 per (branch, outcome) of projected rows
+    (B x L x r x d) under their branches' weights (B x r), or under unit
+    weights when ``weights`` is None: B x L."""
+    b, l = rows.shape[:2]
+    weighted = rows if weights is None else rows * weights[:, None, :, None]
+    return np.vecdot(rows.reshape(b, l, -1), weighted.reshape(b, l, -1)).real
 
 
-def _built(state: State, branch: tuple) -> tuple:
-    """(outcome, probability, state): the branch rows, renormalized, as
-    a state of the input's kind."""
-    outcome, p, rows = branch
-    return outcome, p, state._from_rows(rows / math.sqrt(p), state.weights)
+def _select(labels: Sequence, probs: list, mode: str,
+            rng: np.random.Generator | None, outcome) -> int:
+    """Index of the one outcome kept among those above the branch floor.
 
-
-def _select(state: State, branches: list, mode: str,
-            rng: np.random.Generator | None, outcome) -> tuple:
-    """Pick one (outcome, probability, rows) branch and build its state.
-
-    mode="forced" returns the branch with the given ``outcome``;
-    mode="sample" draws exactly one uniform number from ``rng`` and picks
-    by cumulative probability, falling back to the last branch.
+    mode="forced" keeps the given ``outcome``; mode="sample" draws
+    exactly one uniform number from ``rng`` and picks by cumulative
+    probability, falling back to the last realizable outcome.
     """
+    eps = TOL.branch_eps
     if mode == "forced":
-        for branch in branches:
-            if branch[0] == outcome:
-                return _built(state, branch)
+        for i, (label, p) in enumerate(zip(labels, probs)):
+            if label == outcome and p > eps:
+                return i
         raise PreconditionError(f"forced outcome {outcome!r} has probability "
-                                f"below {TOL.branch_eps}")
+                                f"below {eps}")
     if mode == "sample":
         if rng is None:
             raise ValueError("sample mode needs an rng")
         r = rng.random()
         acc = 0.0
-        for branch in branches:
-            acc += branch[1]
-            if r < acc:
-                return _built(state, branch)
-        return _built(state, branches[-1])
+        for i, p in enumerate(probs):
+            if p > eps:
+                acc += p
+                last = i
+                if r < acc:
+                    return i
+        return last
     raise ValueError(f"unknown measurement mode {mode!r}")
 
 
-def _project_out(state: State, targets: Sequence[int], basis: str) -> list:
-    """Project the target qubits onto each vector of ``basis`` (X, Y, Z
-    or "bell") and remove them.
+def _project_out(vectors: np.ndarray, targets: Sequence[int],
+                 basis: str) -> tuple:
+    """Project the target qubits of a stack of ensembles (B x r x 2^n)
+    onto each vector of ``basis`` (X, Y, Z or "bell") and remove them.
 
-    Returns (outcome, probability, unnormalized rows) for every branch
-    above the branch floor; the other qubits keep their relative order.
+    Returns (labels, rows): the unnormalized rows B x L x r x 2^(n-k),
+    one slab per outcome label; the other qubits keep their relative
+    order.
     """
-    n, k = state.num_qubits, len(targets)
+    n, k = vectors.shape[2].bit_length() - 1, len(targets)
     _check_targets(targets, n)
     if k >= n:
         raise ValueError("cannot remove every qubit")
     if basis not in _BRAS or _BRAS[basis][1].shape[1] != 2 ** k:
         raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
     labels, bras = _BRAS[basis]
-    rest = [q for q in range(n) if q not in targets]
-    psi = state.vectors.reshape([-1] + [2] * n).transpose(
-        [0] + [1 + q for q in list(targets) + rest])
-    psi = psi.reshape(-1, 2 ** k, 2 ** (n - k))
-    return _realizable(state, ((label, bra @ psi)
-                               for label, bra in zip(labels, bras)))
+    rest = [2 + q for q in range(n) if q not in targets]
+    psi = vectors.reshape([len(vectors), -1] + [2] * n).transpose(
+        [0] + [2 + q for q in targets] + [1] + rest)
+    psi = psi.reshape(len(vectors), 2 ** k, -1)
+    rows = psi if basis == "Z" else bras @ psi   # Z bras are the identity
+    return labels, rows.reshape(len(vectors), len(labels), -1, 2 ** (n - k))
 
 
-def _pauli_branches(state: State, op: PauliString) -> list:
-    """The +1 and -1 branches of a Pauli product measurement, as
-    (outcome, probability, unnormalized rows)."""
+def _pauli_branches(state: State, op: PauliString) -> tuple:
+    """The +1 and -1 branches of a Pauli product measurement, as labels
+    and unnormalized rows (1 x 2 x r x 2^n)."""
     vectors = state.vectors
     pv = _pauli_rows(vectors, op, state.num_qubits)
-    return _realizable(state, ((s, (vectors + s * pv) / 2.0)
-                               for s in (+1, -1)))
+    rows = np.stack([(vectors + pv) / 2.0, (vectors - pv) / 2.0])
+    return (+1, -1), rows[None]
 
 
-def _recorded(state: State, qubit: int, basis: str, branches: list,
+def _children(labels: Sequence, rows: np.ndarray, weights: np.ndarray,
+              mode: str, every: str, rng, outcome, unit: bool = False):
+    """The children of a projected stack (rows B x L x r x d, weights
+    B x r): for mode == ``every`` each (branch, outcome) above the
+    branch floor, parent first and then by label; otherwise the one
+    outcome :func:`_select` keeps of the stack's single branch.
+
+    Returns (parents, picks, probabilities, vectors, weights): per
+    child its parent branch, outcome index and probability, and the
+    stack of the children's renormalized, compressed rows.  ``unit``
+    says every weight is 1, as in a pure state, which skips the weight
+    product.
+    """
+    probs = _branch_probabilities(rows, None if unit else weights)
+    if mode == every:
+        index = np.nonzero(probs > TOL.branch_eps)
+        parents, picks = index[0].tolist(), index[1].tolist()
+    else:
+        pick = _select(labels, probs[0].tolist(), mode, rng, outcome)
+        parents, picks, index = [0], [pick], (slice(0, 1), pick)
+    kept = probs[index]
+    vectors, weights = _compressed(
+        rows[index] / np.sqrt(kept)[:, None, None], weights[index[0]])
+    return parents, picks, kept.tolist(), vectors, weights
+
+
+def _outcomes(state: State, labels: Sequence, rows: np.ndarray, mode: str,
+              every: str, rng, outcome) -> list:
+    """(outcome, probability, state) of a one-state projection: every
+    outcome above the branch floor for mode == ``every``, else the one
+    :func:`_select` keeps."""
+    _, picks, probs, vectors, weights = _children(
+        labels, rows, state.weights[None], mode, every, rng, outcome)
+    return [(labels[i], p, state._from_rows(v, w))
+            for i, p, v, w in zip(picks, probs, vectors, weights)]
+
+
+def _recorded(state: State, qubit: int, basis: str, branches: tuple,
               mode: str, rng, outcome):
     """Single-qubit results, with MeasurementRecord in place of
     (outcome, probability)."""
-    if mode == "distribution":
-        return [(MeasurementRecord(qubit, basis, o, p), st)
-                for o, p, st in (_built(state, b) for b in branches)]
-    o, p, st = _select(state, branches, mode, rng, outcome)
-    return MeasurementRecord(qubit, basis, o, p), st
+    results = [(MeasurementRecord(qubit, basis, o, p), st) for o, p, st in
+               _outcomes(state, *branches, mode, "distribution", rng,
+                         outcome)]
+    return results if mode == "distribution" else results[0]
 
 
 def measure(state: State, qubit: int, basis: str = "Z", mode: str = "sample",
@@ -469,7 +529,8 @@ def measure_out(state: State, qubit: int, basis: str = "Z",
     rest keep their relative order).  The state must hold >= 2 qubits.
     """
     return _recorded(state, qubit, basis,
-                     _project_out(state, [qubit], basis), mode, rng, outcome)
+                     _project_out(state.vectors[None], [qubit], basis),
+                     mode, rng, outcome)
 
 
 def measure_pauli(state: State, op: PauliString, mode: str = "sample",
@@ -481,10 +542,11 @@ def measure_pauli(state: State, op: PauliString, mode: str = "sample",
     reported as (op, outcome, probability) tuples in place of
     MeasurementRecord.
     """
-    branches = _pauli_branches(state, op)
+    results = _outcomes(state, *_pauli_branches(state, op), mode,
+                        "distribution", rng, outcome)
     if mode == "distribution":
-        return [_built(state, b) for b in branches]
-    s, p, st = _select(state, branches, mode, rng, outcome)
+        return results
+    s, p, st = results[0]
     return (s, p), st
 
 
@@ -536,10 +598,10 @@ def bell_project(state: State, qa: int, qb: int, mode: str = "sample",
     returns the list of realizable branches in label order.  Remaining
     qubits keep their original relative order.
     """
-    branches = _project_out(state, [qa, qb], "bell")
-    if mode == "enumerate":
-        return [_built(state, b) for b in branches]
-    return _select(state, branches, mode, rng, outcome)
+    results = _outcomes(state, *_project_out(state.vectors[None], [qa, qb],
+                                             "bell"),
+                        mode, "enumerate", rng, outcome)
+    return results if mode == "enumerate" else results[0]
 
 
 def fidelity(state: State, target: PureState) -> float:
@@ -608,24 +670,50 @@ class PlanBranch(NamedTuple):
     order: tuple          # labels of the qubits left in ``state``
 
 
-def walk_plan(state: State, order: Sequence, plan: Sequence[PlanStep],
-              mode: str = "enumerate",
-              rng: np.random.Generator | None = None) -> list:
-    """Run a measurement plan, removing every qubit it measures.
+class PlanStack(NamedTuple):
+    """Every branch of a walked plan as one stack, in walk order."""
 
-    ``order`` labels the qubits of ``state``.  mode="enumerate" returns
-    every realizable branch, mode="sample" the one branch drawn from
-    ``rng``, as a list of PlanBranch.  ``records[i]`` holds the
-    MeasurementRecords of step i with photon labels in place of qubit
-    indices (the label pair and basis "bell" for a BSM).  Photons not in
-    ``order`` are lost and a step records nothing for them; measure_x on
-    a photon an earlier step consumed, or a BSM on a missing photon,
-    raises PreconditionError.
+    vectors: np.ndarray        # B x r x 2^n renormalized rows per branch
+    weights: np.ndarray        # B x r, zero on padding rows
+    probabilities: list        # B
+    records: list              # per branch, per plan step, its records
+    order: tuple               # labels of the qubits left, shared
+    kind: type                 # state class of the walked state
+
+    def states(self) -> list:
+        """Each branch as a state of ``kind``, without the zero-weight
+        rows that pad it to the stack's row count."""
+        if self.weights.all():
+            return [self.kind._from_rows(vectors, weights)
+                    for vectors, weights in zip(self.vectors, self.weights)]
+        return [self.kind._from_rows(vectors[weights != 0],
+                                     weights[weights != 0])
+                for vectors, weights in zip(self.vectors, self.weights)]
+
+
+def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
+               mode: str = "enumerate",
+               rng: np.random.Generator | None = None) -> PlanStack:
+    """:func:`walk_plan` with its branches left as one PlanStack.
+
+    Each measurement group is one projection of every live branch;
+    the children of a branch follow it, in outcome-label order.  In
+    sample mode the stack holds one branch and :func:`_select` keeps one
+    outcome per group.
     """
     if mode not in ("enumerate", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
-    order, initial = list(order), set(order)
-    branches = [((), 1.0, state)]
+    order = list(order)
+    if len(order) != state.num_qubits:
+        raise ValueError(f"order labels {len(order)} qubits, the state has "
+                         f"{state.num_qubits}")
+    initial = set(order)
+    if len(initial) != len(order):
+        raise ValueError(f"order repeats a label: {order}")
+    vectors, weights = state.vectors[None], state.weights[None]
+    pure = isinstance(state, PureState)   # one row of weight 1 throughout
+    probs = [1.0]
+    records = [()]
     for step in plan:
         present = [p for p in step.photons if p in order]
         if step.op == "bsm" and len(present) < 2:
@@ -637,27 +725,49 @@ def walk_plan(state: State, order: Sequence, plan: Sequence[PlanStep],
         groups = ([step.photons] if step.op == "bsm"
                   else [(p,) for p in present])
         basis = _STEP_BASIS[step.op]
-        # (records so far, probability, state, this step's records,
-        # this step's probability)
-        growing = [(recs, prob, st, (), 1.0) for recs, prob, st in branches]
+        made = [()] * len(records)      # this step's records per branch
+        p_step = [1.0] * len(records)   # this step's probability
         for group in groups:
-            targets = [order.index(p) for p in group]
+            labels, rows = _project_out(
+                vectors, [order.index(p) for p in group], basis)
+            parents, picks, kept, vectors, weights = _children(
+                labels, rows, weights, mode, "enumerate", rng, None, pure)
             label = group if len(group) > 1 else group[0]
-            nxt = []
-            for recs, prob, st, made, p_step in growing:
-                outs = _project_out(st, targets, basis)
-                outs = ([_select(st, outs, mode, rng, None)]
-                        if mode == "sample"
-                        else [_built(st, b) for b in outs])
-                nxt += [(recs, prob, ns,
-                         made + (MeasurementRecord(label, basis, o, p),),
-                         p_step * p) for o, p, ns in outs]
-            growing = nxt
+            made = [made[b] + (MeasurementRecord(label, basis, labels[i], p),)
+                    for b, i, p in zip(parents, picks, kept)]
+            records = [records[b] for b in parents]
+            probs = [probs[b] for b in parents]
+            p_step = [p_step[b] * p for b, p in zip(parents, kept)]
             order = [p for p in order if p not in group]
-        branches = [(recs + (made,), prob * p_step, st)
-                    for recs, prob, st, made, p_step in growing]
-    return [PlanBranch(recs, prob, st, tuple(order))
-            for recs, prob, st in branches]
+        records = [recs + (m,) for recs, m in zip(records, made)]
+        probs = [p * s for p, s in zip(probs, p_step)]
+    return PlanStack(vectors, weights, probs, records, tuple(order),
+                     type(state))
+
+
+def walk_plan(state: State, order: Sequence, plan: Sequence[PlanStep],
+              mode: str = "enumerate",
+              rng: np.random.Generator | None = None) -> list:
+    """Run a measurement plan, removing every qubit it measures.
+
+    ``order`` labels the qubits of ``state``, one distinct label each
+    (ValueError otherwise).  mode="enumerate" returns every realizable
+    branch, mode="sample" the one branch drawn from ``rng`` (one uniform
+    per measurement), as a list of PlanBranch.  ``records[i]`` holds the
+    MeasurementRecords of step i with photon labels in place of qubit
+    indices (the label pair and basis "bell" for a BSM).  Photons not in
+    ``order`` are lost and a step records nothing for them; measure_x on
+    a photon an earlier step consumed, or a BSM on a missing photon,
+    raises PreconditionError.
+
+    The live branches of a step are held as one stack, and each
+    measurement projects all of them at once; a stack outgrowing 2^n
+    rows per branch is compressed through one stacked ``eigh``.
+    Branches come out parent first, then by outcome label.
+    """
+    stack = walk_stack(state, order, plan, mode, rng)
+    return [PlanBranch(recs, prob, st, stack.order) for recs, prob, st in
+            zip(stack.records, stack.probabilities, stack.states())]
 
 
 def correction_table(branches: Sequence[PlanBranch],

@@ -6,6 +6,7 @@ code paths of the package under test.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,3 +223,108 @@ def monte_carlo_coincidence_anyall(pair_prob, eta_pair, rep_rate, n_sources,
         done += k
     p_hat, se_p = _estimate(hits, pulses)
     return rep_rate * p_hat, rep_rate * se_p
+
+
+# ---------------------------------------------------------------------------
+# per-branch plan walker
+# ---------------------------------------------------------------------------
+# The package walks a measurement plan with every live branch in one
+# stack.  This is the walker it replaced: each branch is projected,
+# floored, renormalized and compressed on its own, one group at a time.
+
+_S2 = 1 / math.sqrt(2)
+WALK_BRAS = {
+    "Z": ((+1, -1), np.array([[1, 0], [0, 1]], dtype=complex)),
+    "X": ((+1, -1), np.array([[_S2, _S2], [_S2, -_S2]], dtype=complex)),
+    "bell": (("phi+", "phi-", "psi+", "psi-"),
+             np.array([bell_vector(l).conj()
+                       for l in ("phi+", "phi-", "psi+", "psi-")])),
+}
+_STEP_BASIS = {"measure_x": "X", "measure_block_z": "Z", "bsm": "bell"}
+BRANCH_EPS = 1e-12
+
+
+class Record(NamedTuple):
+    """The fields of a MeasurementRecord."""
+
+    qubit: object
+    basis: str
+    outcome: object
+    probability: float
+
+
+def ensemble_matrix(vectors, weights) -> np.ndarray:
+    """sum_i w_i |v_i><v_i|, one outer product at a time."""
+    return sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vectors))
+
+
+def _project_branch(vectors, weights, targets, basis):
+    """(outcome, probability, renormalized rows) of every outcome above
+    the branch floor, the measured qubits removed."""
+    n, k = vectors.shape[1].bit_length() - 1, len(targets)
+    rest = [q for q in range(n) if q not in targets]
+    psi = vectors.reshape([-1] + [2] * n).transpose(
+        [0] + [1 + q for q in list(targets) + rest])
+    psi = psi.reshape(-1, 2 ** k, 2 ** (n - k))
+    labels, bras = WALK_BRAS[basis]
+    out = []
+    for label, bra in zip(labels, bras):
+        rows = np.einsum("j,rjm->rm", bra, psi)
+        p = float(np.vdot(rows, weights[:, None] * rows).real)
+        if p > BRANCH_EPS:
+            out.append((label, p, rows / math.sqrt(p), weights))
+    return out
+
+
+def _compressed_branch(vectors, weights):
+    """An ensemble with more rows than amplitudes as the eigenpairs of
+    its matrix, without those of zero eigenvalue; others unchanged."""
+    if len(vectors) <= vectors.shape[1]:
+        return vectors, weights
+    evals, evecs = np.linalg.eigh(ensemble_matrix(vectors, weights))
+    size = np.abs(evals)
+    keep = size > size.max() * len(evals) * np.finfo(float).eps
+    return evecs.T[keep], evals[keep]
+
+
+def walk_plan_per_branch(vectors, weights, order, plan, mode="enumerate",
+                         rng=None) -> list:
+    """Walk ``plan`` one branch at a time.
+
+    Returns (records, probability, vectors, weights, order) per branch,
+    parent first and then by outcome label; ``records[i]`` lists the
+    Records of step i.  Sample mode draws one uniform per measurement
+    and keeps the first outcome whose cumulative probability exceeds
+    it, else the last one.
+    """
+    order = list(order)
+    branches = [((), 1.0, np.asarray(vectors), np.asarray(weights))]
+    for step in plan:
+        groups = ([step.photons] if step.op == "bsm"
+                  else [(p,) for p in step.photons if p in order])
+        basis = _STEP_BASIS[step.op]
+        growing = [(recs, prob, v, w, (), 1.0)
+                   for recs, prob, v, w in branches]
+        for group in groups:
+            targets = [order.index(p) for p in group]
+            label = group if len(group) > 1 else group[0]
+            nxt = []
+            for recs, prob, v, w, made, p_step in growing:
+                outs = _project_branch(v, w, targets, basis)
+                if mode == "sample":
+                    r, acc, pick = rng.random(), 0.0, outs[-1]
+                    for out in outs:
+                        acc += out[1]
+                        if r < acc:
+                            pick = out
+                            break
+                    outs = [pick]
+                nxt += [(recs, prob, *_compressed_branch(nv, nw),
+                         made + (Record(label, basis, o, p),), p_step * p)
+                        for o, p, nv, nw in outs]
+            growing = nxt
+            order = [p for p in order if p not in group]
+        branches = [(recs + (made,), prob * p_step, v, w)
+                    for recs, prob, v, w, made, p_step in growing]
+    return [(recs, prob, v, w, tuple(order))
+            for recs, prob, v, w in branches]

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from qparity.cli import RATE_GRID_CAP, build_parser, main
+from qparity.photonics import MAX_SAMPLED_SOURCES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,6 +136,13 @@ class TestExitCodes:
         (("photonics-rate", "--pair-prob", "2"), 2),
         (("photonics-rate", "--eta-pair", "-1"), 2),
         (("photonics-rate", "--rep-rate", "0"), 2),
+        (("photonics-rate", "--rep-rate", "nan"), 2),
+        (("photonics-rate", "--rep-rate", "inf", "--shots", "100",
+          "--seed", "1"), 2),
+        # The cap is checked before the sampler allocates its buffers
+        # (about 8 GB at this count).
+        (("photonics-rate", "--shots", "10", "--seed", "1", "--sources",
+          "100000000"), 2),
         (("syndrome-scan", "--p-values", "0,2"), 2),
         (("syndrome-scan", "--p-values", "x"), 2),
         (("syndrome-scan", "--channel", "amplitude"), 2),
@@ -162,6 +170,17 @@ class TestExitCodes:
         rc, _ = run(tmp_path, "rate", "--eta", "0.9", "--n-max", "100",
                     "--m-max", "100")
         assert rc == 0
+
+    def test_sampled_source_cap_is_inclusive_and_documented(self, tmp_path,
+                                                            capsys):
+        assert MAX_SAMPLED_SOURCES == 64
+        rc, _ = run(tmp_path, "photonics-rate", "--shots", "10", "--seed",
+                    "1", "--sources", "64")
+        assert rc == 0
+        with pytest.raises(SystemExit):
+            main(["photonics-rate", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "at most 64 sources" in text
 
     def test_condition_ii_violation(self, tmp_path):
         rc, _ = run(tmp_path, "rgs-loss", "--loss", "3")

@@ -8,6 +8,7 @@ import pytest
 
 import reference as ref
 from qparity.photonics import (
+    MAX_SAMPLED_SOURCES,
     PULSE_BLOCK,
     NoiseParams,
     SourceParams,
@@ -177,11 +178,23 @@ class TestCoincidenceRate:
             monte_carlo_coincidence(SourceParams(0.5, 0.5), sources, factor,
                                     10, seed=0)
 
+    def test_source_cap_is_checked_before_allocating(self):
+        params = SourceParams(0.5, 0.5)
+        cap = MAX_SAMPLED_SOURCES
+        est, _ = monte_carlo_coincidence(params, cap, 1.0, 10, seed=0)
+        assert est >= 0.0
+        with pytest.raises(ValueError, match="cap"):
+            monte_carlo_coincidence(params, cap + 1, 1.0, 10, seed=0)
+        # Allocating buffers for 10^8 sources would take about 8 GB.
+        with pytest.raises(ValueError, match="cap"):
+            monte_carlo_coincidence(params, 10 ** 8, 1.0, 10, seed=0)
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             SourceParams(1.5, 0.5)
-        with pytest.raises(ValueError):
-            SourceParams(0.5, 0.5, rep_rate=0)
+        for rate in (0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SourceParams(0.5, 0.5, rep_rate=rate)
         with pytest.raises(ValueError):
             NoiseParams(1.1)
 

@@ -1,0 +1,234 @@
+"""The stacked plan walker against the per-branch walker it replaced
+(``reference.walk_plan_per_branch``): records, branch order, keys,
+probabilities and states, enumerated and sampled."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import reference as ref
+from qparity import photonics
+from qparity.rgs import (
+    _outcome_tokens,
+    bare_loss_scenario,
+    connect_scenario,
+    connection_corrections,
+    encoded_loss_scenario,
+    run_connection,
+)
+from qparity.shor import (
+    _CORRECTION_OPS,
+    _READOUT_PLAN,
+    LogicalInput,
+    _readout_key,
+    decode_readout,
+    encode_shor,
+    readout_correction_table,
+)
+from qparity.sim import (
+    DensityMatrix,
+    PlanStep,
+    _eigen_rows,
+    partial_trace,
+    walk_plan,
+    walk_stack,
+)
+
+ATOL = 1e-12
+
+SCENARIOS = [(factory, loss) for factory, losses in (
+    (connect_scenario, (0, 1, 2)), (bare_loss_scenario, (0, 1)),
+    (encoded_loss_scenario, (0, 1, 2))) for loss in losses]
+SCENARIO_IDS = [f"{factory(loss).name}-{loss}" for factory, loss in SCENARIOS]
+VISIBILITIES = [None, 0.0, 0.741, 1.0]
+
+
+def walk_input(scenario, visibility):
+    """The noisy initial state, and the state and labels the plan walks:
+    encoder noise at ``visibility``, then the losses traced out, as the
+    cli and :func:`run_connection` build them."""
+    state = scenario.initial_state()
+    order = list(scenario.photon_order())
+    if visibility is not None:
+        index = {p: i for i, p in enumerate(order)}
+        sites = photonics.encoder_sites(scenario.rgs.kind,
+                                        scenario.rgs_groups, index)
+        state = photonics.apply_visibility_noise(state, sites, visibility)
+    initial = state
+    if scenario.loss:
+        state = partial_trace(state, sorted(order.index(p)
+                                            for p in scenario.loss))
+        order = [p for p in order if p not in scenario.loss]
+    return initial, state, order
+
+
+def assert_records_match(got, want):
+    assert len(got) == len(want)
+    for got_step, want_step in zip(got, want):
+        assert [(r.qubit, r.basis, r.outcome) for r in got_step] == \
+            [(r.qubit, r.basis, r.outcome) for r in want_step]
+        for g, w in zip(got_step, want_step):
+            assert abs(g.probability - w.probability) < ATOL
+
+
+def matrix(state):
+    return ref.ensemble_matrix(state.vectors, state.weights)
+
+
+def pair_operator(pair, order, terminals):
+    """The dense two-qubit operator of a terminal Pauli pair."""
+    factors = {order.index(t): ref.PAULI[p] for t, p in zip(terminals, pair)}
+    return ref.site_operator(factors, 2)
+
+
+class TestEnumeratedWalks:
+    @pytest.mark.parametrize("visibility", VISIBILITIES,
+                             ids=lambda v: f"V={v}")
+    @pytest.mark.parametrize("factory,loss", SCENARIOS, ids=SCENARIO_IDS)
+    def test_connection_matches_per_branch_walker(self, factory, loss,
+                                                  visibility):
+        scen = factory(loss)
+        initial, state, order = walk_input(scen, visibility)
+        want = ref.walk_plan_per_branch(state.vectors, state.weights, order,
+                                        scen.plan)
+        got = walk_plan(state, order, scen.plan)
+        assert len(got) == len(want)
+        for branch, (recs, prob, vecs, weights, left) in zip(got, want):
+            assert branch.order == left
+            assert_records_match(branch.records, recs)
+            assert _outcome_tokens(scen.plan, branch.records) == \
+                _outcome_tokens(scen.plan, recs)
+            assert abs(branch.probability - prob) < ATOL
+            np.testing.assert_allclose(matrix(branch.state),
+                                       ref.ensemble_matrix(vecs, weights),
+                                       atol=ATOL)
+
+        # The connection tail: corrections and witnesses per branch.
+        table = connection_corrections(scen)
+        results = run_connection(scen, initial_state=initial)
+        assert len(results) == len(want)
+        for res, (recs, prob, vecs, weights, left) in zip(results, want):
+            tokens = _outcome_tokens(scen.plan, recs)
+            assert res.outcomes == tokens
+            assert res.correction == table["|".join(tokens)]
+            assert abs(res.probability - prob) < ATOL
+            fix = pair_operator(res.correction, left, scen.terminals)
+            rho = fix @ ref.ensemble_matrix(vecs, weights) @ fix.conj().T
+            np.testing.assert_allclose(matrix(res.terminal), rho, atol=ATOL)
+            for name, letter in (("xx", "X"), ("yy", "Y"), ("zz", "Z")):
+                value = np.trace(ref.pauli_matrix({0: letter, 1: letter}, 2)
+                                 @ rho).real
+                assert abs(getattr(res.witness, name) - value) < ATOL
+            assert abs(res.witness.fidelity - (1 + res.witness.xx
+                                               - res.witness.yy
+                                               + res.witness.zz) / 4) < ATOL
+
+    LOSS_CLASSES = [lost for k in range(3)
+                    for lost in itertools.combinations(range(1, 9), k)]
+
+    @pytest.mark.parametrize("visibility", [None, 0.8],
+                             ids=lambda v: f"V={v}")
+    def test_readout_matches_per_branch_walker(self, visibility):
+        """Every loss of at most two photons (never the output qubit 0)."""
+        inp = LogicalInput.from_angles(1.0471975511965976, 0.5)
+        word = (encode_shor(inp) if visibility is None
+                else photonics.encode_shor_noisy(inp, visibility))
+        table = readout_correction_table()
+        for lost in self.LOSS_CLASSES:
+            work = partial_trace(word, lost) if lost else word
+            alive = [q for q in range(9) if q not in lost]
+            want = ref.walk_plan_per_branch(work.vectors, work.weights,
+                                            alive, _READOUT_PLAN)
+            got = decode_readout(word, losses=lost)
+            assert len(got) == len(want), lost
+            for res, (recs, prob, vecs, weights, left) in zip(got, want):
+                assert left == (0,)
+                assert_records_match([res.transcript],
+                                     [[r for step in recs for r in step]])
+                assert res.correction == table[_readout_key(recs)]
+                assert abs(res.probability - prob) < ATOL
+                fix = _CORRECTION_OPS[res.correction] @ ref.H
+                rho = fix @ ref.ensemble_matrix(vecs, weights) @ fix.conj().T
+                np.testing.assert_allclose(res.output.matrix, rho,
+                                           atol=ATOL)
+
+
+class TestSampledWalks:
+    @pytest.mark.parametrize("factory,loss,visibility", [
+        (connect_scenario, 1, None), (bare_loss_scenario, 1, 0.741),
+        (encoded_loss_scenario, 2, None)],
+        ids=["connect-1", "bare-control-1-V=0.741", "rgs-loss-2"])
+    def test_seeded_walks_draw_the_per_branch_keys(self, factory, loss,
+                                                   visibility):
+        """3000 sampled walks keep the per-branch walker's branch at
+        every draw and leave the generator where it leaves it."""
+        scen = factory(loss)
+        _, state, order = walk_input(scen, visibility)
+        rng, ref_rng = np.random.default_rng(99), np.random.default_rng(99)
+        for _ in range(3000):
+            (branch,) = walk_plan(state, order, scen.plan, "sample", rng)
+            ((recs, prob, *_),) = ref.walk_plan_per_branch(
+                state.vectors, state.weights, order, scen.plan, "sample",
+                ref_rng)
+            assert _outcome_tokens(scen.plan, branch.records) == \
+                _outcome_tokens(scen.plan, recs)
+            assert abs(branch.probability - prob) < ATOL
+        assert rng.random() == ref_rng.random()
+
+
+class TestStack:
+    def test_order_must_label_every_qubit(self):
+        scen = connect_scenario(0)
+        order = scen.photon_order()
+        with pytest.raises(ValueError, match="labels 9 qubits"):
+            walk_plan(scen.initial_state(), order[:-1], scen.plan)
+
+    def test_order_labels_must_be_distinct(self):
+        scen = connect_scenario(0)
+        order = scen.photon_order()
+        with pytest.raises(ValueError, match="repeats a label"):
+            walk_plan(scen.initial_state(), order[:-1] + order[:1],
+                      scen.plan)
+
+    def test_lower_rank_members_are_padded_with_zero_weight(self):
+        """One stacked eigh keeps each member's nonzero eigenpairs; the
+        lower-rank member's padding row has weight zero and is dropped
+        when its state is built."""
+        rng = np.random.default_rng(5)
+        vecs = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        mats = np.array([0.7 * np.outer(vecs[0], vecs[0].conj())
+                         + 0.3 * np.outer(vecs[1], vecs[1].conj()),
+                         np.outer(vecs[2], vecs[2].conj())])
+        rows, weights = _eigen_rows(mats)
+        assert rows.shape == (2, 2, 4)
+        assert np.count_nonzero(weights[0]) == 2
+        assert np.count_nonzero(weights[1]) == 1
+        for b in range(2):
+            np.testing.assert_allclose(ref.ensemble_matrix(rows[b],
+                                                           weights[b]),
+                                       mats[b], atol=ATOL)
+
+    def test_stack_builds_states_without_padding(self):
+        """Measuring a and c of the mixture of |000>, |010> and |100>
+        on (a, b, c) leaves b in a rank-2 branch (a = 0) and a rank-1
+        branch (a = 1); the three rows outgrow b's two amplitudes, so the
+        stack is compressed and the rank-1 branch padded."""
+        basis = np.eye(8)
+        rho = DensityMatrix(sum(np.outer(basis[i], basis[i])
+                                for i in (0b000, 0b010, 0b100)) / 3)
+        plan = [PlanStep("measure_block_z", ("a", "c"))]
+        stack = walk_stack(rho, "abc", plan)
+        assert stack.order == ("b",) and stack.vectors.shape == (2, 2, 2)
+        assert np.count_nonzero(stack.weights) == 3
+        want = ref.walk_plan_per_branch(rho.vectors, rho.weights, "abc",
+                                        plan)
+        for state, prob, (_, ref_prob, vecs, weights, _) in zip(
+                stack.states(), stack.probabilities, want):
+            assert np.all(state.weights != 0)
+            assert len(state.weights) == len(weights)
+            assert abs(prob - ref_prob) < ATOL
+            np.testing.assert_allclose(matrix(state),
+                                       ref.ensemble_matrix(vecs, weights),
+                                       atol=ATOL)
