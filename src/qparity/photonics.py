@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .rates import _estimate, _fold, _uniform_chunks
+from .rates import _count_hits, _estimate, _fold
 from .shor import LogicalInput, SHOR_LAYOUT, encode_block, encode_shor
 from .sim import (
     CNOT,
@@ -132,8 +132,10 @@ def coincidence_rate(params: SourceParams, n_sources: int = 5,
 
 # Pulses per block of the coincidence sampler's stream layout.
 PULSE_BLOCK = 1_000_000
-# Most sources the coincidence sampler takes: its chunk buffers hold
-# CHUNK_SHOTS * (2 * sources + 1) doubles, about 8.5 MB at 64.
+# Most sources the coincidence sampler takes.  Each of its threads holds
+# CHUNK_SHOTS * sources doubles and CHUNK_SHOTS * (2 * sources + 1)
+# flags, 5 MiB at 64; with a chunk's temporaries a thread peaked at
+# 6.3 MiB of NumPy memory.
 MAX_SAMPLED_SOURCES = 64
 
 
@@ -150,8 +152,9 @@ def monte_carlo_coincidence(params: SourceParams, n_sources: int,
     Stream layout: per block of ``PULSE_BLOCK`` pulses, every pulse's
     emissions (k x n_sources), then deliveries (k x n_sources), then
     post-selections (k).  Each block is read in chunks of
-    ``rates.CHUNK_SHOTS`` pulses, so memory stays bounded; so does
-    ``n_sources``, by ``MAX_SAMPLED_SOURCES``.
+    ``rates.CHUNK_SHOTS`` pulses by up to ``rates.WORKERS`` threads, so
+    memory stays bounded whatever ``pulses`` is; ``MAX_SAMPLED_SOURCES``
+    bounds ``n_sources``.
     """
     _check_coincidence(n_sources, postselect_factor)
     if n_sources > MAX_SAMPLED_SOURCES:
@@ -160,15 +163,15 @@ def monte_carlo_coincidence(params: SourceParams, n_sources: int,
     if pulses < 1:
         raise ValueError("need pulses >= 1")
     rng = np.random.default_rng(seed)
-    hits = 0
-    widths = (n_sources, n_sources, 1)
-    for done in range(0, pulses, PULSE_BLOCK):
-        k = min(PULSE_BLOCK, pulses - done)
-        for emit, deliver, post in _uniform_chunks(rng, k, widths):
-            delivered = ((emit < params.pair_prob)
-                         & (deliver < params.eta_pair))
-            passed = _fold(and_, delivered) & (post[:, 0] < postselect_factor)
-            hits += int(np.count_nonzero(passed))
+    draws = ((n_sources, params.pair_prob), (n_sources, params.eta_pair),
+             (1, postselect_factor))
+
+    def success(emitted, delivered, passed):
+        return _fold(and_, emitted & delivered) & passed[:, 0]
+
+    hits = sum(_count_hits(rng, min(PULSE_BLOCK, pulses - done), draws,
+                           success)
+               for done in range(0, pulses, PULSE_BLOCK))
     p_hat, se_p = _estimate(hits, pulses)
     return params.rep_rate * p_hat, params.rep_rate * se_p
 

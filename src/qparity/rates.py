@@ -29,10 +29,13 @@ times faster than NumPy's axis reduction and gives the same booleans.
 
 Stream layout: a sampler's uniforms are whole arrays, one row per shot,
 drawn one after another from a PCG64 stream (for ``monte_carlo_side``:
-all shots' photons, then all shots' BSMs).  The samplers read these
-arrays in chunks of at most ``CHUNK_SHOTS`` shots, from copies of the
-generator advanced to where each array starts, so peak memory does not
-grow with ``shots`` and the numbers are those of the whole arrays.
+all shots' photons, then all shots' BSMs).  The samplers count their
+hits through ``_count_hits``, which splits the shots into at most
+``WORKERS`` contiguous spans, one per thread.  Each span reads its rows
+of every array in chunks of at most ``CHUNK_SHOTS`` shots, from copies
+of the generator advanced to where those rows start.  So the counts are
+those of the whole arrays whatever the chunk size or thread count, and
+peak memory is one chunk's buffers per thread whatever ``shots`` is.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from operator import and_, or_
 
@@ -47,11 +52,19 @@ import numpy as np
 
 DEFAULT_BSM_SUCCESS = 0.5
 
-# Shots per chunk of sampler draws.  A 3 x 3 rate chunk's uniforms take
-# 1.5 MB, reused from chunk to chunk: no page faults, and the chunk's
-# comparisons and folds run in cache.  2**12..2**15 measured within noise
-# of each other on the montecarlo workload; 2**13 was among the fastest.
+# Shots per chunk of sampler draws.  Each thread reuses one float
+# buffer of CHUNK_SHOTS x (widest array) doubles and one bool buffer per
+# array: for a 3 x 3 rate model 576 KiB + 192 KiB, so a chunk's draws,
+# comparisons and folds run in cache.  2**12..2**15 measured within
+# noise of each other on the montecarlo workload; 2**13 was among the
+# fastest.
 CHUNK_SHOTS = 2 ** 13
+
+# Threads that count one sampler call: one per core this process may run
+# on, at most 4, since each holds its own chunk buffers.
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
+WORKERS = min(_CORES, 4)
 
 
 @dataclass(frozen=True)
@@ -155,14 +168,20 @@ def _fold(op, flags: np.ndarray) -> np.ndarray:
                                  for j in range(flags.shape[-1])))
 
 
-def _uniform_chunks(rng: np.random.Generator, shots: int, widths):
-    """Chunks of ``[rng.random((shots, w)) for w in widths]``.
+def _count_hits(rng: np.random.Generator, shots: int, draws,
+                success) -> int:
+    """Number of shots for which ``success`` holds.
 
-    The returned iterator gives, for each run of at most ``CHUNK_SHOTS``
-    shots, one ``(k, w)`` array per width holding exactly those rows of
-    the whole arrays.  The arrays are buffers that the next chunk
-    overwrites.  ``rng`` itself is stepped past every draw at once, as
-    the whole-array draws would leave it.
+    ``draws`` lists ``(width, p)`` pairs; each stands for the flags
+    ``rng.random((shots, width)) < p``, the arrays drawn one after
+    another.  ``success`` takes one ``(k, width)`` bool array per pair,
+    the flags of the same k shots, and returns k bools.  The shots are
+    split into at most ``WORKERS`` contiguous spans of whole chunks: the
+    caller's thread counts the first, one thread each the rest, and an
+    exception raised in any span is raised here once all have stopped.
+    ``success`` therefore must not call a public qparity name, which a
+    tracer may have wrapped.  ``rng`` itself is stepped past every draw
+    at once, as the whole-array draws would leave it.
     """
     bitgen = rng.bit_generator
     # These two take one 64-bit output per double, and advance() counts
@@ -172,36 +191,85 @@ def _uniform_chunks(rng: np.random.Generator, shots: int, widths):
         raise ValueError(
             f"Monte-Carlo samplers need a PCG64 or PCG64DXSM generator to "
             f"position their chunked draws, got {type(bitgen).__name__}")
-    streams = []
-    offset = 0
-    for w in widths:
-        stream = copy.deepcopy(rng)
-        stream.bit_generator.advance(offset)
-        streams.append(stream)
-        offset += shots * w
+    chunks = -(-shots // CHUNK_SHOTS)
+    n_spans = min(WORKERS, chunks)
+    edges = [min(shots, i * chunks // n_spans * CHUNK_SHOTS)
+             for i in range(n_spans + 1)]
+    widest = max(width for width, _ in draws)
+    spans = []
+    for lo, hi in zip(edges, edges[1:]):
+        streams = []
+        array_start = 0
+        for width, _ in draws:
+            stream = copy.deepcopy(rng)
+            stream.bit_generator.advance(array_start + lo * width)
+            streams.append(stream)
+            array_start += shots * width
+        # Every span's buffers come from this thread.  Allocated in the
+        # workers, they sat in malloc arenas of their own, and the
+        # montecarlo workload's peak RSS rose by 0.7-1.4 MB instead of
+        # 0.4-0.5 MB.
+        k = min(CHUNK_SHOTS, hi - lo)
+        spans.append((streams, hi - lo, np.empty(k * widest),
+                      [np.empty((k, width), dtype=bool)
+                       for width, _ in draws]))
     # advance() drops a buffered 32-bit half, which double draws keep.
     state = bitgen.state
-    bitgen.advance(offset)
+    bitgen.advance(array_start)
     bitgen.state = {**bitgen.state, "has_uint32": state["has_uint32"],
                     "uinteger": state["uinteger"]}
-    bufs = [np.empty((min(CHUNK_SHOTS, shots), w)) for w in widths]
-    return ([stream.random(out=buf[:min(CHUNK_SHOTS, shots - done)])
-             for stream, buf in zip(streams, bufs)]
-            for done in range(0, shots, CHUNK_SHOTS))
+
+    counts = [0] * n_spans
+
+    def count(i):
+        try:
+            counts[i] = _span_hits(*spans[i], draws, success)
+        except BaseException as exc:  # raised again in the caller
+            counts[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, n_spans):
+            thread = threading.Thread(target=count, args=(i,))
+            thread.start()
+            threads.append(thread)
+        count(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for c in counts:
+        if isinstance(c, BaseException):
+            raise c
+    return sum(counts)
 
 
-def _side_success(model: RateModel, photons: np.ndarray,
-                  bsms: np.ndarray) -> np.ndarray:
-    """Per-shot one-side successes from uniforms of shape (k, n*m) for
-    the photons' arrivals and (k, n) for the intact arms' BSMs.
+def _span_hits(streams, shots: int, uniforms: np.ndarray, flags,
+               draws, success) -> int:
+    """Hits over ``shots`` shots whose draws ``streams`` start at, one
+    stream per ``(width, p)`` pair of ``draws``, read in chunks of
+    ``CHUNK_SHOTS`` shots: each array's uniforms into ``uniforms``, its
+    flags into its entry of ``flags``, both reused from chunk to chunk."""
+    hits = 0
+    for done in range(0, shots, CHUNK_SHOTS):
+        k = min(CHUNK_SHOTS, shots - done)
+        for stream, (width, p), flag in zip(streams, draws, flags):
+            u = stream.random(out=uniforms[:k * width].reshape(k, width))
+            np.less(u, p, out=flag[:k])
+        hits += int(np.count_nonzero(success(*(f[:k] for f in flags))))
+    return hits
+
+
+def _side_success(model: RateModel, arrived: np.ndarray,
+                  bsm_ok: np.ndarray) -> np.ndarray:
+    """Per-shot one-side successes from flags of shape (k, n*m), each
+    photon's arrival, and (k, n), each arm's BSM success if attempted.
 
     Each photon's survival and each intact arm's BSM are sampled
     explicitly so the estimate is independent of the closed forms.
     """
-    arrived = (photons < model.eta).reshape(-1, model.n, model.m)
+    arrived = arrived.reshape(-1, model.n, model.m)
     alive = _fold(or_, arrived)
     intact = _fold(and_, arrived)
-    bsm_ok = bsms < model.q
     return _fold(and_, alive) & _fold(or_, intact & bsm_ok)
 
 
@@ -219,9 +287,9 @@ def monte_carlo_side(model: RateModel, shots: int, seed):
     if shots < 1:
         raise ValueError("need shots >= 1")
     rng = np.random.default_rng(seed)
-    widths = (model.n * model.m, model.n)
-    hits = sum(int(np.count_nonzero(_side_success(model, photons, bsms)))
-               for photons, bsms in _uniform_chunks(rng, shots, widths))
+    draws = ((model.n * model.m, model.eta), (model.n, model.q))
+    hits = _count_hits(rng, shots, draws,
+                       functools.partial(_side_success, model))
     return _estimate(hits, shots)
 
 
@@ -230,19 +298,20 @@ def monte_carlo_rate(model: RateModel, shots: int, seed):
 
     Stream layout: all shots' left-side photons (shots x n*m), then all
     left BSMs (shots x n), then the right side's photons and BSMs, as
-    whole arrays.  They are read in chunks of ``CHUNK_SHOTS`` shots, so
-    memory stays bounded whatever ``shots`` is, and a fixed seed gives
-    a bit-identical estimate.
+    whole arrays.  They are read in chunks of ``CHUNK_SHOTS`` shots by up
+    to ``WORKERS`` threads, so memory stays bounded whatever ``shots``
+    is, and a fixed seed gives a bit-identical estimate.
     """
     if shots < 1:
         raise ValueError("need shots >= 1")
     rng = np.random.default_rng(seed)
-    nm = model.n * model.m
-    hits = sum(int(np.count_nonzero(_side_success(model, lp, lb)
-                                    & _side_success(model, rp, rb)))
-               for lp, lb, rp, rb in _uniform_chunks(
-                   rng, shots, (nm, model.n, nm, model.n)))
-    return _estimate(hits, shots)
+    side = ((model.n * model.m, model.eta), (model.n, model.q))
+
+    def success(left_arrived, left_bsm, right_arrived, right_bsm):
+        return (_side_success(model, left_arrived, left_bsm)
+                & _side_success(model, right_arrived, right_bsm))
+
+    return _estimate(_count_hits(rng, shots, side + side, success), shots)
 
 
 def monte_carlo_bare(n: int, eta: float, q: float, shots: int, seed):
@@ -255,10 +324,10 @@ def monte_carlo_bare(n: int, eta: float, q: float, shots: int, seed):
     if shots < 1:
         raise ValueError("need shots >= 1")
     rng = np.random.default_rng(seed)
-    hits = 0
-    for photons, bsms in _uniform_chunks(rng, shots, (2 * n, 2 * n)):
-        bsm_ok = (bsms < q).reshape(-1, 2, n)
-        success = (_fold(and_, photons < eta)
-                   & _fold(and_, _fold(or_, bsm_ok)))
-        hits += int(np.count_nonzero(success))
-    return _estimate(hits, shots)
+
+    def success(arrived, bsm_ok):
+        return (_fold(and_, arrived)
+                & _fold(and_, _fold(or_, bsm_ok.reshape(-1, 2, n))))
+
+    draws = ((2 * n, eta), (2 * n, q))
+    return _estimate(_count_hits(rng, shots, draws, success), shots)

@@ -538,9 +538,10 @@ def measure_pauli(state: State, op: PauliString, mode: str = "sample",
                   outcome: int | None = None):
     """Projective measurement of a +-1-valued Pauli product.
 
-    Same mode/return conventions as :func:`measure`, with the outcome
-    reported as (op, outcome, probability) tuples in place of
-    MeasurementRecord.
+    Same modes as :func:`measure`, with the outcome s = +-1 and its
+    probability p in place of MeasurementRecord: sample/forced return
+    ``((s, p), collapsed_state)``; distribution returns a list of
+    ``(s, p, collapsed_state)`` triples whose probabilities sum to 1.
     """
     results = _outcomes(state, *_pauli_branches(state, op), mode,
                         "distribution", rng, outcome)

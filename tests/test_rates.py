@@ -1,11 +1,19 @@
 """Closed-form rate model vs Monte-Carlo oracles, and the optimizer."""
 
 import copy
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import reference as ref
+from qparity import rates
+from qparity.photonics import (
+    PULSE_BLOCK,
+    SourceParams,
+    monte_carlo_coincidence,
+)
 from qparity.rates import (
     CHUNK_SHOTS,
     RateModel,
@@ -187,6 +195,94 @@ class TestGeneratorSeeds:
         twin = copy.deepcopy(rng)
         assert sampler(rng) == oracle(twin)
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+# Every sampler beside its whole-array oracle, as functions of the shot
+# count and the seed.
+SPLIT_SAMPLERS = {
+    "side": (lambda s, g: monte_carlo_side(RateModel(0.8, 0.6, 2, 2), s, g),
+             lambda s, g: ref.monte_carlo_side_anyall(0.8, 0.6, 2, 2, s, g)),
+    "rate": (lambda s, g: monte_carlo_rate(RateModel(0.8, 0.6, 2, 2), s, g),
+             lambda s, g: ref.monte_carlo_rate_anyall(0.8, 0.6, 2, 2, s, g)),
+    "bare": (lambda s, g: monte_carlo_bare(2, 0.9, 0.5, s, g),
+             lambda s, g: ref.monte_carlo_bare_anyall(2, 0.9, 0.5, s, g)),
+    "coincidence": (
+        lambda s, g: monte_carlo_coincidence(SourceParams(0.8, 0.9, 1e6), 2,
+                                             0.5, s, g),
+        lambda s, g: ref.monte_carlo_coincidence_anyall(0.8, 0.9, 1e6, 2,
+                                                        0.5, s, g)),
+}
+# Every chunk edge, 10^6 + 3 shots (for the coincidence sampler a second
+# PULSE_BLOCK block of 3 pulses), and a second block of two chunks.
+SPLIT_CASES = ([(kind, shots) for kind in SPLIT_SAMPLERS
+                for shots in CHUNK_EDGES + (10 ** 6 + 3,)]
+               + [("coincidence", PULSE_BLOCK + CHUNK_SHOTS + 1)])
+
+
+def check_split(kind, shots, seed):
+    """The sampler's estimate and its generator's end state are those of
+    the whole-array oracle, buffered 32-bit half included."""
+    sampler, oracle = SPLIT_SAMPLERS[kind]
+    rng = np.random.default_rng(seed)
+    rng.random(dtype=np.float32)
+    twin = copy.deepcopy(rng)
+    assert sampler(shots, rng) == oracle(shots, twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestThreadedSpans:
+    """Spans of shots counted on several threads add up to the counts of
+    the whole-array draws, for any number of threads."""
+
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    @pytest.mark.parametrize("kind,shots", SPLIT_CASES)
+    def test_any_thread_count_matches_oracle(self, monkeypatch, kind, shots,
+                                             workers):
+        monkeypatch.setattr(rates, "WORKERS", workers)
+        check_split(kind, shots, seed=shots + workers)
+
+    @pytest.mark.parametrize("kind", SPLIT_SAMPLERS)
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch,
+                                                          kind):
+        """Eight spans, the last of one chunk and one shot, with the
+        interpreter switching threads every microsecond: a lost or
+        misplaced span count would change the estimate."""
+        monkeypatch.setattr(rates, "WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            check_split(kind, 8 * CHUNK_SHOTS + 1, seed=8)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_error_in_a_later_span_is_raised_in_the_caller(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(rates, "WORKERS", 3)
+        caller = threading.current_thread()
+        before = set(threading.enumerate())
+        seen = set()
+
+        def success(flags):
+            seen.add(threading.current_thread())
+            if threading.current_thread() is not caller:
+                raise ZeroDivisionError("later span")
+            return flags[:, 0]
+
+        with pytest.raises(ZeroDivisionError, match="later span"):
+            rates._count_hits(np.random.default_rng(1), 3 * CHUNK_SHOTS,
+                              ((1, 0.5),), success)
+        assert len(seen) == 3 and caller in seen
+        assert not any(t.is_alive() for t in seen - {caller})
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("kind", SPLIT_SAMPLERS)
+    def test_one_chunk_starts_no_thread(self, monkeypatch, kind):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(rates, "WORKERS", 4)
+        monkeypatch.setattr(threading, "Thread", refuse)
+        check_split(kind, CHUNK_SHOTS, seed=5)
 
 
 class TestOptimizer:
