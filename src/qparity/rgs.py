@@ -12,11 +12,11 @@ The plan runs through the walker shared with the Shor readout
 branch's outcome key.  Pauli corrections are never hand-written: the
 shared search (:func:`qparity.sim.correction_table`) derives them from
 a scenario's lossless variant as the first terminal Pauli pair giving
-unit fidelity with |phi+>.  The factories' tables ship frozen under
-``qparity/data`` and serve every scenario whose lossless variant equals
-a factory's; other scenarios get derived tables.  Lossy runs reuse the
-lossless tables, which is what makes the loss-tolerance claim
-meaningful.
+unit fidelity with |phi+>, trying each pair on the whole stack of
+lossless branches with the one terminal correction that runs apply.
+Every table is derived on first use and cached per lossless scenario;
+none is shipped.  Lossy runs reuse the lossless tables, which is what
+makes the loss-tolerance claim meaningful.
 
 Photon labels follow the conventional primed numbering: terminals 1'
 and 9', channel interfaces 2' and 8', RGS photons 3', 10', 7' plus the
@@ -25,11 +25,9 @@ encoded block {4', 5', 6'}.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
-from importlib import resources
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -39,20 +37,16 @@ from .sim import (
     CNOT,
     H,
     PauliString,
+    PlanStack,
     PlanStep,
     PureState,
     State,
     _pauli_action,
-    apply_pauli,
     apply_unitary,
     correction_table,
     partial_trace,
-    walk_plan,
     walk_stack,
 )
-
-_DATA_FILE = "correction_tables.json"
-_TABLE_VERSION = 1
 
 PHI_PLUS_2Q = PureState(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
 
@@ -367,20 +361,15 @@ class BranchResult:
         }
 
 
-def _outcome_tokens(plan: tuple, records: tuple) -> tuple:
-    """Outcome key tokens, one per plan step.
+def _branch_tokens(plan: tuple, branch_records: list) -> list:
+    """Outcome key tokens of every branch, one per plan step.
 
     A block Z step contributes its first survivor's outcome, the block
     sign.  A step whose photons are all lost measured nothing and
     contributes a trivial +1, so that outcome keys keep the structure of
-    the lossless run the correction tables were derived from.
+    the lossless run the correction tables were derived from.  Built
+    step by step: each step formats its token once per distinct outcome.
     """
-    return _branch_tokens(plan, [records])[0]
-
-
-def _branch_tokens(plan: tuple, branch_records: list) -> list:
-    """:func:`_outcome_tokens` of every branch, built step by step: each
-    step formats its token once per distinct outcome."""
     columns = []
     for step, step_records in zip(plan, zip(*branch_records)):
         signs = [recs[0].outcome if recs else +1 for recs in step_records]
@@ -394,18 +383,20 @@ def _branch_tokens(plan: tuple, branch_records: list) -> list:
     return list(zip(*columns)) if columns else [()] * len(branch_records)
 
 
-def _terminal_pauli(order: tuple, terminals: tuple,
-                    pair: tuple) -> PauliString:
-    """One Pauli (by name) on each terminal photon."""
-    return PauliString({order.index(label): pauli
-                        for label, pauli in zip(terminals, pair)
-                        if pauli != "I"})
-
-
-def _correct_terminals(state: State, order: tuple, terminals: tuple,
-                       pair: tuple) -> State:
-    """Apply one Pauli (by name) to each terminal photon."""
-    return apply_pauli(state, _terminal_pauli(order, terminals, pair))
+def _correct_terminals(stack: PlanStack, pairs: list,
+                       terminals: tuple) -> PlanStack:
+    """Apply each branch's Pauli pair (by name) to the terminal photons
+    of the stack: one gather and phase of every branch's rows."""
+    n = len(stack.order)
+    actions = {}
+    for pair in set(pairs):
+        op = PauliString({stack.order.index(label): pauli
+                          for label, pauli in zip(terminals, pair)
+                          if pauli != "I"})
+        actions[pair] = _pauli_action(tuple(op.factors.items()), op.sign, n)
+    src, phase = map(np.array, zip(*(actions[pair] for pair in pairs)))
+    return stack._replace(vectors=phase[:, None, :] * np.take_along_axis(
+        stack.vectors, src[:, None, :], axis=2))
 
 
 def run_connection(scenario: Scenario, mode: str = "enumerate",
@@ -452,13 +443,7 @@ def run_connection(scenario: Scenario, mode: str = "enumerate",
         if key not in corrections:
             raise PreconditionError(f"no correction entry for outcome {key!r}")
         pairs.append(corrections[key])
-    actions = {}
-    for pair in set(pairs):
-        op = _terminal_pauli(stack.order, scenario.terminals, pair)
-        actions[pair] = _pauli_action(tuple(op.factors.items()), op.sign, 2)
-    src, phase = map(np.array, zip(*(actions[pair] for pair in pairs)))
-    corrected = stack._replace(vectors=phase[:, None, :] * np.take_along_axis(
-        stack.vectors, src[:, None, :], axis=2))
+    corrected = _correct_terminals(stack, pairs, scenario.terminals)
     results = [BranchResult(probability=p, outcomes=toks, correction=pair,
                             terminal=st, witness=wit)
                for p, toks, pair, st, wit in zip(
@@ -481,77 +466,30 @@ def derive_corrections(scenario: Scenario) -> dict:
 
     For every branch of the lossless run, the first pair of terminal
     Paulis turning the branch state into |phi+> (fidelity 1) is
-    recorded.  Keys are loss-independent: a Z measurement on an encoded
-    block contributes only its block sign, which assumes GHZ-type
-    blocks whose survivor outcomes are perfectly correlated (true for
-    every code this package builds).
+    recorded; the pairs are tried on the whole stack of branches by the
+    terminal correction :func:`run_connection` applies.  Keys are
+    loss-independent: a Z measurement on an encoded block contributes
+    only its block sign, which assumes GHZ-type blocks whose survivor
+    outcomes are perfectly correlated (true for every code this package
+    builds).
     """
     lossless = replace(scenario, loss=())
-    branches = walk_plan(lossless.initial_state(), lossless.photon_order(),
-                         lossless.plan)
-
-    def key(records):
-        return "|".join(_outcome_tokens(lossless.plan, records))
-
-    def fix(state, order, pair):
-        return _correct_terminals(state, order, lossless.terminals, pair)
-
-    return correction_table(branches, key, _PAULI_PAIRS, fix, PHI_PLUS_2Q)
-
-
-_SHIPPED_FACTORIES = (connect_scenario, bare_loss_scenario,
-                      encoded_loss_scenario)
-
-
-@lru_cache(maxsize=None)
-def _shipped_tables() -> dict:
-    """Frozen tables keyed by the lossless scenario they belong to."""
-    with resources.files("qparity").joinpath("data", _DATA_FILE).open() as fh:
-        data = json.load(fh)
-    if data.get("version") != _TABLE_VERSION:
-        raise RuntimeError(f"correction table version "
-                           f"{data.get('version')!r} != {_TABLE_VERSION}")
-    tables = {}
-    for factory in _SHIPPED_FACTORIES:
-        scenario = factory(0)
-        tables[scenario] = {k: tuple(v) for k, v in
-                            data["tables"][scenario.name].items()}
-    return tables
+    stack = walk_stack(lossless.initial_state(), lossless.photon_order(),
+                       lossless.plan)
+    keys = ["|".join(tokens)
+            for tokens in _branch_tokens(lossless.plan, stack.records)]
+    fix = partial(_correct_terminals, terminals=lossless.terminals)
+    return correction_table(stack, keys, _PAULI_PAIRS, fix, PHI_PLUS_2Q)
 
 
 _derived = lru_cache(maxsize=None)(derive_corrections)
 
 
 def connection_corrections(scenario: Scenario) -> dict:
-    """Correction table for a scenario, derived from its lossless variant.
-
-    The table is the shipped frozen one when the lossless variant equals
-    one of the scenario factories' loss-free scenarios (name included),
-    and is derived (once per lossless scenario) otherwise.
-    """
-    lossless = replace(scenario, loss=())
-    try:
-        shipped = _shipped_tables()
-    except FileNotFoundError:
-        shipped = {}
-    table = shipped.get(lossless)
-    return table if table is not None else _derived(lossless)
-
-
-def freeze_correction_tables(path) -> dict:
-    """Regenerate the shipped correction-table file for the named
-    scenarios.  Returns the written payload."""
-    tables = {}
-    for factory in _SHIPPED_FACTORIES:
-        scen = factory(0)
-        tables[scen.name] = {k: list(v)
-                             for k, v in derive_corrections(scen).items()}
-    payload = {"version": _TABLE_VERSION, "witness_target": "phi+",
-               "tables": tables}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return payload
+    """Correction table for a scenario, derived from its lossless variant
+    once per lossless scenario (name, plan and every other field
+    included) and cached."""
+    return _derived(replace(scenario, loss=()))
 
 
 # ---------------------------------------------------------------------------

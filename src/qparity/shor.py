@@ -9,10 +9,12 @@ Readout is a measurement plan run by the same walker as an RGS
 connection (:func:`qparity.sim.walk_stack`): Z on the survivors of blocks
 2..n (each block's sign is the outcome of its first survivor), then X on
 the non-leader survivors of block 1, every measured qubit removed.  The
-leader is left; it gets a fixed Hadamard and one of {I, Z, X, ZX}.  The
+leader is left; it gets a fixed Hadamard and one of {I, Z, X, ZX}, one
+stacked fix of every branch's leader rows (:func:`_readout_fix`).  The
 outcome-to-correction table is derived the first time it is needed by
-the shared correction search (:func:`qparity.sim.correction_table`) over
-the lossless branches of a generic code word, never hand-written.
+the shared correction search (:func:`qparity.sim.correction_table`),
+which applies that same fix to the stacked lossless branches of a
+generic code word; it is never hand-written.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .sim import (
     Z,
     DensityMatrix,
     PauliString,
+    PlanStack,
     PlanStep,
     PureState,
     State,
@@ -46,7 +49,6 @@ from .sim import (
     measure_pauli,
     partial_trace,
     state_from_qubit,
-    walk_plan,
     walk_stack,
 )
 
@@ -393,10 +395,14 @@ def _readout_key(records: tuple) -> tuple:
     return signs["Z"], signs["X"]
 
 
-def _readout_fix(state: State, order: tuple, name: str) -> State:
-    """Hadamard, then the named correction, on the remaining leader."""
-    return apply_unitary(apply_unitary(state, H, [0]), _CORRECTION_OPS[name],
-                         [0])
+def _readout_fix(stack: PlanStack, names: list) -> PlanStack:
+    """Hadamard, then each branch's named correction, on the stacked rows
+    of the remaining leader."""
+    rows = (H @ stack.vectors.reshape(-1, 2).T).T.reshape(stack.vectors.shape)
+    fixes = np.array([_CORRECTION_OPS[name] for name in names])
+    return stack._replace(
+        vectors=(fixes @ rows.swapaxes(1, 2)).swapaxes(1, 2),
+        kind=DensityMatrix)
 
 
 @lru_cache(maxsize=None)
@@ -404,15 +410,16 @@ def readout_correction_table() -> dict:
     """(block-sign product, X parity) -> correction in {I, Z, X, ZX}.
 
     Derived by enumerating every lossless readout branch of a generic
-    codeword and picking the first correction that restores the input
-    with fidelity 1.
+    codeword as one stack and picking, per branch, the first correction
+    that restores the input with fidelity 1.
     """
     # Asymmetric amplitudes so that every wrong correction is detectable.
     inp = LogicalInput(math.cos(0.35), cmath.exp(0.9j) * math.sin(0.35))
-    branches = walk_plan(encode_shor(inp), range(SHOR_LAYOUT.num_qubits),
-                         _READOUT_PLAN)
-    table = correction_table(branches, _readout_key, _CORRECTION_OPS,
-                             _readout_fix, inp.to_state())
+    stack = walk_stack(encode_shor(inp), range(SHOR_LAYOUT.num_qubits),
+                       _READOUT_PLAN)
+    table = correction_table(stack, [_readout_key(recs) for recs in
+                                     stack.records],
+                             _CORRECTION_OPS, _readout_fix, inp.to_state())
     if len(table) != 4:
         raise RuntimeError(f"expected 4 table entries, derived {len(table)}")
     return table
@@ -456,12 +463,7 @@ def decode_readout(state: State, losses: Iterable[int] = (),
     table = readout_correction_table()
     stack = walk_stack(work, alive, _READOUT_PLAN, mode, rng)
     names = [table[_readout_key(recs)] for recs in stack.records]
-    # Hadamard, then each branch's correction, on the stacked leader rows.
-    rows = (H @ stack.vectors.reshape(-1, 2).T).T.reshape(stack.vectors.shape)
-    fixes = np.array([_CORRECTION_OPS[name] for name in names])
-    fixed = stack._replace(
-        vectors=(fixes @ rows.swapaxes(1, 2)).swapaxes(1, 2),
-        kind=DensityMatrix)
+    fixed = _readout_fix(stack, names)
     results = [DecodeResult(output=out, correction=name,
                             transcript=[r for recs in records for r in recs],
                             probability=p, degraded=degraded)

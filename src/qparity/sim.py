@@ -23,16 +23,18 @@ Stochastic operations draw from a caller-supplied
 because every draw happens in documented call order: each sampled
 measurement makes exactly one draw.
 
-The measurement-plan walker and the correction search
-(:func:`correction_table`) shared by the Shor readout and the RGS
-connection protocol live here too.  The walker's unit of work is a
+The measurement-plan walker (:func:`walk_stack`) and the correction
+search (:func:`correction_table`) shared by the Shor readout and the
+RGS connection protocol live here too.  The walker's unit of work is a
 step, not a branch: it holds the live branches as one stack of rows
 (B x r x 2^n) with weights (B x r), so each measurement is one
 projection of every branch, and a stack outgrowing 2^n rows per branch
 is compressed by one stacked ``eigh`` (lower ranks padded with rows of
-weight zero).  :func:`walk_stack` returns that stack; :func:`walk_plan`
-builds one state per branch from it.  Sample mode is the stack of one
-branch.
+weight zero).  Sample mode is the stack of one branch, and
+:meth:`PlanStack.states` builds one state per branch.  The correction
+search acts on that stack too: each candidate correction is applied to
+every branch at once by the caller's stacked fix, the same function
+its runs apply their tables with.
 """
 
 from __future__ import annotations
@@ -662,15 +664,6 @@ class PlanStep:
 _STEP_BASIS = {"measure_x": "X", "measure_block_z": "Z", "bsm": "bell"}
 
 
-class PlanBranch(NamedTuple):
-    """One branch of a walked plan."""
-
-    records: tuple        # per plan step, the MeasurementRecords it made
-    probability: float
-    state: State
-    order: tuple          # labels of the qubits left in ``state``
-
-
 class PlanStack(NamedTuple):
     """Every branch of a walked plan as one stack, in walk order."""
 
@@ -695,12 +688,23 @@ class PlanStack(NamedTuple):
 def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
                mode: str = "enumerate",
                rng: np.random.Generator | None = None) -> PlanStack:
-    """:func:`walk_plan` with its branches left as one PlanStack.
+    """Run a measurement plan, removing every qubit it measures.
 
-    Each measurement group is one projection of every live branch;
-    the children of a branch follow it, in outcome-label order.  In
-    sample mode the stack holds one branch and :func:`_select` keeps one
-    outcome per group.
+    ``order`` labels the qubits of ``state``, one distinct label each
+    (ValueError otherwise).  mode="enumerate" returns every realizable
+    branch, mode="sample" the one branch drawn from ``rng`` (one uniform
+    per measurement), as one PlanStack.  ``records[b][i]`` holds the
+    MeasurementRecords of step i in branch b with photon labels in place
+    of qubit indices (the label pair and basis "bell" for a BSM).
+    Photons not in ``order`` are lost and a step records nothing for
+    them; measure_x on a photon an earlier step consumed, or a BSM on a
+    missing photon, raises PreconditionError.
+
+    Each measurement group is one projection of every live branch; a
+    stack outgrowing 2^n rows per branch is compressed through one
+    stacked ``eigh``.  The children of a branch follow it, in
+    outcome-label order.  In sample mode the stack holds one branch and
+    :func:`_select` keeps one outcome per group.
     """
     if mode not in ("enumerate", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -746,51 +750,36 @@ def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
                      type(state))
 
 
-def walk_plan(state: State, order: Sequence, plan: Sequence[PlanStep],
-              mode: str = "enumerate",
-              rng: np.random.Generator | None = None) -> list:
-    """Run a measurement plan, removing every qubit it measures.
-
-    ``order`` labels the qubits of ``state``, one distinct label each
-    (ValueError otherwise).  mode="enumerate" returns every realizable
-    branch, mode="sample" the one branch drawn from ``rng`` (one uniform
-    per measurement), as a list of PlanBranch.  ``records[i]`` holds the
-    MeasurementRecords of step i with photon labels in place of qubit
-    indices (the label pair and basis "bell" for a BSM).  Photons not in
-    ``order`` are lost and a step records nothing for them; measure_x on
-    a photon an earlier step consumed, or a BSM on a missing photon,
-    raises PreconditionError.
-
-    The live branches of a step are held as one stack, and each
-    measurement projects all of them at once; a stack outgrowing 2^n
-    rows per branch is compressed through one stacked ``eigh``.
-    Branches come out parent first, then by outcome label.
-    """
-    stack = walk_stack(state, order, plan, mode, rng)
-    return [PlanBranch(recs, prob, st, stack.order) for recs, prob, st in
-            zip(stack.records, stack.probabilities, stack.states())]
-
-
-def correction_table(branches: Sequence[PlanBranch],
-                     key: Callable[[tuple], object], names: Iterable,
-                     apply: Callable[[State, tuple, object], State],
+def correction_table(stack: PlanStack, keys: Sequence, names: Iterable,
+                     fix: Callable[[PlanStack, list], PlanStack],
                      target: PureState) -> dict:
     """Map each branch key to the first correction restoring ``target``.
 
-    For every branch the candidate corrections ``names`` are tried in
-    order; the first for which ``apply(state, order, name)`` has
-    fidelity 1 with ``target`` is recorded under ``key(records)``.
-    Raises RuntimeError when no candidate restores a branch, or when two
-    branches with one key need different corrections.
+    ``stack`` holds the branches of a lossless walk and ``keys`` one key
+    per branch.  Each candidate correction in ``names`` is tried in turn
+    on every branch at once: ``fix(stack, per_branch_names)`` returns
+    the corrected stack, and a branch still open takes the first
+    candidate whose fidelity sum_i w_i |<target|v_i>|^2 exceeds
+    1 - TOL.atol.  Raises RuntimeError when no candidate restores a
+    branch, or when two branches with one key need different
+    corrections, at the first such branch in walk order.
     """
+    if stack.vectors.shape[2] != len(target.amplitudes):
+        raise ValueError(f"qubit count mismatch: {len(stack.order)} vs "
+                         f"{target.num_qubits}")
+    chosen = [None] * len(keys)
+    for name in names:
+        fixed = fix(stack, [name] * len(keys))
+        fids = (fixed.weights
+                * np.abs(fixed.vectors @ target.amplitudes.conj()) ** 2).sum(1)
+        for b, fid in enumerate(fids.tolist()):
+            if chosen[b] is None and fid > 1.0 - TOL.atol:
+                chosen[b] = name
+        if None not in chosen:
+            break
     table = {}
-    for branch in branches:
-        k = key(branch.records)
-        for name in names:
-            fixed = apply(branch.state, branch.order, name)
-            if fidelity(fixed, target) > 1.0 - TOL.atol:
-                break
-        else:
+    for k, name in zip(keys, chosen):
+        if name is None:
             raise RuntimeError(f"no correction restores branch {k!r}")
         if table.setdefault(k, name) != name:
             raise RuntimeError(f"correction table is inconsistent at {k!r}")

@@ -4,6 +4,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qparity.rgs import (
     PlanStep,
     RgsSpec,
     Scenario,
-    _outcome_tokens,
+    _branch_tokens,
     bare_loss_scenario,
     build_bare_rgs,
     build_encoded_rgs,
@@ -35,10 +36,11 @@ from qparity.sim import (
     PureState,
     apply_unitary,
     expectation,
-    walk_plan,
+    walk_stack,
 )
 
 S2 = 1 / math.sqrt(2)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestBuilders:
@@ -253,11 +255,17 @@ class TestConnection:
 
 class TestCorrections:
     def test_frozen_tables_match_rederivation(self):
+        """The factories' tables equal the ones frozen in the fixture
+        when these tables were still shipped with the package."""
+        data = json.loads((GOLDEN / "correction_tables.json").read_text())
+        assert data["version"] == 1 and data["witness_target"] == "phi+"
+        assert set(data["tables"]) == {"connect", "bare-control", "rgs-loss"}
         for scen in (connect_scenario(0), bare_loss_scenario(0),
                      encoded_loss_scenario(0)):
-            frozen = connection_corrections(scen)
-            derived = derive_corrections(scen)
-            assert frozen == derived
+            frozen = {k: tuple(v)
+                      for k, v in data["tables"][scen.name].items()}
+            assert connection_corrections(scen) == frozen
+            assert derive_corrections(scen) == frozen
 
     def test_tables_do_not_depend_on_loss(self):
         assert connection_corrections(connect_scenario(0)) is \
@@ -271,8 +279,8 @@ class TestCorrections:
 
     @pytest.mark.parametrize("loss", [0, 2])
     def test_tables_keyed_by_content_not_name(self, loss):
-        """A factory-named scenario with another plan gets a derived
-        table, not the shipped one of its name."""
+        """A factory-named scenario with another plan gets a table
+        derived from its own plan, not the cached one of its name."""
         scen = encoded_loss_scenario(loss)
         reordered = replace(scen, plan=tuple(reversed(scen.plan)))
         res = run_connection(reordered)
@@ -313,17 +321,18 @@ class TestSampleFrequencies:
         shots = 100_000
         counts = Counter()
         for _ in range(shots):
-            (branch,) = walk_plan(state, order, scen.plan, "sample", rng)
-            counts["|".join(_outcome_tokens(scen.plan, branch.records))] += 1
+            stack = walk_stack(state, order, scen.plan, "sample", rng)
+            (tokens,) = _branch_tokens(scen.plan, stack.records)
+            counts["|".join(tokens)] += 1
         assert set(counts) <= set(probs)
         for key, p in probs.items():
             se = math.sqrt(p * (1 - p) / shots)
             assert abs(counts[key] / shots - p) <= 3 * se, key
 
     def test_sampled_walks_build_one_state_per_measurement(self, monkeypatch):
-        """Sample mode builds one state per walk, the kept branch's at
-        the end: 2000 lossless connect walks of 6 measurements each
-        construct 2000 states."""
+        """Sample mode builds one state per walk, the kept branch's when
+        its stack's states are built at the end: 2000 lossless connect
+        walks of 6 measurements each construct 2000 states."""
         scen = connect_scenario(0)
         state = scen.initial_state()
         order = list(scen.photon_order())
@@ -338,6 +347,6 @@ class TestSampleFrequencies:
                             classmethod(counting))
         rng = np.random.default_rng(11)
         for _ in range(2000):
-            walk_plan(state, order, scen.plan, "sample", rng)
+            walk_stack(state, order, scen.plan, "sample", rng).states()
         assert len(built) == 2000
         assert set(built) == {PureState}

@@ -1,8 +1,11 @@
 """The stacked plan walker against the per-branch walker it replaced
 (``reference.walk_plan_per_branch``): records, branch order, keys,
-probabilities and states, enumerated and sampled."""
+probabilities and states, enumerated and sampled; and the correction
+search over the stack against dense per-branch fidelities."""
 
+import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +13,10 @@ import pytest
 import reference as ref
 from qparity import photonics
 from qparity.rgs import (
-    _outcome_tokens,
+    _PAULI_PAIRS,
+    PHI_PLUS_2Q,
+    _branch_tokens,
+    _correct_terminals,
     bare_loss_scenario,
     connect_scenario,
     connection_corrections,
@@ -29,9 +35,10 @@ from qparity.shor import (
 from qparity.sim import (
     DensityMatrix,
     PlanStep,
+    PureState,
     _eigen_rows,
+    correction_table,
     partial_trace,
-    walk_plan,
     walk_stack,
 )
 
@@ -92,15 +99,17 @@ class TestEnumeratedWalks:
         initial, state, order = walk_input(scen, visibility)
         want = ref.walk_plan_per_branch(state.vectors, state.weights, order,
                                         scen.plan)
-        got = walk_plan(state, order, scen.plan)
-        assert len(got) == len(want)
-        for branch, (recs, prob, vecs, weights, left) in zip(got, want):
-            assert branch.order == left
-            assert_records_match(branch.records, recs)
-            assert _outcome_tokens(scen.plan, branch.records) == \
-                _outcome_tokens(scen.plan, recs)
-            assert abs(branch.probability - prob) < ATOL
-            np.testing.assert_allclose(matrix(branch.state),
+        want_tokens = _branch_tokens(scen.plan, [recs for recs, *_ in want])
+        got = walk_stack(state, order, scen.plan)
+        assert len(got.vectors) == len(got.probabilities) == len(want)
+        assert _branch_tokens(scen.plan, got.records) == want_tokens
+        for records, probability, branch_state, (recs, prob, vecs, weights,
+                                                 left) in zip(
+                got.records, got.probabilities, got.states(), want):
+            assert got.order == left
+            assert_records_match(records, recs)
+            assert abs(probability - prob) < ATOL
+            np.testing.assert_allclose(matrix(branch_state),
                                        ref.ensemble_matrix(vecs, weights),
                                        atol=ATOL)
 
@@ -108,8 +117,8 @@ class TestEnumeratedWalks:
         table = connection_corrections(scen)
         results = run_connection(scen, initial_state=initial)
         assert len(results) == len(want)
-        for res, (recs, prob, vecs, weights, left) in zip(results, want):
-            tokens = _outcome_tokens(scen.plan, recs)
+        for res, tokens, (recs, prob, vecs, weights, left) in zip(
+                results, want_tokens, want):
             assert res.outcomes == tokens
             assert res.correction == table["|".join(tokens)]
             assert abs(res.probability - prob) < ATOL
@@ -167,13 +176,14 @@ class TestSampledWalks:
         _, state, order = walk_input(scen, visibility)
         rng, ref_rng = np.random.default_rng(99), np.random.default_rng(99)
         for _ in range(3000):
-            (branch,) = walk_plan(state, order, scen.plan, "sample", rng)
+            stack = walk_stack(state, order, scen.plan, "sample", rng)
+            (probability,) = stack.probabilities
             ((recs, prob, *_),) = ref.walk_plan_per_branch(
                 state.vectors, state.weights, order, scen.plan, "sample",
                 ref_rng)
-            assert _outcome_tokens(scen.plan, branch.records) == \
-                _outcome_tokens(scen.plan, recs)
-            assert abs(branch.probability - prob) < ATOL
+            assert _branch_tokens(scen.plan, stack.records) == \
+                _branch_tokens(scen.plan, [recs])
+            assert abs(probability - prob) < ATOL
         assert rng.random() == ref_rng.random()
 
 
@@ -182,14 +192,14 @@ class TestStack:
         scen = connect_scenario(0)
         order = scen.photon_order()
         with pytest.raises(ValueError, match="labels 9 qubits"):
-            walk_plan(scen.initial_state(), order[:-1], scen.plan)
+            walk_stack(scen.initial_state(), order[:-1], scen.plan)
 
     def test_order_labels_must_be_distinct(self):
         scen = connect_scenario(0)
         order = scen.photon_order()
         with pytest.raises(ValueError, match="repeats a label"):
-            walk_plan(scen.initial_state(), order[:-1] + order[:1],
-                      scen.plan)
+            walk_stack(scen.initial_state(), order[:-1] + order[:1],
+                       scen.plan)
 
     def test_lower_rank_members_are_padded_with_zero_weight(self):
         """One stacked eigh keeps each member's nonzero eigenpairs; the
@@ -232,3 +242,76 @@ class TestStack:
             np.testing.assert_allclose(matrix(state),
                                        ref.ensemble_matrix(vecs, weights),
                                        atol=ATOL)
+
+
+class TestCorrectionSearch:
+    """:func:`qparity.sim.correction_table` on the stacked lossless
+    branches of ``connect``, fixed by the terminal correction that
+    :func:`run_connection` applies."""
+
+    @staticmethod
+    def lossless_connect():
+        scen = connect_scenario(0)
+        stack = walk_stack(scen.initial_state(), scen.photon_order(),
+                           scen.plan)
+        keys = ["|".join(tokens)
+                for tokens in _branch_tokens(scen.plan, stack.records)]
+        fix = functools.partial(_correct_terminals,
+                                terminals=scen.terminals)
+        return scen, stack, keys, fix
+
+    # II, XX, YY and ZZ all fix |phi+>: with them first, a branch is
+    # restored by several candidates before every branch is.
+    CANDIDATES = [_PAULI_PAIRS,
+                  sorted(_PAULI_PAIRS, key=lambda pair: pair[0] != pair[1])]
+
+    @pytest.mark.parametrize("names", CANDIDATES, ids=["IXYZ", "equal-first"])
+    def test_each_branch_takes_the_first_restoring_pair(self, names):
+        scen, stack, keys, fix = self.lossless_connect()
+        table = correction_table(stack, keys, names, fix, PHI_PLUS_2Q)
+        phi = PHI_PLUS_2Q.amplitudes
+        for key, state in zip(keys, stack.states()):
+            rho = matrix(state)
+            fids = []
+            for pair in names:
+                op = pair_operator(pair, stack.order, scen.terminals)
+                fids.append((phi.conj() @ op @ rho @ op.conj().T @ phi).real)
+            first = next(i for i, f in enumerate(fids) if f > 1 - ATOL)
+            assert table[key] == names[first]
+
+    def test_no_candidate_restores_a_branch(self):
+        """|00> is no Pauli pair away from any branch (fidelity at most
+        1/2), so the first branch raises."""
+        _, stack, keys, fix = self.lossless_connect()
+        product = PureState(np.array([1, 0, 0, 0]))
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"no correction restores branch {keys[0]!r}")):
+            correction_table(stack, keys, _PAULI_PAIRS, fix, product)
+
+    def test_too_few_candidates_leave_a_branch_open(self):
+        _, stack, keys, fix = self.lossless_connect()
+        table = correction_table(stack, keys, _PAULI_PAIRS, fix, PHI_PLUS_2Q)
+        open_key = next(k for k in keys if table[k] != ("I", "I"))
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"no correction restores branch {open_key!r}")):
+            correction_table(stack, keys, [("I", "I")], fix, PHI_PLUS_2Q)
+
+    def test_keys_merging_different_corrections_are_inconsistent(self):
+        """Without the last BSM outcome in the key, branches needing
+        different corrections share one key; the first branch that
+        disagrees with an earlier one of its key raises."""
+        _, stack, keys, fix = self.lossless_connect()
+        table = correction_table(stack, keys, _PAULI_PAIRS, fix, PHI_PLUS_2Q)
+        merged = [key.rsplit("|", 1)[0] for key in keys]
+        seen = {}
+        clash = next(m for key, m in zip(keys, merged)
+                     if seen.setdefault(m, table[key]) != table[key])
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"correction table is inconsistent at {clash!r}")):
+            correction_table(stack, merged, _PAULI_PAIRS, fix, PHI_PLUS_2Q)
+
+    def test_target_must_match_the_branch_qubits(self):
+        _, stack, keys, fix = self.lossless_connect()
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            correction_table(stack, keys, _PAULI_PAIRS, fix,
+                             PureState(np.array([1, 0])))
