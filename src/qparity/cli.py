@@ -54,6 +54,8 @@ SCHEMA_VERSION = 1
 SYNDROME_COLUMNS = ["SZ1", "SZ2", "SZ3", "SZ4", "SZ5", "SZ6", "SX1", "SX2"]
 # Largest --n-max x --m-max grid that `rate` evaluates (about 0.3 s).
 RATE_GRID_CAP = 10_000
+READOUT_COLUMNS = ["branch", "probability", "correction", "fidelity",
+                   "degraded"]
 WITNESS_COLUMNS = ["branch", "probability", "outcomes", "correction",
                    "xx", "yy", "zz", "fidelity", "witness"]
 
@@ -185,13 +187,12 @@ def cmd_loss_readout(args) -> None:
     state = encode_shor(inp) if noise is None else encode_shor_noisy(inp,
                                                                      noise)
     branches = decode_readout(state, losses=losses, mode="enumerate")
-    rows = [
-        [i, b.probability, b.correction, b.fidelity_to(inp), b.degraded]
-        for i, b in enumerate(branches)
-    ]
-    header = ["branch", "probability", "correction", "fidelity", "degraded"]
     if args.format == "csv":
-        _emit(_write_csv(rows, header, "loss-readout"), args.out)
+        rows = [
+            [i, b.probability, b.correction, b.fidelity_to(inp), b.degraded]
+            for i, b in enumerate(branches)
+        ]
+        _emit(_write_csv(rows, READOUT_COLUMNS, "loss-readout"), args.out)
         return
     payload = {
         "command": "loss-readout",
@@ -216,13 +217,13 @@ def cmd_witness(args) -> None:
                                          noise)
     branches = run_connection(scenario, mode="enumerate",
                               initial_state=initial)
-    rows = [
-        [i, b.probability, " ".join(b.outcomes), "".join(b.correction),
-         b.witness.xx, b.witness.yy, b.witness.zz, b.witness.fidelity,
-         b.witness.witness]
-        for i, b in enumerate(branches)
-    ]
     if args.format == "csv":
+        rows = [
+            [i, b.probability, " ".join(b.outcomes), "".join(b.correction),
+             b.witness.xx, b.witness.yy, b.witness.zz, b.witness.fidelity,
+             b.witness.witness]
+            for i, b in enumerate(branches)
+        ]
         _emit(_write_csv(rows, WITNESS_COLUMNS, args.command), args.out)
         return
     payload = {

@@ -12,8 +12,9 @@ The plan runs through the walker shared with the Shor readout
 branch's outcome key.  Pauli corrections are never hand-written: the
 shared search (:func:`qparity.sim.correction_table`) derives them from
 a scenario's lossless variant as the first terminal Pauli pair giving
-unit fidelity with |phi+>, trying each pair on the whole stack of
-lossless branches with the one terminal correction that runs apply.
+unit fidelity with |phi+>; a pair is one cached two-qubit operator,
+applied to the whole stack of branches by
+:meth:`qparity.sim.PlanStack.corrected` in the search and in runs alike.
 Every table is derived on first use and cached per lossless scenario;
 none is shipped.  Lossy runs reuse the lossless tables, which is what
 makes the loss-tolerance claim meaningful.
@@ -27,7 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -36,12 +38,13 @@ from .shor import LogicalInput, encode_qpc
 from .sim import (
     CNOT,
     H,
+    PAULI,
     PauliString,
     PlanStack,
     PlanStep,
     PureState,
     State,
-    _pauli_action,
+    _pauli_rows,
     apply_unitary,
     correction_table,
     partial_trace,
@@ -308,7 +311,7 @@ class WitnessResult:
                 "fidelity": self.fidelity, "witness": self.witness}
 
 
-_WITNESS_FACTORS = tuple(((0, letter), (1, letter)) for letter in "XYZ")
+_WITNESS_OPS = tuple(PauliString({0: letter, 1: letter}) for letter in "XYZ")
 
 
 def _witnesses(vectors: np.ndarray, weights: np.ndarray) -> list:
@@ -319,9 +322,8 @@ def _witnesses(vectors: np.ndarray, weights: np.ndarray) -> list:
     sum_i w_i <v_i|P v_i>, clipped to [-1, 1] like
     :func:`qparity.sim.expectation`.
     """
-    actions = [_pauli_action(factors, 1, 2) for factors in _WITNESS_FACTORS]
-    moved = np.stack([weights[:, :, None] * (phase * vectors[:, :, src])
-                      for src, phase in actions])
+    moved = np.stack([weights[:, :, None] * _pauli_rows(vectors, op)
+                      for op in _WITNESS_OPS])
     values = np.vecdot(vectors.reshape(len(vectors), -1),
                        moved.reshape(3, len(vectors), -1)).real
     xx, yy, zz = np.clip(values, -1.0, 1.0)
@@ -383,25 +385,25 @@ def _branch_tokens(plan: tuple, branch_records: list) -> list:
     return list(zip(*columns)) if columns else [()] * len(branch_records)
 
 
-def _correct_terminals(stack: PlanStack, pairs: list,
-                       terminals: tuple) -> PlanStack:
-    """Apply each branch's Pauli pair (by name) to the terminal photons
-    of the stack: one gather and phase of every branch's rows."""
-    n = len(stack.order)
-    actions = {}
-    for pair in set(pairs):
-        op = PauliString({stack.order.index(label): pauli
-                          for label, pauli in zip(terminals, pair)
-                          if pauli != "I"})
-        actions[pair] = _pauli_action(tuple(op.factors.items()), op.sign, n)
-    src, phase = map(np.array, zip(*(actions[pair] for pair in pairs)))
-    return stack._replace(vectors=phase[:, None, :] * np.take_along_axis(
-        stack.vectors, src[:, None, :], axis=2))
+def _swapped(stack: PlanStack, terminals: tuple) -> bool:
+    """Whether a walk left the terminals in reverse order."""
+    if sorted(stack.order) != sorted(terminals):
+        raise PreconditionError(
+            f"malformed plan: photons {list(stack.order)} remain, "
+            f"expected the terminals {list(terminals)}")
+    return stack.order != terminals
+
+
+@lru_cache(maxsize=None)
+def _pair_operator(pair: tuple, swapped: bool) -> np.ndarray:
+    """Read-only kron of a terminal Pauli pair, in the walk's order."""
+    op = np.kron(*(PAULI[p] for p in (pair[::-1] if swapped else pair)))
+    op.flags.writeable = False
+    return op
 
 
 def run_connection(scenario: Scenario, mode: str = "enumerate",
                    rng: np.random.Generator | None = None,
-                   corrections: dict | None = None,
                    initial_state: State | None = None):
     """Execute a connection scenario.
 
@@ -415,12 +417,10 @@ def run_connection(scenario: Scenario, mode: str = "enumerate",
     state, e.g. to inject interference noise before the run.
 
     The branches stay one stack (:func:`qparity.sim.walk_stack`) to the
-    end: the corrections are one gather and phase of the terminal rows,
-    and the witnesses one reduction over them.
+    end: the corrections are one batched product with each branch's pair
+    operator, and the witnesses one reduction over the corrected rows.
     """
-    if corrections is None:
-        corrections = connection_corrections(scenario)
-
+    corrections = connection_corrections(scenario)
     state: State = (scenario.initial_state() if initial_state is None
                     else initial_state)
     if state.num_qubits != len(scenario.photon_order()):
@@ -432,10 +432,7 @@ def run_connection(scenario: Scenario, mode: str = "enumerate",
         order = [p for p in order if p not in scenario.loss]
 
     stack = walk_stack(state, order, scenario.plan, mode, rng)
-    if sorted(stack.order) != sorted(scenario.terminals):
-        raise PreconditionError(
-            f"malformed plan: photons {list(stack.order)} remain, "
-            f"expected the terminals {list(scenario.terminals)}")
+    swapped = _swapped(stack, scenario.terminals)
     tokens = _branch_tokens(scenario.plan, stack.records)
     pairs = []
     for toks in tokens:
@@ -443,7 +440,8 @@ def run_connection(scenario: Scenario, mode: str = "enumerate",
         if key not in corrections:
             raise PreconditionError(f"no correction entry for outcome {key!r}")
         pairs.append(corrections[key])
-    corrected = _correct_terminals(stack, pairs, scenario.terminals)
+    corrected = stack.corrected(np.array([_pair_operator(pair, swapped)
+                                          for pair in pairs]))
     results = [BranchResult(probability=p, outcomes=toks, correction=pair,
                             terminal=st, witness=wit)
                for p, toks, pair, st, wit in zip(
@@ -466,8 +464,8 @@ def derive_corrections(scenario: Scenario) -> dict:
 
     For every branch of the lossless run, the first pair of terminal
     Paulis turning the branch state into |phi+> (fidelity 1) is
-    recorded; the pairs are tried on the whole stack of branches by the
-    terminal correction :func:`run_connection` applies.  Keys are
+    recorded; each pair is tried on the whole stack of branches as the
+    operator :func:`run_connection` applies.  Keys are
     loss-independent: a Z measurement on an encoded block contributes
     only its block sign, which assumes GHZ-type blocks whose survivor
     outcomes are perfectly correlated (true for every code this package
@@ -478,17 +476,21 @@ def derive_corrections(scenario: Scenario) -> dict:
                        lossless.plan)
     keys = ["|".join(tokens)
             for tokens in _branch_tokens(lossless.plan, stack.records)]
-    fix = partial(_correct_terminals, terminals=lossless.terminals)
-    return correction_table(stack, keys, _PAULI_PAIRS, fix, PHI_PLUS_2Q)
+    swapped = _swapped(stack, lossless.terminals)
+    candidates = {pair: _pair_operator(pair, swapped) for pair in _PAULI_PAIRS}
+    return correction_table(stack, keys, candidates, PHI_PLUS_2Q)
 
 
-_derived = lru_cache(maxsize=None)(derive_corrections)
+# ``derive`` is bound here: a profile counts it in connection_corrections.
+@lru_cache(maxsize=None)
+def _derived(lossless: Scenario, derive=derive_corrections):
+    return MappingProxyType(derive(lossless))
 
 
-def connection_corrections(scenario: Scenario) -> dict:
+def connection_corrections(scenario: Scenario) -> MappingProxyType:
     """Correction table for a scenario, derived from its lossless variant
     once per lossless scenario (name, plan and every other field
-    included) and cached."""
+    included) and cached; callers share one read-only view."""
     return _derived(replace(scenario, loss=()))
 
 

@@ -10,11 +10,12 @@ connection (:func:`qparity.sim.walk_stack`): Z on the survivors of blocks
 2..n (each block's sign is the outcome of its first survivor), then X on
 the non-leader survivors of block 1, every measured qubit removed.  The
 leader is left; it gets a fixed Hadamard and one of {I, Z, X, ZX}, one
-stacked fix of every branch's leader rows (:func:`_readout_fix`).  The
-outcome-to-correction table is derived the first time it is needed by
-the shared correction search (:func:`qparity.sim.correction_table`),
-which applies that same fix to the stacked lossless branches of a
-generic code word; it is never hand-written.
+operator per name applied to every branch by
+:meth:`qparity.sim.PlanStack.corrected`.  The outcome-to-correction
+table is derived the first time it is needed by the shared correction
+search (:func:`qparity.sim.correction_table`), which tries the same
+operators on the stacked lossless branches of a generic code word; it
+is never hand-written.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
@@ -32,12 +34,10 @@ from .errors import PreconditionError
 from .sim import (
     CNOT,
     H,
-    I2,
     X,
     Z,
     DensityMatrix,
     PauliString,
-    PlanStack,
     PlanStep,
     PureState,
     State,
@@ -376,7 +376,8 @@ def correct(state: State, hypothesis: ErrorHypothesis,
 # readout with loss
 # ---------------------------------------------------------------------------
 
-_CORRECTION_OPS = {"I": I2, "Z": Z, "X": X, "ZX": Z @ X}
+# Each readout correction with the leader's Hadamard folded in.
+_CORRECTION_OPS = {"I": H, "Z": Z @ H, "X": X @ H, "ZX": Z @ X @ H}
 
 
 _READOUT_PLAN = tuple(
@@ -395,23 +396,14 @@ def _readout_key(records: tuple) -> tuple:
     return signs["Z"], signs["X"]
 
 
-def _readout_fix(stack: PlanStack, names: list) -> PlanStack:
-    """Hadamard, then each branch's named correction, on the stacked rows
-    of the remaining leader."""
-    rows = (H @ stack.vectors.reshape(-1, 2).T).T.reshape(stack.vectors.shape)
-    fixes = np.array([_CORRECTION_OPS[name] for name in names])
-    return stack._replace(
-        vectors=(fixes @ rows.swapaxes(1, 2)).swapaxes(1, 2),
-        kind=DensityMatrix)
-
-
 @lru_cache(maxsize=None)
-def readout_correction_table() -> dict:
+def readout_correction_table() -> MappingProxyType:
     """(block-sign product, X parity) -> correction in {I, Z, X, ZX}.
 
     Derived by enumerating every lossless readout branch of a generic
     codeword as one stack and picking, per branch, the first correction
-    that restores the input with fidelity 1.
+    that restores the input with fidelity 1; callers share one
+    read-only view.
     """
     # Asymmetric amplitudes so that every wrong correction is detectable.
     inp = LogicalInput(math.cos(0.35), cmath.exp(0.9j) * math.sin(0.35))
@@ -419,10 +411,10 @@ def readout_correction_table() -> dict:
                        _READOUT_PLAN)
     table = correction_table(stack, [_readout_key(recs) for recs in
                                      stack.records],
-                             _CORRECTION_OPS, _readout_fix, inp.to_state())
+                             _CORRECTION_OPS, inp.to_state())
     if len(table) != 4:
         raise RuntimeError(f"expected 4 table entries, derived {len(table)}")
-    return table
+    return MappingProxyType(table)
 
 
 def decode_readout(state: State, losses: Iterable[int] = (),
@@ -463,7 +455,8 @@ def decode_readout(state: State, losses: Iterable[int] = (),
     table = readout_correction_table()
     stack = walk_stack(work, alive, _READOUT_PLAN, mode, rng)
     names = [table[_readout_key(recs)] for recs in stack.records]
-    fixed = _readout_fix(stack, names)
+    ops = np.array([_CORRECTION_OPS[name] for name in names])
+    fixed = stack.corrected(ops)._replace(kind=DensityMatrix)
     results = [DecodeResult(output=out, correction=name,
                             transcript=[r for recs in records for r in recs],
                             probability=p, degraded=degraded)

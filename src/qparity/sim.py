@@ -31,10 +31,9 @@ step, not a branch: it holds the live branches as one stack of rows
 projection of every branch, and a stack outgrowing 2^n rows per branch
 is compressed by one stacked ``eigh`` (lower ranks padded with rows of
 weight zero).  Sample mode is the stack of one branch, and
-:meth:`PlanStack.states` builds one state per branch.  The correction
-search acts on that stack too: each candidate correction is applied to
-every branch at once by the caller's stacked fix, the same function
-its runs apply their tables with.
+:meth:`PlanStack.states` builds one state per branch.  A correction is
+an operator on the qubits a plan leaves, applied to each branch by
+:meth:`PlanStack.corrected` in one batched matmul, in searches and runs.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -326,10 +325,11 @@ def _pauli_action(factors: tuple, sign: int, n: int) -> tuple:
     return src, phase
 
 
-def _pauli_rows(vectors: np.ndarray, op: PauliString, n: int) -> np.ndarray:
-    """P |v_i> for every row of the stack: one gather and one multiply."""
+def _pauli_rows(vectors: np.ndarray, op: PauliString) -> np.ndarray:
+    """P |v> for every row (last axis) of a stack: one gather, one multiply."""
+    n = vectors.shape[-1].bit_length() - 1
     src, phase = _pauli_action(tuple(op.factors.items()), op.sign, n)
-    return phase * vectors.take(src, axis=1)
+    return phase * vectors.take(src, axis=-1)
 
 
 def _check_targets(targets: Sequence[int], n: int) -> None:
@@ -384,13 +384,11 @@ def apply_unitary(state: State, matrix: np.ndarray,
     return state._from_rows(rows.reshape(state.vectors.shape), state.weights)
 
 
-def _branch_probabilities(rows: np.ndarray,
-                          weights: np.ndarray | None) -> np.ndarray:
+def _branch_probabilities(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_i w_i |row_i|^2 per (branch, outcome) of projected rows
-    (B x L x r x d) under their branches' weights (B x r), or under unit
-    weights when ``weights`` is None: B x L."""
+    (B x L x r x d) under their branches' weights (B x r): B x L."""
     b, l = rows.shape[:2]
-    weighted = rows if weights is None else rows * weights[:, None, :, None]
+    weighted = rows * weights[:, None, :, None]
     return np.vecdot(rows.reshape(b, l, -1), weighted.reshape(b, l, -1)).real
 
 
@@ -452,13 +450,13 @@ def _pauli_branches(state: State, op: PauliString) -> tuple:
     """The +1 and -1 branches of a Pauli product measurement, as labels
     and unnormalized rows (1 x 2 x r x 2^n)."""
     vectors = state.vectors
-    pv = _pauli_rows(vectors, op, state.num_qubits)
+    pv = _pauli_rows(vectors, op)
     rows = np.stack([(vectors + pv) / 2.0, (vectors - pv) / 2.0])
     return (+1, -1), rows[None]
 
 
 def _children(labels: Sequence, rows: np.ndarray, weights: np.ndarray,
-              mode: str, every: str, rng, outcome, unit: bool = False):
+              mode: str, every: str, rng, outcome):
     """The children of a projected stack (rows B x L x r x d, weights
     B x r): for mode == ``every`` each (branch, outcome) above the
     branch floor, parent first and then by label; otherwise the one
@@ -466,11 +464,9 @@ def _children(labels: Sequence, rows: np.ndarray, weights: np.ndarray,
 
     Returns (parents, picks, probabilities, vectors, weights): per
     child its parent branch, outcome index and probability, and the
-    stack of the children's renormalized, compressed rows.  ``unit``
-    says every weight is 1, as in a pure state, which skips the weight
-    product.
+    stack of the children's renormalized, compressed rows.
     """
-    probs = _branch_probabilities(rows, None if unit else weights)
+    probs = _branch_probabilities(rows, weights)
     if mode == every:
         index = np.nonzero(probs > TOL.branch_eps)
         parents, picks = index[0].tolist(), index[1].tolist()
@@ -556,7 +552,7 @@ def measure_pauli(state: State, op: PauliString, mode: str = "sample",
 def expectation(state: State, op: PauliString) -> float:
     """<P> for a signed Pauli product; real and clipped to [-1, 1]."""
     vectors = state.vectors
-    pv = _pauli_rows(vectors, op, state.num_qubits)
+    pv = _pauli_rows(vectors, op)
     val = float(np.vdot(vectors, state.weights[:, None] * pv).real)
     return min(max(val, -1.0), 1.0)   # NaN passes through
 
@@ -564,8 +560,7 @@ def expectation(state: State, op: PauliString) -> float:
 def apply_pauli(state: State, op: PauliString) -> State:
     """Apply a signed Pauli product: P|psi> for a pure state (sign
     included), P rho P for a mixed one; returns the same kind of state."""
-    return state._from_rows(_pauli_rows(state.vectors, op, state.num_qubits),
-                            state.weights)
+    return state._from_rows(_pauli_rows(state.vectors, op), state.weights)
 
 
 def partial_trace(state: State, discard: Iterable[int]) -> DensityMatrix:
@@ -627,8 +622,7 @@ def apply_pauli_channel(state: State, op: PauliString, p: float) -> DensityMatri
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"channel probability {p} out of [0, 1]")
     vectors, weights = state.vectors, state.weights
-    rows = np.concatenate([vectors, _pauli_rows(vectors, op,
-                                                state.num_qubits)])
+    rows = np.concatenate([vectors, _pauli_rows(vectors, op)])
     weights = np.concatenate([(1.0 - p) * weights, p * weights])
     kept = weights != 0.0
     return DensityMatrix._from_rows(rows[kept], weights[kept])
@@ -684,6 +678,11 @@ class PlanStack(NamedTuple):
                                      weights[weights != 0])
                 for vectors, weights in zip(self.vectors, self.weights)]
 
+    def corrected(self, ops: np.ndarray) -> "PlanStack":
+        """Each branch's rows acted on by its operator on ``order``: ops
+        is B x 2^k x 2^k, or one 2^k x 2^k operator for every branch."""
+        return self._replace(vectors=self.vectors @ ops.swapaxes(-1, -2))
+
 
 def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
                mode: str = "enumerate",
@@ -716,7 +715,6 @@ def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
     if len(initial) != len(order):
         raise ValueError(f"order repeats a label: {order}")
     vectors, weights = state.vectors[None], state.weights[None]
-    pure = isinstance(state, PureState)   # one row of weight 1 throughout
     probs = [1.0]
     records = [()]
     for step in plan:
@@ -736,7 +734,7 @@ def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
             labels, rows = _project_out(
                 vectors, [order.index(p) for p in group], basis)
             parents, picks, kept, vectors, weights = _children(
-                labels, rows, weights, mode, "enumerate", rng, None, pure)
+                labels, rows, weights, mode, "enumerate", rng, None)
             label = group if len(group) > 1 else group[0]
             made = [made[b] + (MeasurementRecord(label, basis, labels[i], p),)
                     for b, i, p in zip(parents, picks, kept)]
@@ -750,16 +748,16 @@ def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
                      type(state))
 
 
-def correction_table(stack: PlanStack, keys: Sequence, names: Iterable,
-                     fix: Callable[[PlanStack, list], PlanStack],
+def correction_table(stack: PlanStack, keys: Sequence,
+                     candidates: Mapping[object, np.ndarray],
                      target: PureState) -> dict:
     """Map each branch key to the first correction restoring ``target``.
 
     ``stack`` holds the branches of a lossless walk and ``keys`` one key
-    per branch.  Each candidate correction in ``names`` is tried in turn
-    on every branch at once: ``fix(stack, per_branch_names)`` returns
-    the corrected stack, and a branch still open takes the first
-    candidate whose fidelity sum_i w_i |<target|v_i>|^2 exceeds
+    per branch.  Each operator in ``candidates`` (name -> operator on
+    ``stack.order``) is tried in turn on every branch at once
+    (:meth:`PlanStack.corrected`), and a branch still open takes the
+    first candidate whose fidelity sum_i w_i |<target|v_i>|^2 exceeds
     1 - TOL.atol.  Raises RuntimeError when no candidate restores a
     branch, or when two branches with one key need different
     corrections, at the first such branch in walk order.
@@ -768,8 +766,8 @@ def correction_table(stack: PlanStack, keys: Sequence, names: Iterable,
         raise ValueError(f"qubit count mismatch: {len(stack.order)} vs "
                          f"{target.num_qubits}")
     chosen = [None] * len(keys)
-    for name in names:
-        fixed = fix(stack, [name] * len(keys))
+    for name, op in candidates.items():
+        fixed = stack.corrected(op)
         fids = (fixed.weights
                 * np.abs(fixed.vectors @ target.amplitudes.conj()) ** 2).sum(1)
         for b, fid in enumerate(fids.tolist()):

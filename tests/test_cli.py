@@ -286,3 +286,22 @@ class TestGoldens:
         rc, raw = run(tmp_path, *argv)
         assert rc == 0
         assert raw == (GOLDEN / name).read_bytes()
+
+
+class TestCorrectionGoldens:
+    """Byte-frozen outputs of the two correction paths: the readout with
+    two photons lost, and a noisy connection with one lost.  Kept apart
+    from TestGoldens.CASES, which the benchmark's golden list mirrors."""
+
+    CASES = [
+        ("loss_readout_46.json", ("loss-readout", "--lose", "4,6")),
+        ("connect_loss1_noise075.csv", ("connect", "--loss", "1",
+                                        "--noise", "0.75",
+                                        "--format", "csv")),
+    ]
+
+    @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+    def test_golden(self, tmp_path, name, argv):
+        rc, raw = run(tmp_path, *argv)
+        assert rc == 0
+        assert raw == (GOLDEN / name).read_bytes()

@@ -29,7 +29,12 @@ from qparity.rgs import (
     witness,
 )
 from qparity import sim
-from qparity.shor import LogicalInput, encode_shor
+from qparity.shor import (
+    LogicalInput,
+    decode_readout,
+    encode_shor,
+    readout_correction_table,
+)
 from qparity.sim import (
     DensityMatrix,
     PauliString,
@@ -238,7 +243,16 @@ class TestConnection:
         scen = connect_scenario(0)
         bad = replace(scen, loss=("3'",))
         with pytest.raises(PreconditionError):
-            run_connection(bad, corrections=connection_corrections(scen))
+            run_connection(bad)
+
+    def test_plan_leaving_more_than_the_terminals_rejected(self):
+        """Without the X measurement of 10' the walk leaves three photons;
+        both the derivation and the run refuse it."""
+        bad = replace(connect_scenario(0), name="no-x",
+                      plan=connect_scenario(0).plan[1:])
+        for call in (derive_corrections, run_connection):
+            with pytest.raises(PreconditionError, match="malformed plan"):
+                call(bad)
 
     def test_branch_probability_collapse_pattern(self):
         """Every lossless branch carries probability 1/64."""
@@ -266,6 +280,20 @@ class TestCorrections:
                       for k, v in data["tables"][scen.name].items()}
             assert connection_corrections(scen) == frozen
             assert derive_corrections(scen) == frozen
+
+    def test_cached_tables_are_read_only(self):
+        """Neither cached table can be edited through what a caller gets,
+        so later runs keep their corrections."""
+        with pytest.raises(AttributeError):
+            connection_corrections(connect_scenario(1)).clear()
+        with pytest.raises(TypeError):
+            readout_correction_table()[(1, 1)] = "X"
+        assert readout_correction_table()[(1, 1)] == "I"
+        for b in run_connection(connect_scenario(0)):
+            assert abs(b.witness.fidelity - 1) < 1e-10
+        inp = LogicalInput.from_angles(1.0471975511965976, 0.5)
+        for b in decode_readout(encode_shor(inp)):
+            assert abs(b.fidelity_to(inp) - 1) < 1e-10
 
     def test_tables_do_not_depend_on_loss(self):
         assert connection_corrections(connect_scenario(0)) is \

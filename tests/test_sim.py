@@ -433,6 +433,19 @@ class TestPauliKernel:
                         mixed.weights, np.concatenate(
                             [(1 - p) * state.weights, p * state.weights]))
 
+    def test_rows_of_any_leading_shape(self):
+        """The kernel reads n from the row length and acts on the last
+        axis, whatever the leading shape of the stack."""
+        rng = np.random.default_rng(7)
+        op = PauliString({0: "Y", 2: "X", 3: "Z"}, sign=-1)
+        rows = rng.normal(size=(2, 3, 16)) + 1j * rng.normal(size=(2, 3, 16))
+        got = sim._pauli_rows(rows, op)
+        want = [[-ref.pauli_on_vector(op.factors, row, 4) for row in block]
+                for block in rows]
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_array_equal(sim._pauli_rows(rows[1, 2], op),
+                                      got[1, 2])
+
     def test_expectation_matches_dense_oracle(self):
         rng = np.random.default_rng(6)
         for n in range(1, 9):

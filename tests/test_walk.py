@@ -1,9 +1,9 @@
 """The stacked plan walker against the per-branch walker it replaced
 (``reference.walk_plan_per_branch``): records, branch order, keys,
-probabilities and states, enumerated and sampled; and the correction
-search over the stack against dense per-branch fidelities."""
+probabilities and states, enumerated and sampled; the correction
+search over the stack against dense per-branch fidelities; and the one
+correction step, ``PlanStack.corrected``, against dense products."""
 
-import functools
 import itertools
 import re
 
@@ -16,7 +16,7 @@ from qparity.rgs import (
     _PAULI_PAIRS,
     PHI_PLUS_2Q,
     _branch_tokens,
-    _correct_terminals,
+    _pair_operator,
     bare_loss_scenario,
     connect_scenario,
     connection_corrections,
@@ -24,7 +24,6 @@ from qparity.rgs import (
     run_connection,
 )
 from qparity.shor import (
-    _CORRECTION_OPS,
     _READOUT_PLAN,
     LogicalInput,
     _readout_key,
@@ -87,6 +86,10 @@ def pair_operator(pair, order, terminals):
     """The dense two-qubit operator of a terminal Pauli pair."""
     factors = {order.index(t): ref.PAULI[p] for t, p in zip(terminals, pair)}
     return ref.site_operator(factors, 2)
+
+
+# The readout corrections by name, applied after the leader's Hadamard.
+READOUT_FIXES = {"I": ref.I2, "Z": ref.Z, "X": ref.X, "ZX": ref.Z @ ref.X}
 
 
 class TestEnumeratedWalks:
@@ -157,7 +160,7 @@ class TestEnumeratedWalks:
                                      [[r for step in recs for r in step]])
                 assert res.correction == table[_readout_key(recs)]
                 assert abs(res.probability - prob) < ATOL
-                fix = _CORRECTION_OPS[res.correction] @ ref.H
+                fix = READOUT_FIXES[res.correction] @ ref.H
                 rho = fix @ ref.ensemble_matrix(vecs, weights) @ fix.conj().T
                 np.testing.assert_allclose(res.output.matrix, rho,
                                            atol=ATOL)
@@ -246,19 +249,21 @@ class TestStack:
 
 class TestCorrectionSearch:
     """:func:`qparity.sim.correction_table` on the stacked lossless
-    branches of ``connect``, fixed by the terminal correction that
+    branches of ``connect``, with the terminal pair operators that
     :func:`run_connection` applies."""
 
     @staticmethod
     def lossless_connect():
+        """The scenario, its lossless stack, the branch keys and every
+        Pauli pair's operator on the qubits the walk leaves."""
         scen = connect_scenario(0)
         stack = walk_stack(scen.initial_state(), scen.photon_order(),
                            scen.plan)
         keys = ["|".join(tokens)
                 for tokens in _branch_tokens(scen.plan, stack.records)]
-        fix = functools.partial(_correct_terminals,
-                                terminals=scen.terminals)
-        return scen, stack, keys, fix
+        swapped = stack.order != scen.terminals
+        ops = {pair: _pair_operator(pair, swapped) for pair in _PAULI_PAIRS}
+        return scen, stack, keys, ops
 
     # II, XX, YY and ZZ all fix |phi+>: with them first, a branch is
     # restored by several candidates before every branch is.
@@ -267,8 +272,10 @@ class TestCorrectionSearch:
 
     @pytest.mark.parametrize("names", CANDIDATES, ids=["IXYZ", "equal-first"])
     def test_each_branch_takes_the_first_restoring_pair(self, names):
-        scen, stack, keys, fix = self.lossless_connect()
-        table = correction_table(stack, keys, names, fix, PHI_PLUS_2Q)
+        scen, stack, keys, ops = self.lossless_connect()
+        table = correction_table(stack, keys,
+                                 {pair: ops[pair] for pair in names},
+                                 PHI_PLUS_2Q)
         phi = PHI_PLUS_2Q.amplitudes
         for key, state in zip(keys, stack.states()):
             rho = matrix(state)
@@ -282,36 +289,86 @@ class TestCorrectionSearch:
     def test_no_candidate_restores_a_branch(self):
         """|00> is no Pauli pair away from any branch (fidelity at most
         1/2), so the first branch raises."""
-        _, stack, keys, fix = self.lossless_connect()
+        _, stack, keys, ops = self.lossless_connect()
         product = PureState(np.array([1, 0, 0, 0]))
         with pytest.raises(RuntimeError, match=re.escape(
                 f"no correction restores branch {keys[0]!r}")):
-            correction_table(stack, keys, _PAULI_PAIRS, fix, product)
+            correction_table(stack, keys, ops, product)
 
     def test_too_few_candidates_leave_a_branch_open(self):
-        _, stack, keys, fix = self.lossless_connect()
-        table = correction_table(stack, keys, _PAULI_PAIRS, fix, PHI_PLUS_2Q)
+        _, stack, keys, ops = self.lossless_connect()
+        table = correction_table(stack, keys, ops, PHI_PLUS_2Q)
         open_key = next(k for k in keys if table[k] != ("I", "I"))
         with pytest.raises(RuntimeError, match=re.escape(
                 f"no correction restores branch {open_key!r}")):
-            correction_table(stack, keys, [("I", "I")], fix, PHI_PLUS_2Q)
+            correction_table(stack, keys, {("I", "I"): ops["I", "I"]},
+                             PHI_PLUS_2Q)
 
     def test_keys_merging_different_corrections_are_inconsistent(self):
         """Without the last BSM outcome in the key, branches needing
         different corrections share one key; the first branch that
         disagrees with an earlier one of its key raises."""
-        _, stack, keys, fix = self.lossless_connect()
-        table = correction_table(stack, keys, _PAULI_PAIRS, fix, PHI_PLUS_2Q)
+        _, stack, keys, ops = self.lossless_connect()
+        table = correction_table(stack, keys, ops, PHI_PLUS_2Q)
         merged = [key.rsplit("|", 1)[0] for key in keys]
         seen = {}
         clash = next(m for key, m in zip(keys, merged)
                      if seen.setdefault(m, table[key]) != table[key])
         with pytest.raises(RuntimeError, match=re.escape(
                 f"correction table is inconsistent at {clash!r}")):
-            correction_table(stack, merged, _PAULI_PAIRS, fix, PHI_PLUS_2Q)
+            correction_table(stack, merged, ops, PHI_PLUS_2Q)
 
     def test_target_must_match_the_branch_qubits(self):
-        _, stack, keys, fix = self.lossless_connect()
+        _, stack, keys, ops = self.lossless_connect()
         with pytest.raises(ValueError, match="qubit count mismatch"):
-            correction_table(stack, keys, _PAULI_PAIRS, fix,
-                             PureState(np.array([1, 0])))
+            correction_table(stack, keys, ops, PureState(np.array([1, 0])))
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_pair_operators_are_read_only_reference_products(self, swapped):
+        """Each cached pair operator is the reference Kronecker product
+        with the left terminal's Pauli on its qubit of the walk's order."""
+        terminals = ("1'", "9'")
+        order = terminals[::-1] if swapped else terminals
+        for pair in _PAULI_PAIRS:
+            op = _pair_operator(pair, swapped)
+            np.testing.assert_array_equal(
+                op, pair_operator(pair, order, terminals))
+            assert op is _pair_operator(pair, swapped)
+            with pytest.raises(ValueError):
+                op[0, 0] = 0
+
+
+class TestCorrected:
+    """:meth:`PlanStack.corrected` against each branch's dense product."""
+
+    @staticmethod
+    def noisy_stack():
+        """The branches of a noisy lossy connect walk, two rows each."""
+        _, state, order = walk_input(connect_scenario(1), 0.741)
+        return walk_stack(state, order, connect_scenario(1).plan)
+
+    def test_each_branch_takes_its_own_operator(self):
+        stack = self.noisy_stack()
+        rng = np.random.default_rng(17)
+        ops = (rng.normal(size=(len(stack.vectors), 4, 4))
+               + 1j * rng.normal(size=(len(stack.vectors), 4, 4)))
+        fixed = stack.corrected(ops)
+        assert fixed.order == stack.order and fixed.kind is stack.kind
+        assert fixed.probabilities == stack.probabilities
+        np.testing.assert_array_equal(fixed.weights, stack.weights)
+        for got, rows, weights, op in zip(fixed.vectors, stack.vectors,
+                                          stack.weights, ops):
+            np.testing.assert_allclose(
+                ref.ensemble_matrix(got, weights),
+                op @ ref.ensemble_matrix(rows, weights) @ op.conj().T,
+                atol=ATOL)
+
+    def test_one_operator_acts_on_every_branch(self):
+        stack = self.noisy_stack()
+        op = np.kron(ref.H, ref.Y)
+        shared = stack.corrected(op).vectors
+        np.testing.assert_allclose(
+            shared, stack.corrected(np.array([op] * len(stack.vectors)))
+            .vectors, atol=ATOL)
+        for got, rows in zip(shared, stack.vectors):
+            np.testing.assert_allclose(got, (op @ rows.T).T, atol=ATOL)
