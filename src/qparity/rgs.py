@@ -38,6 +38,7 @@ from .shor import LogicalInput, encode_qpc
 from .sim import (
     CNOT,
     H,
+    MAX_QUBITS,
     PAULI,
     PauliString,
     PlanStack,
@@ -109,9 +110,9 @@ class RgsSpec:
 
     def __post_init__(self):
         if self.kind not in ("bare", "partial", "encoded"):
-            raise ValueError(f"unknown RGS kind {self.kind!r}")
+            raise ConfigError(f"unknown RGS kind {self.kind!r}")
         if self.kind == "bare" and self.m != 1:
-            raise ValueError("bare RGS has m = 1")
+            raise ConfigError("bare RGS has m = 1")
 
     def build(self) -> PureState:
         if self.kind == "bare":
@@ -150,30 +151,38 @@ class Scenario:
     def _validate(self):
         order = self.photon_order()
         if len(set(order)) != len(order):
-            raise ValueError("photon labels are not unique")
+            raise ConfigError("photon labels are not unique")
+        if len(order) > MAX_QUBITS:
+            raise ConfigError(f"scenario holds {len(order)} photons, the "
+                              f"state cap is {MAX_QUBITS} qubits")
         grouped = [p for g in self.rgs_groups for p in g]
         if sorted(grouped) != sorted(self.rgs_order):
-            raise ValueError("rgs_groups must partition rgs_order")
+            raise ConfigError("rgs_groups must partition rgs_order")
         interfaces = {i for _, i in self.channels}
         rgs = set(self.rgs_order)
         known = set(order)
         for lost in self.loss:
             if lost not in rgs:
-                raise ValueError(f"lost photon {lost!r} is not an RGS photon")
+                raise ConfigError(f"lost photon {lost!r} is not an RGS photon")
         for step in self.plan:
             for p in step.photons:
                 if p not in known:
-                    raise ValueError(f"plan references unknown photon {p!r}")
+                    raise ConfigError(f"plan references unknown photon {p!r}")
             if step.op == "bsm":
                 a, b = step.photons
                 if not ((a in interfaces and b in rgs)
                         or (b in interfaces and a in rgs)):
-                    raise ValueError(f"bsm {step.photons} must pair a channel "
-                                     "interface with an RGS photon")
+                    raise ConfigError(f"bsm {step.photons} must pair a "
+                                      "channel interface with an RGS photon")
+        if len(self.terminals) != 2 or len(set(self.terminals)) != 2:
+            raise ConfigError("a connection needs two distinct terminals, "
+                              f"got {self.terminals}")
         channel_terminals = {term for term, _ in self.channels}
         for t in self.terminals:
             if t not in channel_terminals and t not in rgs:
-                raise ValueError(f"terminal {t!r} unknown")
+                raise ConfigError(f"terminal {t!r} unknown")
+            if t in self.loss:
+                raise ConfigError(f"terminal {t!r} is lost")
 
     def photon_order(self) -> tuple:
         order = []
@@ -183,13 +192,9 @@ class Scenario:
         return tuple(order)
 
     def initial_state(self) -> PureState:
-        amps = None
-        bell = PHI_PLUS_2Q.amplitudes
-        for _ in self.channels:
-            amps = bell if amps is None else np.kron(amps, bell)
-        rgs_amps = self.rgs.build().amplitudes
-        amps = rgs_amps if amps is None else np.kron(amps, rgs_amps)
-        return PureState(amps)
+        """|phi+> per channel, left to right, then the RGS; one shared,
+        read-only state per (RGS spec, channel count)."""
+        return _initial_state(self.rgs, len(self.channels))
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -197,6 +202,20 @@ class Scenario:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scenario":
         return cls(**{**data, "rgs": RgsSpec(**data["rgs"])})
+
+
+@lru_cache(maxsize=16)
+def _initial_state(rgs: RgsSpec, channels: int) -> PureState:
+    amps = None
+    bell = PHI_PLUS_2Q.amplitudes
+    for _ in range(channels):
+        amps = bell if amps is None else np.kron(amps, bell)
+    rgs_amps = rgs.build().amplitudes
+    amps = rgs_amps if amps is None else np.kron(amps, rgs_amps)
+    state = PureState(amps)
+    state.vectors.flags.writeable = False
+    state.weights.flags.writeable = False
+    return state
 
 
 _C4 = ("4'", "5'", "6'")

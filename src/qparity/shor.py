@@ -281,8 +281,8 @@ def measure_syndromes(state: State, mode: str = "expectation",
     if mode == "sample":
         values = []
         for g in gens:
-            (outcome, _), state = measure_pauli(state, g, mode="sample",
-                                                rng=rng)
+            outcome, _, state = measure_pauli(state, g, mode="sample",
+                                              rng=rng)
             values.append(outcome)
         return SyndromeRecord(tuple(values), layout), state
     raise ValueError(f"unknown mode {mode!r}")

@@ -23,6 +23,11 @@ Stochastic operations draw from a caller-supplied
 because every draw happens in documented call order: each sampled
 measurement makes exactly one draw.
 
+Every measurement of one state (:func:`measure_pauli`, :func:`measure`,
+:func:`measure_out`) returns ``(outcome, probability, state)``: one
+triple in mode "sample" or "forced", and in mode "enumerate" the list
+of realizable triples in label order.
+
 The measurement-plan walker (:func:`walk_stack`) and the correction
 search (:func:`correction_table`) shared by the Shor readout and the
 RGS connection protocol live here too.  The walker's unit of work is a
@@ -436,7 +441,8 @@ def _project_out(vectors: np.ndarray, targets: Sequence[int],
     if k >= n:
         raise ValueError("cannot remove every qubit")
     if basis not in _BRAS or _BRAS[basis][1].shape[1] != 2 ** k:
-        raise ValueError(f"basis must be X, Y or Z, got {basis!r}")
+        raise ValueError(f"basis {basis!r} does not fit {k} target(s): "
+                         "X, Y and Z measure one qubit, 'bell' a pair")
     labels, bras = _BRAS[basis]
     rest = [2 + q for q in range(n) if q not in targets]
     psi = vectors.reshape([len(vectors), -1] + [2] * n).transpose(
@@ -446,28 +452,19 @@ def _project_out(vectors: np.ndarray, targets: Sequence[int],
     return labels, rows.reshape(len(vectors), len(labels), -1, 2 ** (n - k))
 
 
-def _pauli_branches(state: State, op: PauliString) -> tuple:
-    """The +1 and -1 branches of a Pauli product measurement, as labels
-    and unnormalized rows (1 x 2 x r x 2^n)."""
-    vectors = state.vectors
-    pv = _pauli_rows(vectors, op)
-    rows = np.stack([(vectors + pv) / 2.0, (vectors - pv) / 2.0])
-    return (+1, -1), rows[None]
-
-
 def _children(labels: Sequence, rows: np.ndarray, weights: np.ndarray,
-              mode: str, every: str, rng, outcome):
+              mode: str, rng, outcome):
     """The children of a projected stack (rows B x L x r x d, weights
-    B x r): for mode == ``every`` each (branch, outcome) above the
-    branch floor, parent first and then by label; otherwise the one
-    outcome :func:`_select` keeps of the stack's single branch.
+    B x r): for mode="enumerate" each (branch, outcome) above the branch
+    floor, parent first and then by label; otherwise the one outcome
+    :func:`_select` keeps of the stack's single branch.
 
     Returns (parents, picks, probabilities, vectors, weights): per
     child its parent branch, outcome index and probability, and the
     stack of the children's renormalized, compressed rows.
     """
     probs = _branch_probabilities(rows, weights)
-    if mode == every:
+    if mode == "enumerate":
         index = np.nonzero(probs > TOL.branch_eps)
         parents, picks = index[0].tolist(), index[1].tolist()
     else:
@@ -480,54 +477,42 @@ def _children(labels: Sequence, rows: np.ndarray, weights: np.ndarray,
 
 
 def _outcomes(state: State, labels: Sequence, rows: np.ndarray, mode: str,
-              every: str, rng, outcome) -> list:
-    """(outcome, probability, state) of a one-state projection: every
-    outcome above the branch floor for mode == ``every``, else the one
-    :func:`_select` keeps."""
+              rng, outcome):
+    """(outcome, probability, state) of a one-state projection: the list
+    of every outcome above the branch floor, in label order, for
+    mode="enumerate", else the one triple :func:`_select` keeps."""
     _, picks, probs, vectors, weights = _children(
-        labels, rows, state.weights[None], mode, every, rng, outcome)
-    return [(labels[i], p, state._from_rows(v, w))
-            for i, p, v, w in zip(picks, probs, vectors, weights)]
-
-
-def _recorded(state: State, qubit: int, basis: str, branches: tuple,
-              mode: str, rng, outcome):
-    """Single-qubit results, with MeasurementRecord in place of
-    (outcome, probability)."""
-    results = [(MeasurementRecord(qubit, basis, o, p), st) for o, p, st in
-               _outcomes(state, *branches, mode, "distribution", rng,
-                         outcome)]
-    return results if mode == "distribution" else results[0]
+        labels, rows, state.weights[None], mode, rng, outcome)
+    results = [(labels[i], p, state._from_rows(v, w))
+               for i, p, v, w in zip(picks, probs, vectors, weights)]
+    return results if mode == "enumerate" else results[0]
 
 
 def measure(state: State, qubit: int, basis: str = "Z", mode: str = "sample",
             rng: np.random.Generator | None = None,
             outcome: int | None = None):
-    """Projective single-qubit measurement.
-
-    mode="sample" draws the outcome from ``rng``; mode="forced" collapses
-    onto the requested ``outcome``; mode="distribution" returns every
-    realizable branch.  Sample/forced return
-    ``(MeasurementRecord, collapsed_state)``; distribution returns a list
-    of such pairs whose probabilities sum to 1.
-    """
+    """Projective single-qubit measurement in basis X, Y or Z: the
+    :func:`measure_pauli` of that one-letter Pauli, with its modes and
+    ``(outcome, probability, collapsed_state)`` triples."""
     _check_targets([qubit], state.num_qubits)
-    branches = _pauli_branches(state, PauliString({qubit: basis}))
-    return _recorded(state, qubit, basis, branches, mode, rng, outcome)
+    return measure_pauli(state, PauliString({qubit: basis}), mode, rng,
+                         outcome)
 
 
-def measure_out(state: State, qubit: int, basis: str = "Z",
+def measure_out(state: State, qubits: Sequence[int], basis: str = "Z",
                 mode: str = "sample",
                 rng: np.random.Generator | None = None,
-                outcome: int | None = None):
-    """Measure a qubit and remove it from the state.
+                outcome=None):
+    """Measure the given qubits and remove them from the state.
 
-    Same conventions as :func:`measure`, but the collapsed qubit is
-    contracted away, so the returned states have one qubit fewer (the
-    rest keep their relative order).  The state must hold >= 2 qubits.
+    ``basis`` is X, Y or Z for one qubit (outcomes +1, -1) or "bell" for
+    a pair (outcomes "phi+", "phi-", "psi+", "psi-"); any other basis,
+    or one that does not fit the number of qubits, raises ValueError.
+    Same modes and triples as :func:`measure_pauli`, but the returned
+    states have the measured qubits contracted away (the rest keep
+    their relative order), so at least one qubit must remain.
     """
-    return _recorded(state, qubit, basis,
-                     _project_out(state.vectors[None], [qubit], basis),
+    return _outcomes(state, *_project_out(state.vectors[None], qubits, basis),
                      mode, rng, outcome)
 
 
@@ -536,17 +521,17 @@ def measure_pauli(state: State, op: PauliString, mode: str = "sample",
                   outcome: int | None = None):
     """Projective measurement of a +-1-valued Pauli product.
 
-    Same modes as :func:`measure`, with the outcome s = +-1 and its
-    probability p in place of MeasurementRecord: sample/forced return
-    ``((s, p), collapsed_state)``; distribution returns a list of
-    ``(s, p, collapsed_state)`` triples whose probabilities sum to 1.
+    mode="sample" draws the outcome s = +-1 from ``rng`` (exactly one
+    uniform); mode="forced" collapses onto the requested ``outcome``.
+    Both return one ``(s, probability, collapsed_state)`` triple;
+    mode="enumerate" returns the list of realizable triples in label
+    order (+1 first), whose probabilities sum to 1.  The branches are
+    the rows (v +- P v) / 2, one stack of 1 x 2 x r x 2^n.
     """
-    results = _outcomes(state, *_pauli_branches(state, op), mode,
-                        "distribution", rng, outcome)
-    if mode == "distribution":
-        return results
-    s, p, st = results[0]
-    return (s, p), st
+    vectors = state.vectors
+    pv = _pauli_rows(vectors, op)
+    rows = np.stack([(vectors + pv) / 2.0, (vectors - pv) / 2.0])
+    return _outcomes(state, (+1, -1), rows[None], mode, rng, outcome)
 
 
 def expectation(state: State, op: PauliString) -> float:
@@ -584,22 +569,6 @@ def partial_trace(state: State, discard: Iterable[int]) -> DensityMatrix:
     weights = np.repeat(state.weights, 2 ** len(disc))
     nonzero = rows.any(axis=1)
     return DensityMatrix._from_rows(rows[nonzero], weights[nonzero])
-
-
-def bell_project(state: State, qa: int, qb: int, mode: str = "sample",
-                 rng: np.random.Generator | None = None,
-                 outcome: str | None = None):
-    """Project qubits (qa, qb) onto the Bell basis and remove them.
-
-    Outcomes are labelled "phi+", "phi-", "psi+", "psi-".  Sample/forced
-    return ``(label, probability, collapsed_state)``; mode="enumerate"
-    returns the list of realizable branches in label order.  Remaining
-    qubits keep their original relative order.
-    """
-    results = _outcomes(state, *_project_out(state.vectors[None], [qa, qb],
-                                             "bell"),
-                        mode, "enumerate", rng, outcome)
-    return results if mode == "enumerate" else results[0]
 
 
 def fidelity(state: State, target: PureState) -> float:
@@ -734,7 +703,7 @@ def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
             labels, rows = _project_out(
                 vectors, [order.index(p) for p in group], basis)
             parents, picks, kept, vectors, weights = _children(
-                labels, rows, weights, mode, "enumerate", rng, None)
+                labels, rows, weights, mode, rng, None)
             label = group if len(group) > 1 else group[0]
             made = [made[b] + (MeasurementRecord(label, basis, labels[i], p),)
                     for b, i, p in zip(parents, picks, kept)]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from qparity.errors import ConditionViolation, PreconditionError
+from qparity.errors import ConditionViolation, ConfigError, PreconditionError
 from qparity.rgs import (
     PlanStep,
     RgsSpec,
@@ -199,10 +199,45 @@ class TestScenario:
         bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
         want = np.kron(np.kron(bell, np.kron(bell,
                        build_partial_encoded(3).amplitudes)), [1])
+        np.testing.assert_allclose(state.amplitudes, want, atol=1e-15)
         # channels are listed (left, right) around the RGS in photon order
         order = scen.photon_order()
         assert order == ("1'", "2'", "9'", "8'", "3'", "10'", "7'",
                          "4'", "5'", "6'")
+
+    def test_initial_state_is_cached_and_read_only(self):
+        state = connect_scenario(1).initial_state()
+        assert connect_scenario(0).initial_state() is state
+        assert encoded_loss_scenario(0).initial_state() is not state
+        for array in (state.vectors, state.weights):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    @pytest.mark.parametrize("terminals", [("1'", "9'", "10'"),
+                                           ("1'", "1'"), ("1'",)])
+    def test_two_distinct_terminals_required(self, terminals):
+        with pytest.raises(ConfigError, match="two distinct terminals"):
+            replace(connect_scenario(0), terminals=terminals,
+                    plan=connect_scenario(0).plan[1:])
+
+    @pytest.mark.parametrize("loss", [("1'",), ("9'",), ("1'", "9'")])
+    def test_lost_terminal_rejected(self, loss):
+        with pytest.raises(ConfigError, match="terminal .* is lost"):
+            replace(encoded_loss_scenario(0), loss=loss)
+
+    def test_state_above_the_cap_rejected(self):
+        scen = connect_scenario(0)
+        block = ("4'", "5'", "6'", "11'", "12'", "13'")
+        with pytest.raises(ConfigError, match="13 photons"):
+            replace(scen, rgs=RgsSpec("partial", 4, 6),
+                    rgs_order=("3'", "10'", "7'") + block,
+                    rgs_groups=(("3'",), ("10'",), ("7'",), block))
+
+    def test_bad_rgs_spec_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            RgsSpec("ring", 4, 3)
+        with pytest.raises(ConfigError):
+            RgsSpec("bare", 4, 2)
 
 
 class TestConnection:

@@ -31,7 +31,6 @@ from qparity.sim import (
     apply_pauli,
     apply_pauli_channel,
     apply_unitary,
-    bell_project,
     expectation,
     fidelity,
     make_basis_state,
@@ -148,21 +147,21 @@ class TestApplyUnitary:
 class TestMeasure:
     def test_plus_in_x_is_deterministic(self):
         s = apply_unitary(make_basis_state(1), H, [0])
-        branches = measure(s, 0, "X", mode="distribution")
+        branches = measure(s, 0, "X", mode="enumerate")
         assert len(branches) == 1
-        rec, _ = branches[0]
-        assert rec.outcome == +1 and abs(rec.probability - 1) < 1e-10
+        outcome, p, _ = branches[0]
+        assert outcome == +1 and abs(p - 1) < 1e-10
 
     def test_zero_in_x_is_even(self):
-        branches = measure(make_basis_state(1), 0, "X", mode="distribution")
-        probs = {rec.outcome: rec.probability for rec, _ in branches}
+        branches = measure(make_basis_state(1), 0, "X", mode="enumerate")
+        probs = {outcome: p for outcome, p, _ in branches}
         assert abs(probs[+1] - 0.5) < 1e-10
         assert abs(probs[-1] - 0.5) < 1e-10
 
     def test_ghz_forced_collapse(self):
         ghz = PureState(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2))
-        rec, post = measure(ghz, 0, "Z", mode="forced", outcome=+1)
-        assert abs(rec.probability - 0.5) < 1e-10
+        outcome, p, post = measure(ghz, 0, "Z", mode="forced", outcome=+1)
+        assert outcome == +1 and abs(p - 0.5) < 1e-10
         assert np.allclose(post.amplitudes, [1, 0, 0, 0, 0, 0, 0, 0])
 
     def test_forced_impossible_outcome(self):
@@ -173,62 +172,82 @@ class TestMeasure:
         for seed in range(4):
             state = random_state(4, seed)
             for basis in ("X", "Y", "Z"):
-                branches = measure(state, seed % 4, basis,
-                                   mode="distribution")
-                assert abs(sum(r.probability for r, _ in branches) - 1) < 1e-10
+                branches = measure(state, seed % 4, basis, mode="enumerate")
+                assert abs(sum(p for _, p, _ in branches) - 1) < 1e-10
 
     def test_sampling_reproducible(self):
         state = random_state(4, 5)
         a = [measure(state, 1, "Z", mode="sample",
-                     rng=np.random.default_rng(42))[0].outcome
+                     rng=np.random.default_rng(42))[0]
              for _ in range(10)]
         b = [measure(state, 1, "Z", mode="sample",
-                     rng=np.random.default_rng(42))[0].outcome
+                     rng=np.random.default_rng(42))[0]
              for _ in range(10)]
         assert a == b
 
     def test_measure_out_matches_measure(self):
         state = random_state(5, 11)
-        kept = measure(state, 2, "Y", mode="distribution")
-        removed = measure_out(state, 2, "Y", mode="distribution")
+        kept = measure(state, 2, "Y", mode="enumerate")
+        removed = measure_out(state, [2], "Y", mode="enumerate")
         assert len(kept) == len(removed)
-        for (rk, sk), (rr, sr) in zip(kept, removed):
-            assert rk.outcome == rr.outcome
-            assert abs(rk.probability - rr.probability) < 1e-12
-            reduced = partial_trace(sk, [2])
+        for (o1, p1, s1), (o2, p2, s2) in zip(kept, removed):
+            assert o1 == o2
+            assert abs(p1 - p2) < 1e-12
+            reduced = partial_trace(s1, [2])
             np.testing.assert_allclose(reduced.matrix,
-                                       sr.to_density().matrix, atol=1e-10)
+                                       s2.to_density().matrix, atol=1e-10)
 
     @pytest.mark.parametrize("basis", ["X", "Y", "Z"])
     def test_density_collapse_matches_oracle(self, basis):
         rho = random_state(3, 17).to_density()
         columns = {"Z": [[1, 0], [0, 1]], "X": [[1, 1], [1, -1]],
                    "Y": [[1, 1], [1j, -1j]]}
-        for rec, post in measure(rho, 1, basis, mode="distribution"):
-            col = (1 - rec.outcome) // 2
+        for outcome, p, post in measure(rho, 1, basis, mode="enumerate"):
+            col = (1 - outcome) // 2
             v = np.array(columns[basis], dtype=complex)[:, col]
             v = v / np.linalg.norm(v)
             proj = ref.site_operator({1: np.outer(v, v.conj())}, 3)
             want = proj @ rho.matrix @ proj
-            assert abs(np.trace(want).real - rec.probability) < 1e-12
-            np.testing.assert_allclose(post.matrix,
-                                       want / rec.probability, atol=1e-12)
+            assert abs(np.trace(want).real - p) < 1e-12
+            np.testing.assert_allclose(post.matrix, want / p, atol=1e-12)
 
     @pytest.mark.parametrize("basis", ["bell", "Q"])
     def test_measure_out_rejects_other_bases(self, basis):
-        with pytest.raises(ValueError, match="basis must be X, Y or Z"):
-            measure_out(make_basis_state(3), 0, basis, mode="distribution")
+        with pytest.raises(ValueError, match=f"basis '{basis}' does not fit "
+                                             "1 target"):
+            measure_out(make_basis_state(3), [0], basis, mode="enumerate")
+
+    def test_measure_out_basis_must_fit_the_targets(self):
+        """"bell" takes a pair and X, Y, Z one qubit; the message names the
+        basis and the target count."""
+        state = make_basis_state(3)
+        with pytest.raises(ValueError,
+                           match="basis 'bell' does not fit 1 target"):
+            measure_out(state, [1], "bell")
+        for basis in "XYZ":
+            with pytest.raises(ValueError,
+                               match=f"basis '{basis}' does not fit 2 target"):
+                measure_out(state, [0, 2], basis, mode="enumerate")
+
+    def test_distribution_mode_is_unknown(self):
+        state = random_state(3, 8)
+        for call in (lambda mode: measure(state, 0, "X", mode=mode),
+                     lambda mode: measure_out(state, [0], "X", mode=mode),
+                     lambda mode: measure_pauli(
+                         state, PauliString({0: "Z", 1: "X"}), mode=mode)):
+            with pytest.raises(ValueError, match="unknown measurement mode"):
+                call("distribution")
 
     def test_measure_pauli_product(self):
         ghz = PureState(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2))
         op = PauliString({0: "Z", 1: "Z"})
-        branches = measure_pauli(ghz, op, mode="distribution")
+        branches = measure_pauli(ghz, op, mode="enumerate")
         assert len(branches) == 1 and branches[0][0] == +1
         op = PauliString({0: "X", 1: "X", 2: "X"})
         assert abs(expectation(ghz, op) - 1) < 1e-10  # XXX stabilizes GHZ
-        (outcome, p), post = measure_pauli(make_basis_state(3), op,
-                                           mode="forced", outcome=-1)
-        assert abs(p - 0.5) < 1e-10
+        outcome, p, post = measure_pauli(make_basis_state(3), op,
+                                         mode="forced", outcome=-1)
+        assert outcome == -1 and abs(p - 0.5) < 1e-10
         assert abs(expectation(post, op) + 1) < 1e-10
 
 
@@ -304,12 +323,13 @@ class TestPartialTrace:
 class TestBellProject:
     def test_bell_pair_is_phi_plus(self):
         big = PureState(np.kron(bell_pair().amplitudes, [1, 0]))
-        label, p, _ = bell_project(big, 0, 1, mode="forced", outcome="phi+")
+        label, p, _ = measure_out(big, (0, 1), "bell", mode="forced",
+                                  outcome="phi+")
         assert label == "phi+" and abs(p - 1) < 1e-10
 
     def test_product_zero_splits_evenly(self):
         s = make_basis_state(3)
-        branches = bell_project(s, 0, 1, mode="enumerate")
+        branches = measure_out(s, (0, 1), "bell", mode="enumerate")
         got = {label: p for label, p, _ in branches}
         assert set(got) == {"phi+", "phi-"}
         assert abs(got["phi+"] - 0.5) < 1e-10
@@ -318,7 +338,7 @@ class TestBellProject:
         for seed in range(4):
             n = 4
             state = random_state(n, 60 + seed)
-            branches = bell_project(state, 1, 3, mode="enumerate")
+            branches = measure_out(state, (1, 3), "bell", mode="enumerate")
             got = {label: p for label, p, _ in branches}
             for label in BELL_LABELS:
                 proj = ref.bell_projector(label, 1, 3, n)
@@ -331,7 +351,7 @@ class TestBellProject:
         qubits in the Bell state matching the outcome."""
         chain = PureState(np.kron(bell_pair().amplitudes,
                                   bell_pair().amplitudes))
-        branches = bell_project(chain, 1, 2, mode="enumerate")
+        branches = measure_out(chain, (1, 2), "bell", mode="enumerate")
         assert len(branches) == 4
         for label, p, rest in branches:
             assert abs(p - 0.25) < 1e-10
@@ -341,9 +361,9 @@ class TestBellProject:
 
     def test_density_matrix_branch_agrees_with_pure(self):
         state = random_state(4, 77)
-        pure_branches = bell_project(state, 0, 2, mode="enumerate")
-        dm_branches = bell_project(state.to_density(), 0, 2,
-                                   mode="enumerate")
+        pure_branches = measure_out(state, (0, 2), "bell", mode="enumerate")
+        dm_branches = measure_out(state.to_density(), (0, 2), "bell",
+                                  mode="enumerate")
         for (l1, p1, s1), (l2, p2, s2) in zip(pure_branches, dm_branches):
             assert l1 == l2
             assert abs(p1 - p2) < 1e-10
@@ -463,7 +483,7 @@ class TestPauliKernel:
         for call in (lambda: apply_pauli(state, op),
                      lambda: apply_pauli_channel(state, op, 0.5),
                      lambda: expectation(state, op),
-                     lambda: measure_pauli(state, op, mode="distribution")):
+                     lambda: measure_pauli(state, op, mode="enumerate")):
             with pytest.raises(PreconditionError):
                 call()
 
@@ -500,10 +520,11 @@ class TestSampleDraws:
 
     CALLS = {
         "measure": lambda st, rng: measure(st, 1, "X", rng=rng),
-        "measure_out": lambda st, rng: measure_out(st, 1, "Y", rng=rng),
+        "measure_out": lambda st, rng: measure_out(st, [1], "Y", rng=rng),
         "measure_pauli": lambda st, rng: measure_pauli(
             st, PauliString({0: "Z", 2: "X"}), rng=rng),
-        "bell_project": lambda st, rng: bell_project(st, 0, 2, rng=rng),
+        "measure_out_bell": lambda st, rng: measure_out(st, (0, 2), "bell",
+                                                        rng=rng),
     }
 
     @pytest.mark.parametrize("density", [False, True])
@@ -618,7 +639,7 @@ class TestEnsembleOracle:
                 st.to_density().matrix, reduce(post) if reduce else post,
                 atol=self.ATOL)
 
-    def test_measurements_in_distribution_mode(self):
+    def test_measurements_in_enumerate_mode(self):
         columns = {"Z": [[1, 0], [0, 1]], "X": [[1, 1], [1, -1]],
                    "Y": [[1, 1], [1j, -1j]]}
         for case, (n, rank, negative) in enumerate(ensemble_cases()):
@@ -638,21 +659,15 @@ class TestEnsembleOracle:
             pauli = ref.pauli_matrix(factors, n)
             eye = np.eye(2 ** n)
             self.assert_branches(
-                measure_pauli(state, PauliString(factors),
-                              mode="distribution"),
+                measure_pauli(state, PauliString(factors), mode="enumerate"),
                 {+1: (eye + pauli) / 2, -1: (eye - pauli) / 2}, mat)
-            if negative:
-                continue  # records need probabilities in [0, 1]
-            self.assert_branches(
-                [(r.outcome, r.probability, st) for r, st in
-                 measure(state, q, basis, mode="distribution")],
-                projectors, mat)
+            self.assert_branches(measure(state, q, basis, mode="enumerate"),
+                                 projectors, mat)
             if n < 2:
                 continue
             keep = [k for k in range(n) if k != q]
             self.assert_branches(
-                [(r.outcome, r.probability, st) for r, st in
-                 measure_out(state, q, basis, mode="distribution")],
+                measure_out(state, [q], basis, mode="enumerate"),
                 projectors, mat,
                 reduce=lambda m: ref.partial_trace_dense(m, keep, n))
             if n < 3:
@@ -660,7 +675,7 @@ class TestEnsembleOracle:
             qa, qb = (int(x) for x in rng.choice(n, size=2, replace=False))
             keep = [k for k in range(n) if k not in (qa, qb)]
             self.assert_branches(
-                bell_project(state, qa, qb, mode="enumerate"),
+                measure_out(state, (qa, qb), "bell", mode="enumerate"),
                 {label: ref.bell_projector(label, qa, qb, n)
                  for label in BELL_LABELS}, mat,
                 reduce=lambda m: ref.partial_trace_dense(m, keep, n))
@@ -704,7 +719,7 @@ class TestMemoryAtTheCap:
             lossy = partial_trace(noisy, [11])
             kept = [s for s in stabilizers(layout) if 11 not in s.factors]
             values += [expectation(lossy, s) for s in kept]
-            branches = measure_out(lossy, 0, "X", mode="distribution")
+            branches = measure_out(lossy, [0], "X", mode="enumerate")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
