@@ -316,14 +316,14 @@ def cmd_photonics_rate(args) -> None:
         payload["monte_carlo"] = {"pulses": args.shots, "seed": args.seed,
                                   "rate_hz": est, "rate_se_hz": se}
     if noise is not None:
-        inp = LogicalInput.from_angles(math.pi / 2, 0.0)
-        rho = encode_shor_noisy(inp, noise)
-        snr = snr_hv(rho, encode_shor(inp))
+        ideal = encode_shor(LogicalInput.from_angles(math.pi / 2, 0.0))
+        sites = shor_encoder_sites()
+        snr = snr_hv(apply_visibility_noise(ideal, sites, noise), ideal)
         payload["noise"] = {
             "visibility": noise,
             "snr_hv": "clean" if math.isinf(snr) else snr,
             "block_fidelity": noisy_block_fidelity(noise),
-            "interference_sites": [s.label() for s in shor_encoder_sites()],
+            "interference_sites": [s.label() for s in sites],
         }
     _emit(_write_json(payload), args.out)
 

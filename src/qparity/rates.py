@@ -24,8 +24,8 @@ least one Bell measurement per side must succeed.
 The Monte-Carlo samplers draw every photon's arrival and every Bell
 measurement explicitly, so their estimates are independent of the
 closed forms.  Their per-arm and per-side any/all reductions run over
-axes of one to a few entries, where a slice-by-slice fold is several
-times faster than NumPy's axis reduction and gives the same booleans.
+axes of one to a few entries, where ``_fold`` is several times faster
+than NumPy's axis reduction and gives the same booleans.
 
 Stream layout: a sampler's uniforms are whole arrays, one row per shot,
 drawn one after another from a PCG64 stream (for ``monte_carlo_side``:
@@ -33,14 +33,18 @@ all shots' photons, then all shots' BSMs).  The samplers count their
 hits through ``_count_hits``, which splits the shots into at most
 ``WORKERS`` contiguous spans, one per thread.  Each span reads its rows
 of every array in chunks of at most ``CHUNK_SHOTS`` shots, from copies
-of the generator advanced to where those rows start.  So the counts are
-those of the whole arrays whatever the chunk size or thread count, and
-peak memory is one chunk's buffers per thread whatever ``shots`` is.
+of the generator advanced to where those rows start.  A sampler states
+its success as a conjunction of stages, each a test on some of the
+arrays (``monte_carlo_rate``: the left side, then the right side).
+Once no shot of a chunk has passed every stage so far, the chunk's rows
+of the later arrays are advanced past instead of drawn, which no count
+can tell.  So the counts are those of the whole arrays whatever the
+chunk size or thread count, and peak memory is one chunk's buffers per
+thread whatever ``shots`` is.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import os
@@ -160,28 +164,50 @@ def optimize(eta: float, q: float, n_max: int, m_max: int,
 
 def _fold(op, flags: np.ndarray) -> np.ndarray:
     """Reduce a boolean array over its last axis with ``op`` (``or_`` for
-    any, ``and_`` for all), one slice at a time.
+    any, ``and_`` for all).
 
-    The last axis must not be empty: the fold has no identity element.
+    NumPy runs a loop over the strided slices of that axis several times
+    slower than a contiguous one, so neither is used.  A row of 2, 4 or
+    8 flags is read as one word of 0x00/0x01 bytes: all set when it is
+    0x0101..., some set when it is not 0.  Other rows are folded over the
+    flat array, entry i becoming the fold of entries i..i+span-1 as
+    ``op`` of the array and itself shifted doubles the span (both ops are
+    idempotent, so spans may overlap) until it covers a row; each row's
+    first entry is then its fold.  The last axis must not be empty.
     """
-    return functools.reduce(op, (flags[..., j]
-                                 for j in range(flags.shape[-1])))
+    width = flags.shape[-1]
+    if width in (2, 4, 8) and flags.strides[-1] == 1:
+        words = flags.view(f"u{width}")[..., 0]
+        if op is and_:
+            return words == int.from_bytes(b"\x01" * width, "little")
+        return words != 0
+    acc = flags.reshape(-1)
+    span = 1
+    while span < width:
+        step = min(span, width - span)
+        acc = op(acc[:-step], acc[step:])
+        span += step
+    return acc[::width].reshape(flags.shape[:-1]).copy()
 
 
-def _count_hits(rng: np.random.Generator, shots: int, draws,
-                success) -> int:
-    """Number of shots for which ``success`` holds.
+def _count_hits(rng: np.random.Generator, shots: int, stages) -> int:
+    """Number of shots that pass every stage of ``stages``.
 
-    ``draws`` lists ``(width, p)`` pairs; each stands for the flags
-    ``rng.random((shots, width)) < p``, the arrays drawn one after
-    another.  ``success`` takes one ``(k, width)`` bool array per pair,
-    the flags of the same k shots, and returns k bools.  The shots are
-    split into at most ``WORKERS`` contiguous spans of whole chunks: the
-    caller's thread counts the first, one thread each the rest, and an
-    exception raised in any span is raised here once all have stopped.
-    ``success`` therefore must not call a public qparity name, which a
-    tracer may have wrapped.  ``rng`` itself is stepped past every draw
-    at once, as the whole-array draws would leave it.
+    Each stage is a ``(draws, test)`` pair.  ``draws`` lists ``(width,
+    p)`` pairs; each stands for the flags ``rng.random((shots, width)) <
+    p``, every stage's arrays drawn one after another.  ``test`` takes
+    one ``(k, width)`` bool array per pair of its stage, the flags of the
+    same k shots, and returns k bools.  The shots are read in chunks:
+    once no shot of a chunk has passed every stage so far, the chunk's
+    rows of the later arrays are advanced past instead of drawn, so a
+    later ``test`` sees only chunks where some shot can still succeed,
+    and the count is that of the whole arrays.  The shots are split into
+    at most ``WORKERS`` contiguous spans of whole chunks: the caller's
+    thread counts the first, one thread each the rest, and an exception
+    raised in any span is raised here once all have stopped.  A ``test``
+    therefore must not call a public qparity name, which a tracer may
+    have wrapped.  ``rng`` itself is stepped past every draw at once, as
+    the whole-array draws would leave it.
     """
     bitgen = rng.bit_generator
     # These two take one 64-bit output per double, and advance() counts
@@ -191,30 +217,32 @@ def _count_hits(rng: np.random.Generator, shots: int, draws,
         raise ValueError(
             f"Monte-Carlo samplers need a PCG64 or PCG64DXSM generator to "
             f"position their chunked draws, got {type(bitgen).__name__}")
+    widths = [width for draws, _ in stages for width, _ in draws]
     chunks = -(-shots // CHUNK_SHOTS)
     n_spans = min(WORKERS, chunks)
     edges = [min(shots, i * chunks // n_spans * CHUNK_SHOTS)
              for i in range(n_spans + 1)]
-    widest = max(width for width, _ in draws)
+    state = bitgen.state
     spans = []
     for lo, hi in zip(edges, edges[1:]):
         streams = []
         array_start = 0
-        for width, _ in draws:
-            stream = copy.deepcopy(rng)
-            stream.bit_generator.advance(array_start + lo * width)
-            streams.append(stream)
+        for width in widths:
+            # A fresh generator given the state: a third of the cost of
+            # copy.deepcopy(rng).
+            stream = type(bitgen)(0)
+            stream.state = state
+            stream.advance(array_start + lo * width)
+            streams.append(np.random.Generator(stream))
             array_start += shots * width
         # Every span's buffers come from this thread.  Allocated in the
         # workers, they sat in malloc arenas of their own, and the
         # montecarlo workload's peak RSS rose by 0.7-1.4 MB instead of
         # 0.4-0.5 MB.
         k = min(CHUNK_SHOTS, hi - lo)
-        spans.append((streams, hi - lo, np.empty(k * widest),
-                      [np.empty((k, width), dtype=bool)
-                       for width, _ in draws]))
+        spans.append((streams, hi - lo, np.empty(k * max(widths)),
+                      [np.empty((k, width), dtype=bool) for width in widths]))
     # advance() drops a buffered 32-bit half, which double draws keep.
-    state = bitgen.state
     bitgen.advance(array_start)
     bitgen.state = {**bitgen.state, "has_uint32": state["has_uint32"],
                     "uinteger": state["uinteger"]}
@@ -223,7 +251,7 @@ def _count_hits(rng: np.random.Generator, shots: int, draws,
 
     def count(i):
         try:
-            counts[i] = _span_hits(*spans[i], draws, success)
+            counts[i] = _span_hits(*spans[i], stages)
         except BaseException as exc:  # raised again in the caller
             counts[i] = exc
 
@@ -244,18 +272,33 @@ def _count_hits(rng: np.random.Generator, shots: int, draws,
 
 
 def _span_hits(streams, shots: int, uniforms: np.ndarray, flags,
-               draws, success) -> int:
+               stages) -> int:
     """Hits over ``shots`` shots whose draws ``streams`` start at, one
-    stream per ``(width, p)`` pair of ``draws``, read in chunks of
+    stream per ``(width, p)`` pair of the stages, read in chunks of
     ``CHUNK_SHOTS`` shots: each array's uniforms into ``uniforms``, its
-    flags into its entry of ``flags``, both reused from chunk to chunk."""
+    flags into its entry of ``flags``, both reused from chunk to chunk.
+    A chunk that no shot can still pass advances the rest of its
+    streams."""
     hits = 0
     for done in range(0, shots, CHUNK_SHOTS):
         k = min(CHUNK_SHOTS, shots - done)
-        for stream, (width, p), flag in zip(streams, draws, flags):
-            u = stream.random(out=uniforms[:k * width].reshape(k, width))
-            np.less(u, p, out=flag[:k])
-        hits += int(np.count_nonzero(success(*(f[:k] for f in flags))))
+        passing = None
+        i = 0
+        for draws, test in stages:
+            if passing is not None and not passing.any():
+                for stream, flag in zip(streams[i:], flags[i:]):
+                    stream.bit_generator.advance(k * flag.shape[1])
+                break
+            stage_flags = []
+            for width, p in draws:
+                u = streams[i].random(out=uniforms[:k * width].reshape(k,
+                                                                       width))
+                stage_flags.append(np.less(u, p, out=flags[i][:k]))
+                i += 1
+            passed = test(*stage_flags)
+            passing = passed if passing is None else passing & passed
+        else:
+            hits += int(np.count_nonzero(passing))
     return hits
 
 
@@ -278,6 +321,13 @@ def _estimate(hits: int, shots: int):
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / shots)
 
 
+def _side_stage(model: RateModel):
+    """One side's draws, each photon's arrival then each arm's BSM, and
+    its per-shot success test."""
+    return (((model.n * model.m, model.eta), (model.n, model.q)),
+            functools.partial(_side_success, model))
+
+
 def monte_carlo_side(model: RateModel, shots: int, seed):
     """Monte-Carlo estimate of p_side: (estimate, standard error).
 
@@ -287,10 +337,7 @@ def monte_carlo_side(model: RateModel, shots: int, seed):
     if shots < 1:
         raise ValueError("need shots >= 1")
     rng = np.random.default_rng(seed)
-    draws = ((model.n * model.m, model.eta), (model.n, model.q))
-    hits = _count_hits(rng, shots, draws,
-                       functools.partial(_side_success, model))
-    return _estimate(hits, shots)
+    return _estimate(_count_hits(rng, shots, (_side_stage(model),)), shots)
 
 
 def monte_carlo_rate(model: RateModel, shots: int, seed):
@@ -300,24 +347,21 @@ def monte_carlo_rate(model: RateModel, shots: int, seed):
     left BSMs (shots x n), then the right side's photons and BSMs, as
     whole arrays.  They are read in chunks of ``CHUNK_SHOTS`` shots by up
     to ``WORKERS`` threads, so memory stays bounded whatever ``shots``
-    is, and a fixed seed gives a bit-identical estimate.
+    is, and a fixed seed gives a bit-identical estimate.  A chunk in
+    which no left side succeeds advances past its right-side draws.
     """
     if shots < 1:
         raise ValueError("need shots >= 1")
     rng = np.random.default_rng(seed)
-    side = ((model.n * model.m, model.eta), (model.n, model.q))
-
-    def success(left_arrived, left_bsm, right_arrived, right_bsm):
-        return (_side_success(model, left_arrived, left_bsm)
-                & _side_success(model, right_arrived, right_bsm))
-
-    return _estimate(_count_hits(rng, shots, side + side, success), shots)
+    side = _side_stage(model)
+    return _estimate(_count_hits(rng, shots, (side, side)), shots)
 
 
 def monte_carlo_bare(n: int, eta: float, q: float, shots: int, seed):
     """Monte-Carlo estimate of the bare-scheme connection probability.
 
-    Draws every photon's arrival (2 sides x n), then every BSM outcome.
+    Draws every photon's arrival (2 sides x n), then every BSM outcome;
+    a chunk in which no shot keeps all its photons skips the BSMs.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -325,9 +369,9 @@ def monte_carlo_bare(n: int, eta: float, q: float, shots: int, seed):
         raise ValueError("need shots >= 1")
     rng = np.random.default_rng(seed)
 
-    def success(arrived, bsm_ok):
-        return (_fold(and_, arrived)
-                & _fold(and_, _fold(or_, bsm_ok.reshape(-1, 2, n))))
+    def bsms(bsm_ok):
+        return _fold(and_, _fold(or_, bsm_ok.reshape(-1, 2, n)))
 
-    draws = ((2 * n, eta), (2 * n, q))
-    return _estimate(_count_hits(rng, shots, draws, success), shots)
+    stages = ((((2 * n, eta),), functools.partial(_fold, and_)),
+              (((2 * n, q),), bsms))
+    return _estimate(_count_hits(rng, shots, stages), shots)

@@ -113,6 +113,18 @@ class RgsSpec:
             raise ConfigError(f"unknown RGS kind {self.kind!r}")
         if self.kind == "bare" and self.m != 1:
             raise ConfigError("bare RGS has m = 1")
+        if self.kind == "partial" and self.n != 4:
+            raise ConfigError("partially encoded RGS has n = 4: three bare "
+                              "arms and one encoded block")
+
+    @property
+    def qubits(self) -> int:
+        """Photons of the built state."""
+        if self.kind == "bare":
+            return self.n
+        if self.kind == "partial":
+            return 3 + self.m
+        return self.n * self.m
 
     def build(self) -> PureState:
         if self.kind == "bare":
@@ -152,6 +164,10 @@ class Scenario:
         order = self.photon_order()
         if len(set(order)) != len(order):
             raise ConfigError("photon labels are not unique")
+        if len(self.rgs_order) != self.rgs.qubits:
+            raise ConfigError(f"rgs_order labels {len(self.rgs_order)} "
+                              f"photons, the {self.rgs.kind} RGS has "
+                              f"{self.rgs.qubits}")
         if len(order) > MAX_QUBITS:
             raise ConfigError(f"scenario holds {len(order)} photons, the "
                               f"state cap is {MAX_QUBITS} qubits")

@@ -289,15 +289,28 @@ class TestGoldens:
 
 
 class TestCorrectionGoldens:
-    """Byte-frozen outputs of the two correction paths: the readout with
-    two photons lost, and a noisy connection with one lost.  Kept apart
-    from TestGoldens.CASES, which the benchmark's golden list mirrors."""
+    """Byte-frozen outputs of the two correction paths, the readout with
+    two photons lost and a noisy connection with one lost, and of two
+    coincidence sampler runs with 10 and 8 hits; in the second, 20 of 37
+    chunks have no pulse where every source emits and advance past their
+    later draws.  Kept apart from TestGoldens.CASES, which the
+    benchmark's golden list mirrors."""
 
     CASES = [
         ("loss_readout_46.json", ("loss-readout", "--lose", "4,6")),
         ("connect_loss1_noise075.csv", ("connect", "--loss", "1",
                                         "--noise", "0.75",
                                         "--format", "csv")),
+        ("photonics_rate_sparse.json", ("photonics-rate", "--shots",
+                                        "300000", "--seed", "8",
+                                        "--pair-prob", "0.3",
+                                        "--eta-pair", "0.5",
+                                        "--factor", "0.5")),
+        ("photonics_rate_mixed.json", ("photonics-rate", "--shots",
+                                       "300000", "--seed", "8",
+                                       "--pair-prob", "0.15",
+                                       "--eta-pair", "0.9",
+                                       "--factor", "0.5")),
     ]
 
     @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])

@@ -212,11 +212,45 @@ SPLIT_SAMPLERS = {
         lambda s, g: ref.monte_carlo_coincidence_anyall(0.8, 0.9, 1e6, 2,
                                                         0.5, s, g)),
 }
+# Sparse samplers, where a chunk's later stages are advanced past when no
+# shot passes its earlier ones: the photonics-rate defaults (every chunk
+# skips its deliveries), the source figures of the two photonics-rate
+# goldens (at 0.3 and 0.5 every chunk has a pulse where all five sources
+# emit, at 0.15 and 0.9 about half the chunks have none), the bare
+# scheme at eta 0.01 (every chunk skips its BSMs), and a rate model whose
+# left side fails in about two of three whole chunks.
+SPARSE_SAMPLERS = {
+    "coincidence-defaults": (
+        lambda s, g: monte_carlo_coincidence(SourceParams(0.06, 0.38, 8e7),
+                                             5, 0.0625, s, g),
+        lambda s, g: ref.monte_carlo_coincidence_anyall(0.06, 0.38, 8e7, 5,
+                                                        0.0625, s, g)),
+    "coincidence-half": (
+        lambda s, g: monte_carlo_coincidence(SourceParams(0.3, 0.5, 8e7), 5,
+                                             0.5, s, g),
+        lambda s, g: ref.monte_carlo_coincidence_anyall(0.3, 0.5, 8e7, 5,
+                                                        0.5, s, g)),
+    "coincidence-mixed": (
+        lambda s, g: monte_carlo_coincidence(SourceParams(0.15, 0.9, 8e7), 5,
+                                             0.5, s, g),
+        lambda s, g: ref.monte_carlo_coincidence_anyall(0.15, 0.9, 8e7, 5,
+                                                        0.5, s, g)),
+    "bare-lossy": (lambda s, g: monte_carlo_bare(2, 0.01, 0.5, s, g),
+                   lambda s, g: ref.monte_carlo_bare_anyall(2, 0.01, 0.5, s,
+                                                            g)),
+    "rate-lossy": (
+        lambda s, g: monte_carlo_rate(RateModel(0.01, 0.5, 1, 2), s, g),
+        lambda s, g: ref.monte_carlo_rate_anyall(0.01, 0.5, 1, 2, s, g)),
+}
+SPLIT_SAMPLERS.update(SPARSE_SAMPLERS)
 # Every chunk edge, 10^6 + 3 shots (for the coincidence sampler a second
-# PULSE_BLOCK block of 3 pulses), and a second block of two chunks.
+# PULSE_BLOCK block of 3 pulses), and a second block of two chunks; the
+# sparse samplers over 25 chunks and a remainder.
 SPLIT_CASES = ([(kind, shots) for kind in SPLIT_SAMPLERS
+                if kind not in SPARSE_SAMPLERS
                 for shots in CHUNK_EDGES + (10 ** 6 + 3,)]
-               + [("coincidence", PULSE_BLOCK + CHUNK_SHOTS + 1)])
+               + [("coincidence", PULSE_BLOCK + CHUNK_SHOTS + 1)]
+               + [(kind, 25 * CHUNK_SHOTS + 11) for kind in SPARSE_SAMPLERS])
 
 
 def check_split(kind, shots, seed):
@@ -270,10 +304,46 @@ class TestThreadedSpans:
 
         with pytest.raises(ZeroDivisionError, match="later span"):
             rates._count_hits(np.random.default_rng(1), 3 * CHUNK_SHOTS,
-                              ((1, 0.5),), success)
+                              ((((1, 0.5),), success),))
         assert len(seen) == 3 and caller in seen
         assert not any(t.is_alive() for t in seen - {caller})
         assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_later_stage_sees_only_chunks_with_a_passing_shot(
+            self, monkeypatch, workers):
+        """The second stage's test is not called on a chunk where the
+        first passed no shot, those chunks' second-stage draws are
+        advanced past, and count and end state are those of the whole
+        arrays."""
+        monkeypatch.setattr(rates, "WORKERS", workers)
+        shots, first_p, second_p = 20 * CHUNK_SHOTS + 3, 1e-4, 0.5
+        local = threading.local()
+        calls = []
+
+        def first(flags):
+            local.passed = bool(flags.any())
+            return flags[:, 0]
+
+        def second(flags):
+            if not local.passed:
+                raise AssertionError("second stage on a chunk with no "
+                                     "passing shot")
+            calls.append(len(flags))
+            return flags[:, 0]
+
+        rng = np.random.default_rng(6)
+        twin = copy.deepcopy(rng)
+        hits = rates._count_hits(rng, shots, ((((1, first_p),), first),
+                                              (((1, second_p),), second)))
+        a = twin.random(shots) < first_p
+        b = twin.random(shots) < second_p
+        assert hits == int(np.count_nonzero(a & b))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        live = [bool(a[lo:lo + CHUNK_SHOTS].any())
+                for lo in range(0, shots, CHUNK_SHOTS)]
+        assert len(calls) == sum(live)
+        assert 0 < len(calls) < len(live)
 
     @pytest.mark.parametrize("kind", SPLIT_SAMPLERS)
     def test_one_chunk_starts_no_thread(self, monkeypatch, kind):

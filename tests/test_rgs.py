@@ -1,5 +1,6 @@
 """Repeater-graph-state and connection-protocol tests."""
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -29,6 +30,7 @@ from qparity.rgs import (
     witness,
 )
 from qparity import sim
+from qparity.rates import p_logical_alive
 from qparity.shor import (
     LogicalInput,
     decode_readout,
@@ -239,6 +241,29 @@ class TestScenario:
         with pytest.raises(ConfigError):
             RgsSpec("bare", 4, 2)
 
+    def test_partial_rgs_with_fewer_qubits_than_labels_rejected(self):
+        """A 5-photon partial RGS behind 6 labels was built and failed
+        in run_connection with "order labels 10 qubits"."""
+        with pytest.raises(ConfigError, match="labels 6 photons, the "
+                                              "partial RGS has 5"):
+            replace(connect_scenario(0), rgs=RgsSpec("partial", 4, 2))
+
+    def test_bare_rgs_with_more_qubits_than_labels_rejected(self):
+        """9 bare photons behind 6 labels passed the photon cap, which
+        counts labels, and failed on a 13-qubit amplitude vector."""
+        with pytest.raises(ConfigError, match="labels 6 photons, the "
+                                              "bare RGS has 9"):
+            replace(connect_scenario(0), rgs=RgsSpec("bare", 9, 1))
+
+    def test_partial_rgs_takes_only_four_logical_qubits(self):
+        """The builder ignored n: RgsSpec("partial", 7, 3) ran as the
+        n = 4 state."""
+        with pytest.raises(ConfigError, match="n = 4"):
+            RgsSpec("partial", 7, 3)
+        assert [RgsSpec(*a).qubits for a in (("bare", 4, 1),
+                                             ("partial", 4, 3),
+                                             ("encoded", 3, 2))] == [4, 6, 6]
+
 
 class TestConnection:
     def test_lossless_all_branches_perfect(self):
@@ -300,6 +325,89 @@ class TestConnection:
         b = run_connection(scen, mode="sample", rng=np.random.default_rng(3))
         assert a.outcomes == b.outcomes
         assert abs(a.witness.fidelity - b.witness.fidelity) < 1e-12
+
+
+def lost_subsets(photons):
+    """Every subset of ``photons``, smallest first."""
+    return [lost for r in range(len(photons) + 1)
+            for lost in itertools.combinations(photons, r)]
+
+
+def loss_outcome(scenario, lost):
+    """"perfect" when every branch reaches fidelity 1, "separable" when
+    none exceeds 1/2, else the exception type the run raised."""
+    try:
+        branches = run_connection(replace(scenario, loss=lost))
+    except (ConfigError, PreconditionError) as exc:
+        return type(exc)
+    fids = [b.witness.fidelity for b in branches]
+    if all(abs(f - 1) < 1e-10 for f in fids):
+        return "perfect"
+    assert all(f <= 0.5 + 1e-12 for f in fids), (lost, fids)
+    return "separable"
+
+
+def block_scenario(m):
+    """The connect experiment on a partial RGS whose encoded block has m
+    photons."""
+    block = ("4'", "5'", "6'", "11'", "12'")[:m]
+    scen = connect_scenario(0)
+    return replace(scen, rgs=RgsSpec("partial", 4, m),
+                   rgs_order=("3'", "10'", "7'") + block,
+                   rgs_groups=(("3'",), ("10'",), ("7'",), block),
+                   plan=(scen.plan[0], PlanStep("measure_block_z", block))
+                   + scen.plan[2:])
+
+
+class TestEveryLossPattern:
+    """Every subset of lost RGS photons: an encoded logical qubit
+    survives exactly the losses that leave one of its photons."""
+
+    def test_connect(self):
+        scen = connect_scenario(0)
+        outcomes = {lost: loss_outcome(scen, lost)
+                    for lost in lost_subsets(scen.rgs_order)}
+        perfect = {lost for lost, o in outcomes.items() if o == "perfect"}
+        assert perfect == set(lost_subsets(("4'", "5'", "6'"))[:-1])
+        # Off that set: a Bell measurement on a lost 3' or 7' is refused,
+        # and every other run leaves the terminals at most half entangled.
+        for lost, outcome in outcomes.items():
+            if "3'" in lost or "7'" in lost:
+                assert outcome is PreconditionError
+            elif lost not in perfect:
+                assert outcome == "separable"
+        assert Counter(outcomes.values()) == {
+            "perfect": 7, PreconditionError: 48, "separable": 9}
+
+    def test_rgs_loss(self):
+        scen = encoded_loss_scenario(0)
+        outcomes = {lost: loss_outcome(scen, lost)
+                    for lost in lost_subsets(scen.rgs_order)}
+        perfect = {lost for lost, o in outcomes.items() if o == "perfect"}
+        assert perfect == set(lost_subsets(("4'", "5'", "6'"))[:-1])
+        # A lost terminal is refused when the scenario is built.
+        for lost, outcome in outcomes.items():
+            if "1'" in lost or "9'" in lost:
+                assert outcome is ConfigError
+            elif lost not in perfect:
+                assert outcome == "separable"
+        assert Counter(outcomes.values()) == {
+            "perfect": 7, ConfigError: 384, "separable": 121}
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_loss_weighted_success_is_the_rate_model(self, m):
+        """Weighting each loss pattern by eta^kept (1-eta)^lost, the
+        patterns that connect perfectly sum to eta^3 p_logical_alive:
+        the three bare photons arrive and the block keeps one."""
+        scen = block_scenario(m)
+        perfect = [lost for lost in lost_subsets(scen.rgs_order)
+                   if loss_outcome(scen, lost) == "perfect"]
+        block = scen.rgs_groups[-1]
+        assert set(perfect) == set(lost_subsets(block)[:-1])
+        for eta in (0.1, 0.5, 0.83, 0.99):
+            total = sum(eta ** (3 + m - len(lost)) * (1 - eta) ** len(lost)
+                        for lost in perfect)
+            assert abs(total - eta ** 3 * p_logical_alive(eta, m)) < 1e-12
 
 
 class TestCorrections:
