@@ -61,8 +61,8 @@ PHI_PLUS_2Q = PureState(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
 
 def build_bare_rgs(n: int) -> PureState:
     """n-qubit GHZ state, the unprotected repeater graph state."""
-    if not (2 <= n <= 10):
-        raise ValueError(f"bare RGS size {n} outside 2..10")
+    if not (2 <= n <= MAX_QUBITS):
+        raise ValueError(f"bare RGS size {n} outside 2..{MAX_QUBITS}")
     return PureState(_ghz_amps(n, n))
 
 
@@ -73,8 +73,9 @@ def build_partial_encoded(m: int) -> PureState:
     Built by circuit: GHZ over the three arms plus the block leader,
     then rotate the leader and expand it into its block.
     """
-    if not (1 <= m <= 7):
-        raise ValueError(f"block size {m} makes {3 + m} qubits, cap is 10")
+    if not (1 <= m <= MAX_QUBITS - 3):
+        raise ValueError(f"block size {m} makes {3 + m} qubits, cap is "
+                         f"{MAX_QUBITS}")
     total = 3 + m
     state = PureState(_ghz_amps(4, total))
     state = apply_unitary(state, H, [3])
@@ -116,6 +117,12 @@ class RgsSpec:
         if self.kind == "partial" and self.n != 4:
             raise ConfigError("partially encoded RGS has n = 4: three bare "
                               "arms and one encoded block")
+        least = 2 if self.kind == "bare" else 1
+        if self.n < least or self.m < 1 or self.qubits > MAX_QUBITS:
+            raise ConfigError(f"{self.kind} RGS n = {self.n}, m = {self.m} "
+                              f"makes {self.qubits} photons; its builder "
+                              f"takes n >= {least}, m >= 1 and at most "
+                              f"{MAX_QUBITS} photons")
 
     @property
     def qubits(self) -> int:

@@ -34,6 +34,7 @@ from .errors import PreconditionError
 from .sim import (
     CNOT,
     H,
+    MAX_QUBITS,
     X,
     Z,
     DensityMatrix,
@@ -219,8 +220,9 @@ def encode_qpc(inp: LogicalInput, n: int, m: int) -> PureState:
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    if n * m > 12:
-        raise ValueError(f"{n}x{m} = {n * m} qubits exceeds the 12-qubit cap")
+    if n * m > MAX_QUBITS:
+        raise ValueError(f"{n}x{m} = {n * m} qubits exceeds the "
+                         f"{MAX_QUBITS}-qubit cap")
     layout = CodeLayout(n, m)
     state = state_from_qubit(inp.alpha, inp.beta, n * m)
     for b in range(1, n):

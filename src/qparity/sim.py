@@ -35,7 +35,8 @@ step, not a branch: it holds the live branches as one stack of rows
 (B x r x 2^n) with weights (B x r), so each measurement is one
 projection of every branch, and a stack outgrowing 2^n rows per branch
 is compressed by one stacked ``eigh`` (lower ranks padded with rows of
-weight zero).  Sample mode is the stack of one branch, and
+weight zero).  A walk always enumerates; a sampled walk is the branch
+:func:`_draw` picks over the stack's outcome tree, and
 :meth:`PlanStack.states` builds one state per branch.  A correction is
 an operator on the qubits a plan leaves, applied to each branch by
 :meth:`PlanStack.corrected` in one batched matmul, in searches and runs.
@@ -272,7 +273,8 @@ class PauliString:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """One single-qubit projective measurement outcome."""
+    """One projective measurement outcome: a qubit (index or photon label)
+    in basis X, Y or Z, or a label pair in basis "bell"."""
 
     qubit: int
     basis: str
@@ -397,33 +399,28 @@ def _branch_probabilities(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.vecdot(rows.reshape(b, l, -1), weighted.reshape(b, l, -1)).real
 
 
-def _select(labels: Sequence, probs: list, mode: str,
-            rng: np.random.Generator | None, outcome) -> int:
-    """Index of the one outcome kept among those above the branch floor.
+def _pick(probs: Sequence[float], draws):
+    """Per draw, the index of the first outcome whose cumulative
+    probability (summed in order) exceeds it, else of the last one."""
+    return np.minimum(np.searchsorted(np.cumsum(probs), draws, side="right"),
+                      len(probs) - 1)
 
-    mode="forced" keeps the given ``outcome``; mode="sample" draws
-    exactly one uniform number from ``rng`` and picks by cumulative
-    probability, falling back to the last realizable outcome.
-    """
-    eps = TOL.branch_eps
+
+def _select(results: list, mode: str, rng: np.random.Generator | None,
+            outcome) -> tuple:
+    """The one of the realizable (outcome, probability, state) triples
+    kept: mode="forced" keeps the given ``outcome``; mode="sample" draws
+    exactly one uniform number from ``rng`` and keeps :func:`_pick`'s."""
     if mode == "forced":
-        for i, (label, p) in enumerate(zip(labels, probs)):
-            if label == outcome and p > eps:
-                return i
+        for result in results:
+            if result[0] == outcome:
+                return result
         raise PreconditionError(f"forced outcome {outcome!r} has probability "
-                                f"below {eps}")
+                                f"below {TOL.branch_eps}")
     if mode == "sample":
         if rng is None:
             raise ValueError("sample mode needs an rng")
-        r = rng.random()
-        acc = 0.0
-        for i, p in enumerate(probs):
-            if p > eps:
-                acc += p
-                last = i
-                if r < acc:
-                    return i
-        return last
+        return results[_pick([p for _, p, _ in results], rng.random())]
     raise ValueError(f"unknown measurement mode {mode!r}")
 
 
@@ -452,24 +449,18 @@ def _project_out(vectors: np.ndarray, targets: Sequence[int],
     return labels, rows.reshape(len(vectors), len(labels), -1, 2 ** (n - k))
 
 
-def _children(labels: Sequence, rows: np.ndarray, weights: np.ndarray,
-              mode: str, rng, outcome):
+def _children(rows: np.ndarray, weights: np.ndarray):
     """The children of a projected stack (rows B x L x r x d, weights
-    B x r): for mode="enumerate" each (branch, outcome) above the branch
-    floor, parent first and then by label; otherwise the one outcome
-    :func:`_select` keeps of the stack's single branch.
+    B x r): each (branch, outcome) above the branch floor, parent first
+    and then by label.
 
     Returns (parents, picks, probabilities, vectors, weights): per
     child its parent branch, outcome index and probability, and the
     stack of the children's renormalized, compressed rows.
     """
     probs = _branch_probabilities(rows, weights)
-    if mode == "enumerate":
-        index = np.nonzero(probs > TOL.branch_eps)
-        parents, picks = index[0].tolist(), index[1].tolist()
-    else:
-        pick = _select(labels, probs[0].tolist(), mode, rng, outcome)
-        parents, picks, index = [0], [pick], (slice(0, 1), pick)
+    index = np.nonzero(probs > TOL.branch_eps)
+    parents, picks = index[0].tolist(), index[1].tolist()
     kept = probs[index]
     vectors, weights = _compressed(
         rows[index] / np.sqrt(kept)[:, None, None], weights[index[0]])
@@ -480,12 +471,13 @@ def _outcomes(state: State, labels: Sequence, rows: np.ndarray, mode: str,
               rng, outcome):
     """(outcome, probability, state) of a one-state projection: the list
     of every outcome above the branch floor, in label order, for
-    mode="enumerate", else the one triple :func:`_select` keeps."""
-    _, picks, probs, vectors, weights = _children(
-        labels, rows, state.weights[None], mode, rng, outcome)
+    mode="enumerate", else the one triple :func:`_select` keeps of it."""
+    _, picks, probs, vectors, weights = _children(rows, state.weights[None])
     results = [(labels[i], p, state._from_rows(v, w))
                for i, p, v, w in zip(picks, probs, vectors, weights)]
-    return results if mode == "enumerate" else results[0]
+    if mode == "enumerate":
+        return results
+    return _select(results, mode, rng, outcome)
 
 
 def measure(state: State, qubit: int, basis: str = "Z", mode: str = "sample",
@@ -636,6 +628,7 @@ class PlanStack(NamedTuple):
     records: list              # per branch, per plan step, its records
     order: tuple               # labels of the qubits left, shared
     kind: type                 # state class of the walked state
+    tree: tuple                # per group, (parents, probabilities) per child
 
     def states(self) -> list:
         """Each branch as a state of ``kind``, without the zero-weight
@@ -653,6 +646,23 @@ class PlanStack(NamedTuple):
         return self._replace(vectors=self.vectors @ ops.swapaxes(-1, -2))
 
 
+def _draw(stack: PlanStack, rng, shots: int) -> np.ndarray:
+    """The branch each of ``shots`` sampled walks ends on: one uniform per
+    walk and measurement group, walk by walk (the stream of walks drawn
+    one at a time), and at each node of ``stack.tree`` the child that
+    :func:`_pick` gives for the group's draw."""
+    draws = rng.random((shots, len(stack.tree)))
+    ends = np.zeros(shots, dtype=np.intp)
+    for (parents, kept), column in zip(stack.tree, draws.T):
+        children = np.empty_like(ends)
+        for node in np.unique(ends).tolist():
+            walks = ends == node
+            lo, hi = np.searchsorted(parents, [node, node + 1]).tolist()
+            children[walks] = lo + _pick(kept[lo:hi], column[walks])
+        ends = children
+    return ends
+
+
 def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
                mode: str = "enumerate",
                rng: np.random.Generator | None = None) -> PlanStack:
@@ -661,7 +671,7 @@ def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
     ``order`` labels the qubits of ``state``, one distinct label each
     (ValueError otherwise).  mode="enumerate" returns every realizable
     branch, mode="sample" the one branch drawn from ``rng`` (one uniform
-    per measurement), as one PlanStack.  ``records[b][i]`` holds the
+    per measurement group), as one PlanStack.  ``records[b][i]`` holds the
     MeasurementRecords of step i in branch b with photon labels in place
     of qubit indices (the label pair and basis "bell" for a BSM).
     Photons not in ``order`` are lost and a step records nothing for
@@ -671,11 +681,14 @@ def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
     Each measurement group is one projection of every live branch; a
     stack outgrowing 2^n rows per branch is compressed through one
     stacked ``eigh``.  The children of a branch follow it, in
-    outcome-label order.  In sample mode the stack holds one branch and
-    :func:`_select` keeps one outcome per group.
+    outcome-label order, and ``tree`` keeps each group's parents and
+    probabilities.  Sample mode enumerates too, then keeps the branch
+    :func:`_draw` picks, whose ``tree`` is its path.
     """
     if mode not in ("enumerate", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sample" and rng is None:
+        raise ValueError("sample mode needs an rng")
     order = list(order)
     if len(order) != state.num_qubits:
         raise ValueError(f"order labels {len(order)} qubits, the state has "
@@ -686,6 +699,7 @@ def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
     vectors, weights = state.vectors[None], state.weights[None]
     probs = [1.0]
     records = [()]
+    tree = []
     for step in plan:
         present = [p for p in step.photons if p in order]
         if step.op == "bsm" and len(present) < 2:
@@ -702,8 +716,8 @@ def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
         for group in groups:
             labels, rows = _project_out(
                 vectors, [order.index(p) for p in group], basis)
-            parents, picks, kept, vectors, weights = _children(
-                labels, rows, weights, mode, rng, None)
+            parents, picks, kept, vectors, weights = _children(rows, weights)
+            tree.append((parents, kept))
             label = group if len(group) > 1 else group[0]
             made = [made[b] + (MeasurementRecord(label, basis, labels[i], p),)
                     for b, i, p in zip(parents, picks, kept)]
@@ -713,8 +727,14 @@ def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
             order = [p for p in order if p not in group]
         records = [recs + (m,) for recs, m in zip(records, made)]
         probs = [p * s for p, s in zip(probs, p_step)]
-    return PlanStack(vectors, weights, probs, records, tuple(order),
-                     type(state))
+    stack = PlanStack(vectors, weights, probs, records, tuple(order),
+                      type(state), tuple(tree))
+    if mode == "enumerate":
+        return stack
+    end = int(_draw(stack, rng, 1)[0])
+    path = tuple(([0], [r.probability]) for recs in records[end] for r in recs)
+    return PlanStack(vectors[end:end + 1], weights[end:end + 1], [probs[end]],
+                     [records[end]], stack.order, stack.kind, path)
 
 
 def correction_table(stack: PlanStack, keys: Sequence,

@@ -41,6 +41,7 @@ from qparity.sim import (
     DensityMatrix,
     PauliString,
     PureState,
+    _draw,
     apply_unitary,
     expectation,
     walk_stack,
@@ -68,10 +69,15 @@ class TestBuilders:
             assert abs(expectation(s, PauliString(factors)) - 1) < 1e-10
 
     def test_bare_size_limits(self):
+        """The builders share the state cap, sim.MAX_QUBITS = 12."""
         with pytest.raises(ValueError):
             build_bare_rgs(1)
         with pytest.raises(ValueError):
-            build_bare_rgs(11)
+            build_bare_rgs(13)
+        assert build_bare_rgs(12).num_qubits == 12
+        assert build_partial_encoded(9).num_qubits == 12
+        with pytest.raises(ValueError, match="cap is 12"):
+            build_partial_encoded(10)
 
     def test_partial_m1_is_rotated_ghz(self):
         got = build_partial_encoded(1)
@@ -240,6 +246,36 @@ class TestScenario:
             RgsSpec("ring", 4, 3)
         with pytest.raises(ConfigError):
             RgsSpec("bare", 4, 2)
+        # Sizes the builders refuse, so that no scenario is built on one.
+        for size in (("bare", 1, 1), ("bare", 13, 1), ("partial", 4, 0),
+                     ("partial", 4, 10), ("encoded", 0, 3),
+                     ("encoded", 3, 0), ("encoded", 4, 4)):
+            with pytest.raises(ConfigError, match="its builder takes"):
+                RgsSpec(*size)
+
+    @pytest.mark.parametrize("kind,n,m", [("bare", 11, 1),
+                                          ("partial", 4, 8)])
+    def test_eleven_photon_rgs_connects(self, kind, n, m):
+        """A channel-less scenario on an 11-photon RGS was built and then
+        failed in run_connection on the builders' old 10-qubit caps.
+        Measuring the rest of the GHZ (the encoded block in Z, bare
+        photons in X) leaves the two terminals in a Bell pair, which
+        every branch corrects to |phi+>."""
+        labels = tuple(f"r{i}" for i in range(11))
+        if kind == "bare":
+            groups = tuple((p,) for p in labels)
+            plan = tuple(PlanStep("measure_x", (p,)) for p in labels[2:])
+        else:
+            groups = tuple((p,) for p in labels[:3]) + (labels[3:],)
+            plan = (PlanStep("measure_block_z", labels[3:]),
+                    PlanStep("measure_x", ("r2",)))
+        scen = Scenario(name="eleven", channels=(), rgs=RgsSpec(kind, n, m),
+                        rgs_order=labels, rgs_groups=groups, loss=(),
+                        plan=plan, terminals=labels[:2])
+        branches = run_connection(scen)
+        assert abs(sum(b.probability for b in branches) - 1) < 1e-10
+        for b in branches:
+            assert abs(b.witness.fidelity - 1) < 1e-10
 
     def test_partial_rgs_with_fewer_qubits_than_labels_rejected(self):
         """A 5-photon partial RGS behind 6 labels was built and failed
@@ -325,6 +361,13 @@ class TestConnection:
         b = run_connection(scen, mode="sample", rng=np.random.default_rng(3))
         assert a.outcomes == b.outcomes
         assert abs(a.witness.fidelity - b.witness.fidelity) < 1e-12
+
+    @pytest.mark.parametrize("mode,rng,match", [
+        ("distribution", np.random.default_rng(3), "unknown mode"),
+        ("sample", None, "sample mode needs an rng")])
+    def test_bad_mode_or_missing_rng(self, mode, rng, match):
+        with pytest.raises(ValueError, match=match):
+            run_connection(connect_scenario(1), mode=mode, rng=rng)
 
 
 def lost_subsets(photons):
@@ -480,8 +523,9 @@ class TestLogicalLossTest:
 
 class TestSampleFrequencies:
     def test_sampled_keys_match_enumerated_probabilities(self):
-        """10^5 sampled protocol walks land on each branch at the
-        enumerated rate within 3 sigma."""
+        """10^5 protocol walks, drawn as one batch over the enumerated
+        tree, land on each branch at the enumerated rate within 3
+        sigma."""
         scen = connect_scenario(0)
         enumerated = run_connection(scen)
         probs = {"|".join(b.outcomes): b.probability for b in enumerated}
@@ -490,11 +534,10 @@ class TestSampleFrequencies:
         order = list(scen.photon_order())
         rng = np.random.default_rng(20250809)
         shots = 100_000
-        counts = Counter()
-        for _ in range(shots):
-            stack = walk_stack(state, order, scen.plan, "sample", rng)
-            (tokens,) = _branch_tokens(scen.plan, stack.records)
-            counts["|".join(tokens)] += 1
+        stack = walk_stack(state, order, scen.plan)
+        keys = ["|".join(t) for t in _branch_tokens(scen.plan, stack.records)]
+        counts = Counter(keys[end]
+                         for end in _draw(stack, rng, shots).tolist())
         assert set(counts) <= set(probs)
         for key, p in probs.items():
             se = math.sqrt(p * (1 - p) / shots)

@@ -403,6 +403,14 @@ class TestDecodeReadout:
         assert branch_signature(a) == branch_signature(b)
         assert abs(a.fidelity_to(D_INPUT) - 1) < 1e-10
 
+    @pytest.mark.parametrize("mode,rng,match", [
+        ("distribution", np.random.default_rng(9), "unknown mode"),
+        ("sample", None, "sample mode needs an rng")])
+    def test_bad_mode_or_missing_rng(self, mode, rng, match):
+        with pytest.raises(ValueError, match=match):
+            decode_readout(encode_shor(D_INPUT), losses=[4], mode=mode,
+                           rng=rng)
+
     def test_json_round(self):
         b = decode_readout(encode_shor(D_INPUT))[0]
         d = b.to_json_dict(D_INPUT)

@@ -28,6 +28,7 @@ from qparity.sim import (
     DensityMatrix,
     PauliString,
     PureState,
+    _pick,
     apply_pauli,
     apply_pauli_channel,
     apply_unitary,
@@ -538,6 +539,26 @@ class TestSampleDraws:
             ref_rng = np.random.default_rng(123)
             ref_rng.random()
             assert rng.random() == ref_rng.random()
+
+    def test_pick_is_the_sequential_cumulative_rule(self):
+        """The first outcome whose in-order cumulative probability
+        exceeds the draw, else the last one (probabilities that sum to
+        less than one)."""
+        draws = [0.0, 0.4999, 0.5, 0.74, 0.75, 0.94, 0.96, 0.999]
+        assert _pick([0.5, 0.25, 0.2], draws).tolist() == \
+            [0, 0, 1, 1, 2, 2, 2, 2]
+
+    def test_sample_keeps_the_enumerated_outcome_pick_gives(self):
+        state = random_state(3, 4)
+        outcomes = measure_out(state, (0, 2), "bell", mode="enumerate")
+        probs = [p for _, p, _ in outcomes]
+        for seed in range(40):
+            draw = np.random.default_rng(seed).random()
+            got = measure_out(state, (0, 2), "bell",
+                              rng=np.random.default_rng(seed))
+            want = outcomes[_pick(probs, draw)]
+            assert got[:2] == want[:2]
+            np.testing.assert_array_equal(got[2].vectors, want[2].vectors)
 
 
 def random_ensemble(n, rank, seed, negative=False):

@@ -5,6 +5,7 @@ search over the stack against dense per-branch fidelities; and the one
 correction step, ``PlanStack.corrected``, against dense products."""
 
 import itertools
+import math
 import re
 
 import numpy as np
@@ -35,6 +36,7 @@ from qparity.sim import (
     DensityMatrix,
     PlanStep,
     PureState,
+    _draw,
     _eigen_rows,
     correction_table,
     partial_trace,
@@ -166,28 +168,71 @@ class TestEnumeratedWalks:
                                            atol=ATOL)
 
 
-class TestSampledWalks:
-    @pytest.mark.parametrize("factory,loss,visibility", [
-        (connect_scenario, 1, None), (bare_loss_scenario, 1, 0.741),
-        (encoded_loss_scenario, 2, None)],
-        ids=["connect-1", "bare-control-1-V=0.741", "rgs-loss-2"])
-    def test_seeded_walks_draw_the_per_branch_keys(self, factory, loss,
-                                                   visibility):
-        """3000 sampled walks keep the per-branch walker's branch at
-        every draw and leave the generator where it leaves it."""
+def scenario_case(factory, loss, visibility=None):
+    def case():
         scen = factory(loss)
-        _, state, order = walk_input(scen, visibility)
+        return (scen.plan, *walk_input(scen, visibility)[1:])
+    return case
+
+
+def readout_case():
+    """The code word read out with photons 3 and 5 lost."""
+    word = encode_shor(LogicalInput.from_angles(1.0471975511965976, 0.5))
+    alive = [q for q in range(9) if q not in (3, 5)]
+    return _READOUT_PLAN, partial_trace(word, [3, 5]), alive
+
+
+# Per case, a function giving the plan and the state and labels it
+# walks: every shipped scenario at each legal loss count, one noisy
+# scenario and a lossy readout.
+SAMPLED_CASES = {
+    **{f"{factory(loss).name}-{loss}": scenario_case(factory, loss)
+       for factory, loss in SCENARIOS},
+    "bare-control-1-V=0.741": scenario_case(bare_loss_scenario, 1, 0.741),
+    "readout-lose-3,5": readout_case,
+}
+
+
+class TestSampledWalks:
+    @pytest.mark.parametrize("case", SAMPLED_CASES)
+    def test_seeded_walks_draw_the_per_branch_keys(self, case):
+        """3000 walks drawn as one batch over the enumerated tree keep
+        the per-branch walker's branch (records and probabilities) at
+        every draw, walked one at a time, and leave the generator where
+        it leaves it."""
+        plan, state, order = SAMPLED_CASES[case]()
         rng, ref_rng = np.random.default_rng(99), np.random.default_rng(99)
-        for _ in range(3000):
-            stack = walk_stack(state, order, scen.plan, "sample", rng)
-            (probability,) = stack.probabilities
+        stack = walk_stack(state, order, plan)
+        for end in _draw(stack, rng, 3000).tolist():
             ((recs, prob, *_),) = ref.walk_plan_per_branch(
-                state.vectors, state.weights, order, scen.plan, "sample",
+                state.vectors, state.weights, order, plan, "sample",
                 ref_rng)
-            assert _branch_tokens(scen.plan, stack.records) == \
-                _branch_tokens(scen.plan, [recs])
-            assert abs(probability - prob) < ATOL
+            assert_records_match(stack.records[end], recs)
+            assert abs(stack.probabilities[end] - prob) < ATOL
         assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("case", ["connect-1", "readout-lose-3,5"])
+    def test_sampled_walk_is_the_drawn_enumerated_branch(self, case):
+        """A sampled walk keeps the enumerated branch that one draw
+        picks, with the same rows; its tree is that branch's path, so a
+        draw over the sampled stack ends on its one branch."""
+        plan, state, order = SAMPLED_CASES[case]()
+        stack = walk_stack(state, order, plan)
+        for seed in range(20):
+            (end,) = _draw(stack, np.random.default_rng(seed), 1)
+            rng = np.random.default_rng(seed)
+            one = walk_stack(state, order, plan, "sample", rng)
+            assert one.records == [stack.records[end]]
+            assert one.probabilities == [stack.probabilities[end]]
+            np.testing.assert_array_equal(one.vectors,
+                                          stack.vectors[end:end + 1])
+            assert len(one.tree) == len(stack.tree)
+            assert math.prod(kept for _, (kept,) in one.tree) == \
+                pytest.approx(one.probabilities[0], abs=ATOL)
+            assert _draw(one, np.random.default_rng(seed), 5).tolist() == \
+                [0] * 5
+            assert rng.random() == np.random.default_rng(seed).random(
+                len(stack.tree) + 1)[-1]
 
 
 class TestStack:
