@@ -77,9 +77,73 @@ def _write_csv(rows: list, header: list, schema: str) -> str:
     return buf.getvalue()
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_parts(obj, parts: list, indent: str) -> None:
+    """Append the pieces of ``obj``'s JSON text to ``parts``; ``indent`` is
+    the newline and indentation of the line ``obj`` starts on.
+
+    Follows the standard library's pure-Python encoder with indent=2 and
+    sort_keys=True, type check for type check.  Object keys must be str
+    (the stdlib would also coerce int, float, bool and None keys); any
+    other key or value raises TypeError.  ``obj`` must be a tree: a cycle
+    recurses until RecursionError.
+    """
+    if isinstance(obj, str):
+        parts.append(_encode_str(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        parts.append(_FLOAT_WORDS.get(text, text))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for item in obj:
+            parts.append(sep)
+            sep = comma
+            _json_parts(item, parts, inner)
+        parts.append(indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key in sorted(obj):
+            parts.append(sep + _encode_str(key) + ": ")
+            sep = comma
+            _json_parts(obj[key], parts, inner)
+        parts.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} "
+                        "is not JSON serializable")
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for
+    byte, without the stdlib's generator-based indent path."""
+    parts = []
+    _json_parts(obj, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
 def _write_json(payload: dict) -> str:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_text({"schema_version": SCHEMA_VERSION, **payload})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -98,7 +162,7 @@ def _parse_floats(text: str) -> list:
 
 
 def _parse_qubits(text: str) -> list:
-    """Comma list of 1-based photon numbers -> 0-based indices."""
+    """Comma list of distinct 1-based photon numbers -> 0-based indices."""
     try:
         nums = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
@@ -106,6 +170,8 @@ def _parse_qubits(text: str) -> list:
     for q in nums:
         if not (1 <= q <= 9):
             raise ConfigError(f"photon number {q} outside 1..9")
+    if len(set(nums)) != len(nums):
+        raise ConfigError(f"photon list {text!r} repeats a photon")
     return [q - 1 for q in nums]
 
 

@@ -27,7 +27,7 @@ encoded block {4', 5', 6'}.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -220,7 +220,20 @@ class Scenario:
         return _initial_state(self.rgs, len(self.channels))
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The fields as ``dataclasses.asdict`` gives them: ``rgs`` and
+        each plan step as a dict, every other field as is."""
+        rgs = self.rgs
+        return {
+            "name": self.name,
+            "channels": self.channels,
+            "rgs": {"kind": rgs.kind, "n": rgs.n, "m": rgs.m},
+            "rgs_order": self.rgs_order,
+            "rgs_groups": self.rgs_groups,
+            "loss": self.loss,
+            "plan": tuple({"op": s.op, "photons": s.photons}
+                          for s in self.plan),
+            "terminals": self.terminals,
+        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scenario":

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -274,11 +274,12 @@ class PauliString:
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One projective measurement outcome: a qubit (index or photon label)
-    in basis X, Y or Z, or a label pair in basis "bell"."""
+    in basis X, Y or Z with outcome +1 or -1, or a label pair in basis
+    "bell" with a Bell label such as "phi+"."""
 
-    qubit: int
+    qubit: Hashable
     basis: str
-    outcome: int
+    outcome: int | str
     probability: float
 
     def __post_init__(self):

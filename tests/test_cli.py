@@ -1,11 +1,14 @@
 """Command-line interface: formats, determinism, exit codes, goldens."""
 
+import enum
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qparity.cli import RATE_GRID_CAP, build_parser, main
+from qparity import cli
+from qparity.cli import RATE_GRID_CAP, _json_text, build_parser, main
 from qparity.photonics import MAX_SAMPLED_SOURCES
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -150,6 +153,7 @@ class TestExitCodes:
         (("syndrome-scan", "--qubit", "10"), 2),
         (("loss-readout", "--lose", "10"), 2),
         (("loss-readout", "--lose", "1"), 3),   # the output qubit
+        (("loss-readout", "--lose", "4,4"), 2),
         (("encode", "--theta", "nan"), 2),
         (("encode", "--noise", "2"), 2),
         (("encode", "--config", "/nonexistent"), 2),
@@ -318,3 +322,128 @@ class TestCorrectionGoldens:
         rc, raw = run(tmp_path, *argv)
         assert rc == 0
         assert raw == (GOLDEN / name).read_bytes()
+
+
+class TestJsonGoldens:
+    """Byte-frozen JSON outputs of the three witness commands, the noisy
+    encode and the noisy photonics-rate, which the benchmark compares only
+    with the run's own first output.  Kept apart from TestGoldens.CASES,
+    which the benchmark's golden list mirrors."""
+
+    CASES = [
+        ("connect_loss1.json", ("connect", "--loss", "1")),
+        ("rgs_loss2.json", ("rgs-loss", "--loss", "2")),
+        ("bare_control_loss1.json", ("bare-control", "--loss", "1")),
+        ("encode_noise07.json", ("encode", "--noise", "0.7")),
+        ("photonics_rate_noise07.json", ("photonics-rate", "--shots",
+                                         "300000", "--seed", "8",
+                                         "--noise", "0.7")),
+    ]
+
+    @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+    def test_golden(self, tmp_path, name, argv):
+        rc, raw = run(tmp_path, *argv)
+        assert rc == 0
+        assert raw == (GOLDEN / name).read_bytes()
+
+
+class Level(enum.IntEnum):
+    """An int subclass whose repr is not its JSON text."""
+    HIGH = 3
+
+
+def stdlib_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonEmitter:
+    """cli's JSON emitter against the standard library, byte for byte."""
+
+    # The JSON commands of one benchmark cli round, noise at V = 0.8.
+    ROUND = [
+        ("encode",),
+        ("encode", "--theta", "1.0471975511965976", "--phi", "0.5"),
+        ("encode", "--noise", "0.8"),
+        ("loss-readout", "--lose", "4,6"),
+        ("loss-readout", "--lose", "6", "--noise", "0.8"),
+        ("connect", "--loss", "1"),
+        ("connect", "--loss", "1", "--noise", "0.8"),
+        ("rgs-loss", "--loss", "2"),
+        ("rgs-loss", "--loss", "1", "--noise", "0.8"),
+        ("bare-control", "--loss", "1"),
+        ("rate", "--eta", "0.9", "--q", "0.5", "--n-max", "3", "--m-max", "3"),
+        ("rate", "--eta", "0.9", "--q", "0.5", "--n-max", "4", "--m-max", "4"),
+        ("photonics-rate", "--shots", "300000", "--seed", "8",
+         "--noise", "0.7"),
+    ]
+
+    SCALARS = [
+        float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16,
+        1e-7, 0.1, 1 / 3, -2.5e300, np.float64(0.1), np.float64("nan"),
+        np.float64("-inf"), np.float64(-0.0), True, False, 0, 1, -7, 2 ** 70,
+        Level.HIGH,
+        None, "", 'say "hi"', "back\\slash", "tab\tline\nnul\x00us\x1fdel\x7f",
+        "caf\u00e9 \u03c6+ \U0001d11e", "\u2028",
+    ]
+    EMPTIES = [[], {}, (), [[]], [{}], {"a": {}}, {"b": []}, ((),)]
+    KEYS = ["", "a", "b", "B", "aa", "schema_version", 'q"uote',
+            "back\\", "ctl\x01", "\u00e9", "\U0001d11e", "10'"]
+
+    def tree(self, rng, depth):
+        pick = rng.random()
+        if depth == 0 or pick < 0.25:
+            pool = self.SCALARS if rng.random() < 0.85 else self.EMPTIES
+            return pool[rng.integers(len(pool))]
+        children = [self.tree(rng, depth - 1)
+                    for _ in range(rng.integers(0, 5))]
+        if pick < 0.5:
+            return children
+        if pick < 0.6:
+            return tuple(children)
+        keys = rng.choice(self.KEYS, size=len(children), replace=False)
+        return {str(k): c for k, c in zip(keys, children)}
+
+    def test_random_trees_match_stdlib(self):
+        rng = np.random.default_rng(20221)
+        for _ in range(400):
+            obj = self.tree(rng, 4)
+            assert _json_text(obj) == stdlib_text(obj)
+
+    @pytest.mark.parametrize("obj", [
+        *SCALARS, *EMPTIES,
+        pytest.param([SCALARS, EMPTIES, {k: k for k in KEYS}], id="all"),
+        pytest.param({"a": [True, 1, False, 0, None],
+                      "b": (1.0, 1, np.float64(1.0))}, id="bool-int-float"),
+    ], ids=repr)
+    def test_fixed_values_match_stdlib(self, obj):
+        assert _json_text(obj) == stdlib_text(obj)
+
+    @pytest.mark.parametrize("bad", [
+        np.int64(1), np.bool_(True), np.float32(0.5), set(), object(),
+        b"bytes", 1j])
+    def test_unsupported_values_raise_type_error(self, bad):
+        for obj in (bad, [1, bad], {"a": {"b": bad}}):
+            with pytest.raises(TypeError):
+                stdlib_text(obj)
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                _json_text(obj)
+
+    def test_keys_must_be_strings(self):
+        # The stdlib coerces these keys; no payload has one.
+        for key in (1, 1.5, None, True, ("a",)):
+            with pytest.raises(TypeError):
+                _json_text({key: 0})
+
+    @pytest.mark.parametrize("argv", ROUND, ids=" ".join)
+    def test_cli_payloads_match_stdlib(self, tmp_path, monkeypatch, argv):
+        texts = []
+
+        def checked(obj):
+            texts.append(_json_text(obj))
+            assert texts[-1] == stdlib_text(obj)
+            return texts[-1]
+
+        monkeypatch.setattr(cli, "_json_text", checked)
+        rc, _ = run(tmp_path, *argv)
+        assert rc == 0
+        assert len(texts) == 1

@@ -4,7 +4,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +184,15 @@ class TestScenario:
         data = json.loads(json.dumps(scen.to_json_dict()))
         back = Scenario.from_json_dict(data)
         assert back == scen
+
+    @pytest.mark.parametrize("factory", [connect_scenario,
+                                         encoded_loss_scenario,
+                                         bare_loss_scenario])
+    def test_json_dict_is_asdict(self, factory):
+        for loss in (0, 1):
+            scen = factory(loss)
+            assert scen.to_json_dict() == asdict(scen)
+            assert json.dumps(scen.to_json_dict()) == json.dumps(asdict(scen))
 
     def test_unique_labels_enforced(self):
         with pytest.raises(ValueError):
