@@ -1,6 +1,8 @@
 """Exact simulation toolkit for loss-tolerant all-photonic quantum
 repeaters built on the nine-qubit Shor / quantum parity code."""
 
+from types import ModuleType as _ModuleType
+
 from .config import TOL
 from .errors import ConditionViolation, ConfigError, PreconditionError
 from .photonics import (
@@ -86,83 +88,8 @@ from .sim import (
     state_from_qubit,
 )
 
-__all__ = [
-    "TOL",
-    "ConditionViolation",
-    "ConfigError",
-    "PreconditionError",
-    "NoiseParams",
-    "SourceParams",
-    "apply_visibility_noise",
-    "chained_postselect_factor",
-    "coincidence_rate",
-    "encode_shor_noisy",
-    "encoder_sites",
-    "monte_carlo_coincidence",
-    "noisy_block_fidelity",
-    "postselected_cnot",
-    "shor_encoder_sites",
-    "snr_hv",
-    "RateModel",
-    "RateResult",
-    "evaluate",
-    "monte_carlo_bare",
-    "monte_carlo_rate",
-    "monte_carlo_side",
-    "optimize",
-    "p_connect_bare",
-    "p_logical_alive",
-    "p_side",
-    "sweep",
-    "BranchResult",
-    "PlanStep",
-    "RgsSpec",
-    "Scenario",
-    "WitnessResult",
-    "bare_loss_scenario",
-    "build_bare_rgs",
-    "build_encoded_rgs",
-    "build_partial_encoded",
-    "connection_corrections",
-    "derive_corrections",
-    "encoded_loss_scenario",
-    "connect_scenario",
-    "logical_loss_test",
-    "run_connection",
-    "witness",
-    "CodeLayout",
-    "DecodeResult",
-    "ErrorHypothesis",
-    "LogicalInput",
-    "LossPattern",
-    "SHOR_LAYOUT",
-    "SyndromeRecord",
-    "apply_flip_channel",
-    "correct",
-    "decode_readout",
-    "diagnose",
-    "encode_block",
-    "encode_qpc",
-    "encode_shor",
-    "measure_syndromes",
-    "readout_correction_table",
-    "stabilizers",
-    "BELL_LABELS",
-    "DensityMatrix",
-    "MeasurementRecord",
-    "PauliString",
-    "PureState",
-    "apply_pauli",
-    "apply_pauli_channel",
-    "apply_unitary",
-    "expectation",
-    "fidelity",
-    "make_basis_state",
-    "measure",
-    "measure_out",
-    "measure_pauli",
-    "partial_trace",
-    "state_from_qubit",
-]
+# Every public name imported above, the submodules left out.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 
 __version__ = "0.1.0"

@@ -197,7 +197,8 @@ def cmd_encode(args) -> None:
     inp = _angles_input(args.theta, args.phi)
     noise = _check_noise(args.noise)
     state = encode_shor(inp)
-    rho = state if noise is None else encode_shor_noisy(inp, noise)
+    rho = (state if noise is None
+           else apply_visibility_noise(state, shor_encoder_sites(), noise))
     payload = {
         "command": "encode",
         "input": {"theta": args.theta, "phi": args.phi},

@@ -34,9 +34,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConditionViolation, ConfigError, PreconditionError
-from .shor import LogicalInput, encode_qpc
+from .shor import LogicalInput, _spread, encode_qpc
 from .sim import (
-    CNOT,
     H,
     MAX_QUBITS,
     PAULI,
@@ -45,8 +44,8 @@ from .sim import (
     PlanStep,
     PureState,
     State,
+    _apply_to_axes,
     _pauli_rows,
-    apply_unitary,
     correction_table,
     partial_trace,
     walk_stack,
@@ -63,33 +62,29 @@ def build_bare_rgs(n: int) -> PureState:
     """n-qubit GHZ state, the unprotected repeater graph state."""
     if not (2 <= n <= MAX_QUBITS):
         raise ValueError(f"bare RGS size {n} outside 2..{MAX_QUBITS}")
-    return PureState(_ghz_amps(n, n))
+    return PureState(_ghz_amps(n))
 
 
 def build_partial_encoded(m: int) -> PureState:
     """(|000>|0_l> + |111>|1_l>)/sqrt2 with an m-photon encoded qubit.
 
     Qubits 0..2 are the bare GHZ arms, qubits 3..2+m the encoded block.
-    Built by circuit: GHZ over the three arms plus the block leader,
-    then rotate the leader and expand it into its block.
+    The circuit's GHZ over the three arms plus the block leader, with the
+    leader rotated, is a 4-qubit register; it is spread over blocks of
+    1, 1, 1 and m qubits (:func:`qparity.shor.encode_qpc` says why this
+    is the circuit bit for bit).
     """
     if not (1 <= m <= MAX_QUBITS - 3):
         raise ValueError(f"block size {m} makes {3 + m} qubits, cap is "
                          f"{MAX_QUBITS}")
-    total = 3 + m
-    state = PureState(_ghz_amps(4, total))
-    state = apply_unitary(state, H, [3])
-    for t in range(4, total):
-        state = apply_unitary(state, CNOT, [3, t])
-    return state
+    register = _apply_to_axes(_ghz_amps(4).reshape([2] * 4), H, [3])
+    return _spread(register.reshape(-1), (1, 1, 1, m))
 
 
-def _ghz_amps(k: int, total: int) -> np.ndarray:
-    """(|0..0> + |1..1>)/sqrt2 on the first k of ``total`` qubits."""
-    amps = np.zeros(2 ** total, dtype=complex)
-    amps[0] = 1 / math.sqrt(2)
-    ones = ((2 ** k) - 1) << (total - k)
-    amps[ones] = 1 / math.sqrt(2)
+def _ghz_amps(k: int) -> np.ndarray:
+    """(|0..0> + |1..1>)/sqrt2 on k qubits."""
+    amps = np.zeros(2 ** k, dtype=complex)
+    amps[[0, -1]] = 1 / math.sqrt(2)
     return amps
 
 
@@ -542,11 +537,14 @@ def _derived(lossless: Scenario, derive=derive_corrections):
     return MappingProxyType(derive(lossless))
 
 
+@lru_cache(maxsize=256)
 def connection_corrections(scenario: Scenario) -> MappingProxyType:
     """Correction table for a scenario, derived from its lossless variant
     once per lossless scenario (name, plan and every other field
-    included) and cached; callers share one read-only view."""
-    return _derived(replace(scenario, loss=()))
+    included) and cached; callers share one read-only view.  A scenario
+    seen before finds its table without building that variant again."""
+    return _derived(replace(scenario, loss=()) if scenario.loss
+                    else scenario)
 
 
 # ---------------------------------------------------------------------------

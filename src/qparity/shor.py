@@ -5,6 +5,11 @@ maps to index = number - 1.  The Shor code is the (n=3, m=3) instance
 with blocks {0,1,2}, {3,4,5}, {6,7,8}; block leaders sit at indices
 0, m, 2m, ...
 
+A code word is built with no gate on the full word: the encoding
+circuit's CNOTs only move amplitudes, so the Hadamards act on the
+n-leader register alone, which is then spread over the blocks (each
+leader bit becomes m equal bits), bit for bit as the circuit does.
+
 Readout is a measurement plan run by the same walker as an RGS
 connection (:func:`qparity.sim.walk_stack`): Z on the survivors of blocks
 2..n (each block's sign is the outcome of its first survivor), then X on
@@ -32,7 +37,6 @@ import numpy as np
 from .config import TOL
 from .errors import PreconditionError
 from .sim import (
-    CNOT,
     H,
     MAX_QUBITS,
     X,
@@ -42,6 +46,7 @@ from .sim import (
     PlanStep,
     PureState,
     State,
+    _apply_to_axes,
     apply_pauli_channel,
     apply_unitary,
     correction_table,
@@ -202,39 +207,67 @@ class DecodeResult:
 # encoding
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _spread_index(sizes: tuple) -> np.ndarray:
+    """Read-only index, in a word of sum(sizes) qubits, of each basis
+    state of a register whose bit i becomes block i of sizes[i] bits."""
+    index = np.zeros(1, dtype=np.intp)
+    for size in sizes:
+        shifted = index << size
+        index = np.stack([shifted, shifted | ((1 << size) - 1)],
+                         axis=1).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
+def _spread(register: np.ndarray, sizes: tuple) -> PureState:
+    """The word whose block i repeats register bit i sizes[i] times, as
+    CNOTs fanning each bit out over fresh |0> qubits give it.  Their
+    matmul also turns a zero of either sign into +0; a caller standing
+    in for them does that with ``register + 0.0``."""
+    amps = np.zeros(2 ** sum(sizes), dtype=complex)
+    amps[_spread_index(sizes)] = register
+    return PureState(amps)
+
+
 def encode_block(inp: LogicalInput, m: int = 3) -> PureState:
-    """Quantum encoder: alpha|0..0> + beta|1..1> over m qubits, built by
-    m-1 CNOTs from the input qubit onto fresh |0> targets."""
-    state = state_from_qubit(inp.alpha, inp.beta, m)
-    for t in range(1, m):
-        state = apply_unitary(state, CNOT, [0, t])
-    return state
+    """Quantum encoder: alpha|0..0> + beta|1..1> over m qubits, the input
+    qubit spread over a block of m with no gate, bit for bit what m-1
+    CNOTs onto fresh |0> targets give."""
+    if not (1 <= m <= MAX_QUBITS):
+        raise ValueError(f"block size m must be in 1..{MAX_QUBITS}, "
+                         f"got {m}")
+    register = np.array([inp.alpha, inp.beta], dtype=complex)
+    return _spread(register + 0.0 if m > 1 else register, (m,))
 
 
 def encode_qpc(inp: LogicalInput, n: int, m: int) -> PureState:
     """Quantum parity code over n blocks of m qubits.
 
-    Circuit: copy the input qubit onto the block leaders, Hadamard each
-    leader, then expand every leader into its block.  The result is
-    alpha |0>_L^n + beta |1>_L^n with |0/1>_L = (|0..0> +- |1..1>)/sqrt2.
+    The circuit copies the input qubit onto the block leaders, applies a
+    Hadamard to each leader, then expands every leader into its block.
+    Here the Hadamards act, with the circuit's matmul, on the n-leader
+    register alpha|0..0> + beta|1..1>, which is then spread over the
+    blocks.  The result is alpha |0>_L^n + beta |1>_L^n with
+    |0/1>_L = (|0..0> +- |1..1>)/sqrt2, bit for bit the circuit's.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if n * m > MAX_QUBITS:
         raise ValueError(f"{n}x{m} = {n * m} qubits exceeds the "
                          f"{MAX_QUBITS}-qubit cap")
-    layout = CodeLayout(n, m)
-    state = state_from_qubit(inp.alpha, inp.beta, n * m)
-    for b in range(1, n):
-        state = apply_unitary(state, CNOT, [0, layout.qubit_of(b, 0)])
-    for leader in layout.leaders():
-        state = apply_unitary(state, H, [leader])
-    for b in range(n):
-        leader = layout.qubit_of(b, 0)
-        for pos in range(1, m):
-            state = apply_unitary(state, CNOT,
-                                  [leader, layout.qubit_of(b, pos)])
-    return state
+    # A zero column 1 keeps each product at two or more columns, as on
+    # a full word of two or more qubits: NumPy runs a one-column product
+    # through another BLAS kernel, whose last bits differ.
+    register = np.zeros((2 ** n, 2 if m > 1 else 1), dtype=complex)
+    register[0, 0], register[-1, 0] = inp.alpha, inp.beta
+    if n > 1:
+        register += 0.0     # zeros as the fan-out's CNOTs leave them
+    tensor = register.reshape([2] * n + [-1])
+    for leader in range(n):
+        tensor = _apply_to_axes(tensor, H, [leader])
+    leaders = tensor.reshape(2 ** n, -1)[:, 0]
+    return _spread(leaders + 0.0 if m > 1 else leaders, (m,) * n)
 
 
 def encode_shor(inp: LogicalInput) -> PureState:
@@ -246,12 +279,18 @@ def encode_shor(inp: LogicalInput) -> PureState:
 # stabilizers and syndromes
 # ---------------------------------------------------------------------------
 
-def stabilizers(layout: CodeLayout = SHOR_LAYOUT) -> list:
-    """The code's stabilizer generators.
+def stabilizers(layout: CodeLayout = SHOR_LAYOUT) -> tuple:
+    """The code's stabilizer generators, built once per layout; every
+    call shares one tuple of read-only :class:`PauliString` objects.
 
     For the Shor layout: Z0Z1, Z1Z2, Z3Z4, Z4Z5, Z6Z7, Z7Z8, then
     X0..X5 and X3..X8 (adjacent-block X strings), in this order.
     """
+    return _stabilizers(layout)
+
+
+@lru_cache(maxsize=None)
+def _stabilizers(layout: CodeLayout) -> tuple:
     gens = []
     for b in range(layout.n_blocks):
         qs = layout.block_qubits(b)
@@ -260,7 +299,7 @@ def stabilizers(layout: CodeLayout = SHOR_LAYOUT) -> list:
     for b in range(layout.n_blocks - 1):
         qs = layout.block_qubits(b) + layout.block_qubits(b + 1)
         gens.append(PauliString({q: "X" for q in qs}))
-    return gens
+    return tuple(gens)
 
 
 def measure_syndromes(state: State, mode: str = "expectation",

@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -231,6 +232,8 @@ class PauliString:
 
     ``factors`` maps qubit index -> one of "X", "Y", "Z"; identity
     factors are omitted.  The empty factor map is the (signed) identity.
+    It is kept as a read-only mapping in qubit order, so that a shared
+    operator (a cached stabilizer, say) cannot be edited.
     """
 
     factors: Mapping[int, str]
@@ -239,8 +242,8 @@ class PauliString:
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        object.__setattr__(self, "factors",
-                           dict(sorted(self.factors.items())))
+        object.__setattr__(self, "factors", MappingProxyType(
+            dict(sorted(self.factors.items()))))
         for q, letter in self.factors.items():
             if letter not in ("X", "Y", "Z"):
                 raise ValueError(f"bad Pauli letter {letter!r} on qubit {q}")
@@ -354,17 +357,15 @@ def _check_targets(targets: Sequence[int], n: int) -> None:
 
 def make_basis_state(num_qubits: int) -> PureState:
     """All-zeros computational basis state |0...0>."""
-    if not (1 <= num_qubits <= MAX_QUBITS):
-        raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, "
-                         f"got {num_qubits}")
-    amps = np.zeros(2 ** num_qubits, dtype=complex)
-    amps[0] = 1.0
-    return PureState(amps)
+    return state_from_qubit(1.0, 0.0, num_qubits)
 
 
 def state_from_qubit(alpha: complex, beta: complex,
                      num_qubits: int = 1) -> PureState:
     """alpha|0> + beta|1> on qubit 0, all other qubits |0>."""
+    if not (1 <= num_qubits <= MAX_QUBITS):
+        raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, "
+                         f"got {num_qubits}")
     amps = np.zeros(2 ** num_qubits, dtype=complex)
     amps[0] = alpha
     amps[2 ** (num_qubits - 1)] = beta

@@ -2,7 +2,9 @@
 
 Everything here builds full 2^n x 2^n operators by Kronecker products
 and explicit index arithmetic, deliberately avoiding the tensor-reshape
-code paths of the package under test.
+code paths of the package under test.  The gate-by-gate encoders are
+the exception: they run the package's gate primitive, since they are
+bit-for-bit oracles.
 """
 
 import math
@@ -164,6 +166,51 @@ def qpc_codeword(alpha: complex, beta: complex, n: int, m: int) -> np.ndarray:
                 index |= ((1 << m) - 1) << (m * (n - 1 - b))
         amps[index] = (alpha + beta * (-1) ** sum(ones)) / 2 ** (n / 2)
     return amps
+
+
+# ---------------------------------------------------------------------------
+# Gate-by-gate encoders
+# ---------------------------------------------------------------------------
+# The encoding circuits as the package once ran them, one
+# qparity.sim.apply_unitary call per gate.  They use the package's own
+# gate primitive on purpose: the builders that replaced them must give
+# the same amplitudes bit for bit, signs of zero included.
+
+def encode_block_circuit(alpha: complex, beta: complex, m: int):
+    """alpha|0..0> + beta|1..1> over m qubits by m-1 CNOTs."""
+    from qparity import sim
+    state = sim.state_from_qubit(alpha, beta, m)
+    for t in range(1, m):
+        state = sim.apply_unitary(state, sim.CNOT, [0, t])
+    return state
+
+
+def encode_qpc_circuit(alpha: complex, beta: complex, n: int, m: int):
+    """Copy the input onto the n block leaders, Hadamard each leader,
+    expand each leader into its block of m."""
+    from qparity import sim
+    state = sim.state_from_qubit(alpha, beta, n * m)
+    for b in range(1, n):
+        state = sim.apply_unitary(state, sim.CNOT, [0, b * m])
+    for b in range(n):
+        state = sim.apply_unitary(state, sim.H, [b * m])
+    for b in range(n):
+        for pos in range(1, m):
+            state = sim.apply_unitary(state, sim.CNOT, [b * m, b * m + pos])
+    return state
+
+
+def partial_encoded_circuit(m: int):
+    """GHZ over three bare arms and a block leader, the leader rotated
+    and expanded into its block of m."""
+    from qparity import sim
+    total = 3 + m
+    amps = np.zeros(2 ** total, dtype=complex)
+    amps[0] = amps[0b1111 << (total - 4)] = 1 / math.sqrt(2)
+    state = sim.apply_unitary(sim.PureState(amps), sim.H, [3])
+    for t in range(4, total):
+        state = sim.apply_unitary(state, sim.CNOT, [3, t])
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qparity import cli
+from qparity import cli, shor
 from qparity.cli import RATE_GRID_CAP, _json_text, build_parser, main
 from qparity.photonics import MAX_SAMPLED_SOURCES
 
@@ -345,6 +345,38 @@ class TestJsonGoldens:
         rc, raw = run(tmp_path, *argv)
         assert rc == 0
         assert raw == (GOLDEN / name).read_bytes()
+
+
+class TestEncodingGoldens:
+    """Byte-frozen outputs of the commands that build a Shor code word:
+    the phase-flip syndrome scan, encode at a generic input and the noisy
+    readout with photon 6 lost.  Kept apart from TestGoldens.CASES, which
+    the benchmark's golden list mirrors."""
+
+    CASES = [
+        ("syndrome_phaseflip.csv", ("syndrome-scan", "--channel",
+                                    "phase-flip")),
+        ("encode_theta60_phi05.json", ("encode", "--theta",
+                                       "1.0471975511965976",
+                                       "--phi", "0.5")),
+        ("loss_readout_6_noise07.json", ("loss-readout", "--lose", "6",
+                                         "--noise", "0.7")),
+    ]
+
+    @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+    def test_golden(self, tmp_path, name, argv):
+        rc, raw = run(tmp_path, *argv)
+        assert rc == 0
+        assert raw == (GOLDEN / name).read_bytes()
+
+    def test_noisy_encode_builds_the_word_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = shor.encode_qpc
+        monkeypatch.setattr(shor, "encode_qpc",
+                            lambda *a: calls.append(a) or build(*a))
+        rc, raw = run(tmp_path, "encode", "--noise", "0.7")
+        assert rc == 0 and len(calls) == 1
+        assert raw == (GOLDEN / "encode_noise07.json").read_bytes()
 
 
 class Level(enum.IntEnum):

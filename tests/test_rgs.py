@@ -29,7 +29,7 @@ from qparity.rgs import (
     run_connection,
     witness,
 )
-from qparity import sim
+from qparity import rgs, sim
 from qparity.rates import p_logical_alive
 from qparity.shor import (
     LogicalInput,
@@ -141,6 +141,10 @@ class TestBuilders:
 
 
 class TestWitness:
+    def test_shared_witness_operators_are_read_only(self):
+        with pytest.raises(TypeError):
+            rgs._WITNESS_OPS[0].factors[0] = "Z"
+
     def test_phi_plus(self):
         w = witness(PureState(np.array([1, 0, 0, 1]) / np.sqrt(2)))
         assert abs(w.xx - 1) < 1e-10
@@ -489,6 +493,24 @@ class TestCorrections:
         inp = LogicalInput.from_angles(1.0471975511965976, 0.5)
         for b in decode_readout(encode_shor(inp)):
             assert abs(b.fidelity_to(inp) - 1) < 1e-10
+
+    def test_known_scenario_builds_no_lossless_copy(self, monkeypatch):
+        scen = connect_scenario(1)
+        twin = replace(scen, name=scen.name)
+        table = connection_corrections(scen)
+        built = []
+        monkeypatch.setattr(Scenario, "_validate", lambda s: built.append(s))
+        assert connection_corrections(scen) is table
+        assert connection_corrections(twin) is table
+        assert built == []
+
+    def test_one_derivation_per_lossless_scenario(self):
+        before = rgs._derived.cache_info().misses
+        tables = [connection_corrections(
+            replace(connect_scenario(loss), name="one-derivation"))
+            for loss in (1, 2, 0, 1)]
+        assert rgs._derived.cache_info().misses == before + 1
+        assert all(t is tables[0] for t in tables)
 
     def test_tables_do_not_depend_on_loss(self):
         assert connection_corrections(connect_scenario(0)) is \

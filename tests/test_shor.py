@@ -14,6 +14,8 @@ import pytest
 
 import reference as ref
 from qparity.errors import PreconditionError
+from qparity.photonics import noisy_block_fidelity
+from qparity.rgs import build_partial_encoded
 from qparity.shor import (
     CodeLayout,
     DecodeResult,
@@ -32,6 +34,8 @@ from qparity.shor import (
     stabilizers,
 )
 from qparity.sim import (
+    MAX_QUBITS,
+    PauliString,
     PureState,
     apply_unitary,
     expectation,
@@ -87,6 +91,77 @@ class TestEncodeBlock:
         np.testing.assert_allclose(s.amplitudes, vec, atol=1e-12)
         np.testing.assert_allclose(s.amplitudes[[0, 7]], [S2, 1j * S2],
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("m", [0, -1, 13])
+    def test_block_size_outside_cap_is_a_value_error(self, m):
+        with pytest.raises(ValueError, match=f"1..{MAX_QUBITS}"):
+            encode_block(D_INPUT, m)
+
+    def test_noisy_block_of_no_photons_is_a_value_error(self):
+        with pytest.raises(ValueError, match=f"1..{MAX_QUBITS}"):
+            noisy_block_fidelity(0.7, 0)
+
+
+def _with_signed_zeros():
+    """Inputs whose amplitude parts include zeros of both signs."""
+    out = []
+    for a_re, a_im, b_re, b_im in itertools.product(
+            (S2, -S2, 1.0, -1.0, 0.0, -0.0), repeat=4):
+        if abs(a_re ** 2 + a_im ** 2 + b_re ** 2 + b_im ** 2 - 1) < 1e-12:
+            parts = np.array([[a_re, a_im], [b_re, b_im]])
+            alpha, beta = parts.view(complex)[:, 0]
+            out.append(LogicalInput(alpha, beta))
+    return out
+
+
+# Seeded inputs, the six inputs at theta in {0, pi/2, pi} and phi in
+# {0, pi}, and inputs with signed zeros in their amplitudes.
+ORACLE_INPUTS = (random_inputs(4, seed=15)
+                 + [LogicalInput.from_angles(t, p)
+                    for t in (0.0, math.pi / 2, math.pi)
+                    for p in (0.0, math.pi)]
+                 + _with_signed_zeros())
+LAYOUTS = [(n, m) for n in range(1, MAX_QUBITS + 1)
+           for m in range(1, MAX_QUBITS // n + 1)]
+
+
+def bits(state):
+    """The amplitudes' IEEE bits, so that the sign of zero counts."""
+    return state.amplitudes.view(np.uint64)
+
+
+class TestGateOracle:
+    """The code-word builders give the old gate circuits' amplitudes bit
+    for bit (tests/reference.py keeps the circuits)."""
+
+    @pytest.mark.parametrize("n,m", LAYOUTS)
+    def test_encode_qpc(self, n, m):
+        for inp in ORACLE_INPUTS:
+            want = ref.encode_qpc_circuit(inp.alpha, inp.beta, n, m)
+            np.testing.assert_array_equal(bits(encode_qpc(inp, n, m)),
+                                          bits(want))
+
+    @pytest.mark.parametrize("m", range(1, MAX_QUBITS + 1))
+    def test_encode_block(self, m):
+        for inp in ORACLE_INPUTS:
+            want = ref.encode_block_circuit(inp.alpha, inp.beta, m)
+            np.testing.assert_array_equal(bits(encode_block(inp, m)),
+                                          bits(want))
+
+    @pytest.mark.parametrize("m", range(1, MAX_QUBITS - 2))
+    def test_build_partial_encoded(self, m):
+        np.testing.assert_array_equal(bits(build_partial_encoded(m)),
+                                      bits(ref.partial_encoded_circuit(m)))
+
+    def test_signed_zero_inputs_are_covered(self):
+        """Each of the four amplitude parts is -0 in some inputs and +0
+        in others."""
+        parts = np.array([(inp.alpha, inp.beta) for inp in ORACLE_INPUTS])
+        parts = parts.view(float)
+        assert len(parts) > 100
+        for column in parts.T:
+            signs = np.signbit(column[column == 0])
+            assert signs.any() and not signs.all()
 
 
 class TestEncodeShor:
@@ -162,6 +237,39 @@ class TestStabilizers:
         gens = stabilizers()
         assert [g.factors for g in gens] == want
         assert all(g.sign == 1 for g in gens)
+
+    def test_one_shared_tuple_per_layout(self):
+        gens = stabilizers()
+        assert isinstance(gens, tuple)
+        assert stabilizers() is gens
+        assert stabilizers(SHOR_LAYOUT) is gens
+        assert stabilizers(CodeLayout(3, 3)) is gens
+        assert stabilizers(CodeLayout(2, 4)) is stabilizers(CodeLayout(2, 4))
+
+    @pytest.mark.parametrize("n,m", [(3, 3), (1, 1), (1, 4), (4, 1), (2, 5),
+                                     (4, 3)])
+    def test_equals_generator_list(self, n, m):
+        """The generators the layout's loops once built on every call."""
+        layout = CodeLayout(n, m)
+        want = []
+        for b in range(n):
+            qs = layout.block_qubits(b)
+            for i in range(m - 1):
+                want.append(PauliString({qs[i]: "Z", qs[i + 1]: "Z"}))
+        for b in range(n - 1):
+            qs = layout.block_qubits(b) + layout.block_qubits(b + 1)
+            want.append(PauliString({q: "X" for q in qs}))
+        assert list(stabilizers(layout)) == want
+
+    def test_shared_generators_cannot_be_edited(self):
+        gen = stabilizers()[0]
+        with pytest.raises(TypeError):
+            gen.factors[5] = "X"
+        with pytest.raises(TypeError):
+            del gen.factors[0]
+        with pytest.raises(AttributeError):
+            gen.factors.clear()
+        assert dict(stabilizers()[0].factors) == {0: "Z", 1: "Z"}
 
     def test_pairwise_commutation(self):
         gens = stabilizers()

@@ -69,6 +69,20 @@ class TestStates:
         with pytest.raises(ValueError):
             make_basis_state(13)
 
+    @pytest.mark.parametrize("n", [0, -1, 13])
+    def test_qubit_state_size_outside_cap_is_a_value_error(self, n):
+        with pytest.raises(ValueError, match="num_qubits must be in 1..12"):
+            state_from_qubit(0.6, 0.8, n)
+
+    def test_pauli_factors_are_read_only_and_copied(self):
+        source = {2: "X", 0: "Z"}
+        op = PauliString(source)
+        source[1] = "Y"
+        assert list(op.factors.items()) == [(0, "Z"), (2, "X")]
+        with pytest.raises(TypeError):
+            op.factors[1] = "Y"
+        assert op == PauliString({0: "Z", 2: "X"})
+
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             PureState(np.array([1.0, 1.0]))
@@ -784,3 +798,16 @@ class TestSamplerMemory:
         peak = _traced_peak(lambda: monte_carlo_side(
             RateModel(0.9, 0.5, 1, 1), 10 ** 7, 5))
         assert peak < self.BOUND, peak
+
+
+def test_package_exports_its_public_names_once():
+    """``qparity.__all__`` holds each imported public name once and no
+    submodule."""
+    import types
+
+    import qparity
+    names = qparity.__all__
+    assert len(names) == len(set(names)) == 76
+    assert {"encode_qpc", "stabilizers", "PauliString", "TOL"} <= set(names)
+    assert not any(isinstance(getattr(qparity, name), types.ModuleType)
+                   for name in names)
