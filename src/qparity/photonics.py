@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .rates import _count_hits, _estimate, _fold
+from .rates import _check_count, _count_hits, _estimate, _fold
 from .shor import LogicalInput, SHOR_LAYOUT, encode_block, encode_shor
 from .sim import (
     CNOT,
@@ -111,8 +111,7 @@ def chained_postselect_factor(n_stages: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_coincidence(n_sources: int, postselect_factor: float) -> None:
-    if n_sources < 1:
-        raise ValueError("need n_sources >= 1")
+    _check_count("n_sources", n_sources)
     if not (0.0 <= postselect_factor <= 1.0):
         raise ValueError(f"postselect_factor {postselect_factor} "
                          "out of [0, 1]")
@@ -133,10 +132,10 @@ def coincidence_rate(params: SourceParams, n_sources: int = 5,
 
 # Pulses per block of the coincidence sampler's stream layout.
 PULSE_BLOCK = 1_000_000
-# Most sources the coincidence sampler takes.  Each of its threads holds
-# CHUNK_SHOTS * sources doubles and CHUNK_SHOTS * (2 * sources + 2)
-# flags, 5 MiB at 64; with a chunk's temporaries a thread peaked at
-# 6.0 MiB of NumPy memory.
+# Most sources the coincidence sampler takes.  At 64 sources a chunk is
+# 1024 pulses, whose buffers of 64 doubles and 129 flags per pulse take
+# 641 KiB of rates.CHUNK_BYTES; with a chunk's temporaries a thread
+# peaked at 0.76 MiB of NumPy memory.
 MAX_SAMPLED_SOURCES = 64
 
 
@@ -152,8 +151,8 @@ def monte_carlo_coincidence(params: SourceParams, n_sources: int,
 
     Stream layout: per block of ``PULSE_BLOCK`` pulses, every pulse's
     emissions (k x n_sources), then deliveries (k x n_sources), then
-    post-selections (k).  Each block is read in chunks of
-    ``rates.CHUNK_SHOTS`` pulses by up to ``rates.WORKERS`` threads, so
+    post-selections (k).  Each block is read in chunks of at most
+    ``rates.CHUNK_BYTES`` of buffers by up to ``rates.WORKERS`` threads, so
     memory stays bounded whatever ``pulses`` is; ``MAX_SAMPLED_SOURCES``
     bounds ``n_sources``.  A chunk in which no pulse has every source
     emit advances past its deliveries and post-selections instead of
@@ -164,8 +163,7 @@ def monte_carlo_coincidence(params: SourceParams, n_sources: int,
     if n_sources > MAX_SAMPLED_SOURCES:
         raise ValueError(f"n_sources {n_sources} exceeds the sampler's cap "
                          f"of {MAX_SAMPLED_SOURCES}")
-    if pulses < 1:
-        raise ValueError("need pulses >= 1")
+    _check_count("pulses", pulses)
     rng = np.random.default_rng(seed)
     emitted = (((n_sources, params.pair_prob),),
                functools.partial(_fold, and_))

@@ -32,10 +32,12 @@ drawn one after another from a PCG64 stream (for ``monte_carlo_side``:
 all shots' photons, then all shots' BSMs).  The samplers count their
 hits through ``_count_hits``, which splits the shots into at most
 ``WORKERS`` contiguous spans, one per thread.  Each span reads its rows
-of every array in chunks of at most ``CHUNK_SHOTS`` shots, from copies
-of the generator advanced to where those rows start.  A sampler states
-its success as a conjunction of stages, each a test on some of the
-arrays (``monte_carlo_rate``: the left side, then the right side).
+of every array in chunks, from copies of the generator advanced to
+where those rows start.  A chunk holds as many shots as keep its
+buffers within ``CHUNK_BYTES``, so a narrow sampler reads fewer, larger
+chunks than a wide one.  A sampler states its success as a conjunction
+of stages, each a test on some of the arrays (``monte_carlo_rate``: the
+left side, then the right side).
 Once no shot of a chunk has passed every stage so far, the chunk's rows
 of the later arrays are advanced past instead of drawn, which no count
 can tell.  So the counts are those of the whole arrays whatever the
@@ -50,25 +52,42 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from operator import and_, or_
+from operator import and_, index, or_
 
 import numpy as np
 
 DEFAULT_BSM_SUCCESS = 0.5
 
-# Shots per chunk of sampler draws.  Each thread reuses one float
-# buffer of CHUNK_SHOTS x (widest array) doubles and one bool buffer per
-# array: for a 3 x 3 rate model 576 KiB + 192 KiB, so a chunk's draws,
-# comparisons and folds run in cache.  2**12..2**15 measured within
-# noise of each other on the montecarlo workload; 2**13 was among the
-# fastest.
-CHUNK_SHOTS = 2 ** 13
+# Bytes of one thread's chunk buffers: per shot of the chunk, a double
+# per entry of the widest array and a bool per draw of every array.  A
+# 3 x 3 rate model's 8192-shot chunk takes exactly this, 576 KiB +
+# 192 KiB, and a chunk's draws, comparisons and folds run in cache.  A
+# fixed 8192 shots cost a 1 x 1 model twice the NumPy calls per draw
+# of a 3 x 3 one; 2**14 or 2**15 shots for every sampler raised the
+# montecarlo workload's peak RSS by 1.7 or 5.8 MB.
+CHUNK_BYTES = 768 * 1024
 
 # Threads that count one sampler call: one per core this process may run
 # on, at most 4, since each holds its own chunk buffers.
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
 WORKERS = min(_CORES, 4)
+
+
+def _check_unit(name: str, value) -> None:
+    if not (0.0 <= value <= 1.0):
+        raise ValueError(f"{name} {value} out of [0, 1]")
+
+
+def _check_count(name: str, value) -> None:
+    """A count must be an integer (a float is refused even when whole)
+    and at least 1."""
+    try:
+        index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"need {name} >= 1")
 
 
 @dataclass(frozen=True)
@@ -81,12 +100,10 @@ class RateModel:
     m: int = 1
 
     def __post_init__(self):
-        if not (0.0 <= self.eta <= 1.0):
-            raise ValueError(f"eta {self.eta} out of [0, 1]")
-        if not (0.0 <= self.q <= 1.0):
-            raise ValueError(f"q {self.q} out of [0, 1]")
-        if self.n < 1 or self.m < 1:
-            raise ValueError("need n >= 1 and m >= 1")
+        _check_unit("eta", self.eta)
+        _check_unit("q", self.q)
+        _check_count("n", self.n)
+        _check_count("m", self.m)
 
 
 @dataclass(frozen=True)
@@ -128,10 +145,15 @@ def evaluate(model: RateModel) -> RateResult:
                       photons_used=photons, efficiency=ps ** 2 / photons)
 
 
+def _check_bare(n: int, eta: float, q: float) -> None:
+    _check_count("n", n)
+    _check_unit("eta", eta)
+    _check_unit("q", q)
+
+
 def p_connect_bare(n: int, eta: float, q: float) -> float:
     """Bare GHZ scheme: all 2n photons arrive, >= 1 BSM per side."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_bare(n, eta, q)
     return eta ** (2 * n) * (1.0 - (1.0 - q) ** n) ** 2
 
 
@@ -190,6 +212,16 @@ def _fold(op, flags: np.ndarray) -> np.ndarray:
     return acc[::width].reshape(flags.shape[:-1]).copy()
 
 
+def _chunk_rows(widths) -> int:
+    """Shots per chunk for arrays of these widths: the largest power of
+    two whose buffers fit in ``CHUNK_BYTES``, at most 2**15 and at least
+    1.  Unrounded, the 5-source coincidence chunk grew from 8192 to
+    15 420 shots and the cli's peak RSS by 0.7 MB; uncapped, the
+    montecarlo workload's peak RSS rose by 0.3 MB."""
+    fit = CHUNK_BYTES // (8 * max(widths) + sum(widths))
+    return min(2 ** 15, 1 << max(fit.bit_length() - 1, 0))
+
+
 def _count_hits(rng: np.random.Generator, shots: int, stages) -> int:
     """Number of shots that pass every stage of ``stages``.
 
@@ -197,11 +229,12 @@ def _count_hits(rng: np.random.Generator, shots: int, stages) -> int:
     p)`` pairs; each stands for the flags ``rng.random((shots, width)) <
     p``, every stage's arrays drawn one after another.  ``test`` takes
     one ``(k, width)`` bool array per pair of its stage, the flags of the
-    same k shots, and returns k bools.  The shots are read in chunks:
-    once no shot of a chunk has passed every stage so far, the chunk's
-    rows of the later arrays are advanced past instead of drawn, so a
-    later ``test`` sees only chunks where some shot can still succeed,
-    and the count is that of the whole arrays.  The shots are split into
+    same k shots, and returns k bools.  The shots are read in chunks of
+    ``_chunk_rows`` of the widths: once no shot of a chunk has passed
+    every stage so far, the chunk's rows of the later arrays are
+    advanced past instead of drawn, so a later ``test`` sees only chunks
+    where some shot can still succeed, and the count is that of the
+    whole arrays.  The shots are split into
     at most ``WORKERS`` contiguous spans of whole chunks: the caller's
     thread counts the first, one thread each the rest, and an exception
     raised in any span is raised here once all have stopped.  A ``test``
@@ -217,10 +250,14 @@ def _count_hits(rng: np.random.Generator, shots: int, stages) -> int:
         raise ValueError(
             f"Monte-Carlo samplers need a PCG64 or PCG64DXSM generator to "
             f"position their chunked draws, got {type(bitgen).__name__}")
-    widths = [width for draws, _ in stages for width, _ in draws]
-    chunks = -(-shots // CHUNK_SHOTS)
+    # advance() overflows on a NumPy integer, which the stream offsets
+    # below would be if shots or a width were one.
+    shots = index(shots)
+    widths = [index(width) for draws, _ in stages for width, _ in draws]
+    rows = _chunk_rows(widths)
+    chunks = -(-shots // rows)
     n_spans = min(WORKERS, chunks)
-    edges = [min(shots, i * chunks // n_spans * CHUNK_SHOTS)
+    edges = [min(shots, i * chunks // n_spans * rows)
              for i in range(n_spans + 1)]
     state = bitgen.state
     spans = []
@@ -239,7 +276,7 @@ def _count_hits(rng: np.random.Generator, shots: int, stages) -> int:
         # workers, they sat in malloc arenas of their own, and the
         # montecarlo workload's peak RSS rose by 0.7-1.4 MB instead of
         # 0.4-0.5 MB.
-        k = min(CHUNK_SHOTS, hi - lo)
+        k = min(rows, hi - lo)
         spans.append((streams, hi - lo, np.empty(k * max(widths)),
                       [np.empty((k, width), dtype=bool) for width in widths]))
     # advance() drops a buffered 32-bit half, which double draws keep.
@@ -274,14 +311,15 @@ def _count_hits(rng: np.random.Generator, shots: int, stages) -> int:
 def _span_hits(streams, shots: int, uniforms: np.ndarray, flags,
                stages) -> int:
     """Hits over ``shots`` shots whose draws ``streams`` start at, one
-    stream per ``(width, p)`` pair of the stages, read in chunks of
-    ``CHUNK_SHOTS`` shots: each array's uniforms into ``uniforms``, its
-    flags into its entry of ``flags``, both reused from chunk to chunk.
-    A chunk that no shot can still pass advances the rest of its
-    streams."""
+    stream per ``(width, p)`` pair of the stages, read in chunks of as
+    many shots as ``flags`` has rows: each array's uniforms into
+    ``uniforms``, its flags into its entry of ``flags``, both reused from
+    chunk to chunk.  A chunk that no shot can still pass advances the
+    rest of its streams."""
+    rows = len(flags[0])
     hits = 0
-    for done in range(0, shots, CHUNK_SHOTS):
-        k = min(CHUNK_SHOTS, shots - done)
+    for done in range(0, shots, rows):
+        k = min(rows, shots - done)
         passing = None
         i = 0
         for draws, test in stages:
@@ -334,8 +372,7 @@ def monte_carlo_side(model: RateModel, shots: int, seed):
     ``seed`` is anything :func:`numpy.random.default_rng` takes; a PCG64
     ``Generator`` is used in place and stepped past the draws.
     """
-    if shots < 1:
-        raise ValueError("need shots >= 1")
+    _check_count("shots", shots)
     rng = np.random.default_rng(seed)
     return _estimate(_count_hits(rng, shots, (_side_stage(model),)), shots)
 
@@ -345,13 +382,13 @@ def monte_carlo_rate(model: RateModel, shots: int, seed):
 
     Stream layout: all shots' left-side photons (shots x n*m), then all
     left BSMs (shots x n), then the right side's photons and BSMs, as
-    whole arrays.  They are read in chunks of ``CHUNK_SHOTS`` shots by up
-    to ``WORKERS`` threads, so memory stays bounded whatever ``shots``
-    is, and a fixed seed gives a bit-identical estimate.  A chunk in
-    which no left side succeeds advances past its right-side draws.
+    whole arrays.  They are read in chunks of at most ``CHUNK_BYTES`` of
+    buffers by up to ``WORKERS`` threads, so memory stays bounded
+    whatever ``shots`` is, and a fixed seed gives a bit-identical
+    estimate.  A chunk in which no left side succeeds advances past its
+    right-side draws.
     """
-    if shots < 1:
-        raise ValueError("need shots >= 1")
+    _check_count("shots", shots)
     rng = np.random.default_rng(seed)
     side = _side_stage(model)
     return _estimate(_count_hits(rng, shots, (side, side)), shots)
@@ -363,10 +400,8 @@ def monte_carlo_bare(n: int, eta: float, q: float, shots: int, seed):
     Draws every photon's arrival (2 sides x n), then every BSM outcome;
     a chunk in which no shot keeps all its photons skips the BSMs.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if shots < 1:
-        raise ValueError("need shots >= 1")
+    _check_bare(n, eta, q)
+    _check_count("shots", shots)
     rng = np.random.default_rng(seed)
 
     def bsms(bsm_ok):

@@ -324,6 +324,31 @@ class TestCorrectionGoldens:
         assert raw == (GOLDEN / name).read_bytes()
 
 
+class TestChunkSizeGoldens:
+    """Byte-frozen coincidence sampler runs whose chunks are not 8192
+    pulses: 64 sources read 1024-pulse chunks, 2 sources 32768-pulse
+    ones.  Both outputs predate chunks sized by rates.CHUNK_BYTES, which
+    leave every estimate as it was.  Kept apart from TestGoldens.CASES,
+    which the benchmark's golden list mirrors."""
+
+    CASES = [
+        ("photonics_rate_64src.json", ("photonics-rate", "--sources", "64",
+                                       "--shots", "20000", "--seed", "3",
+                                       "--pair-prob", "0.97",
+                                       "--eta-pair", "0.97")),
+        ("photonics_rate_2src.json", ("photonics-rate", "--sources", "2",
+                                      "--shots", "100000", "--seed", "4",
+                                      "--pair-prob", "0.5",
+                                      "--eta-pair", "0.7")),
+    ]
+
+    @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+    def test_golden(self, tmp_path, name, argv):
+        rc, raw = run(tmp_path, *argv)
+        assert rc == 0
+        assert raw == (GOLDEN / name).read_bytes()
+
+
 class TestJsonGoldens:
     """Byte-frozen JSON outputs of the three witness commands, the noisy
     encode and the noisy photonics-rate, which the benchmark compares only

@@ -2,11 +2,13 @@
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference as ref
+from qparity import rates
 from qparity.photonics import (
     MAX_SAMPLED_SOURCES,
     PULSE_BLOCK,
@@ -23,7 +25,6 @@ from qparity.photonics import (
     shor_encoder_sites,
     snr_hv,
 )
-from qparity.rates import CHUNK_SHOTS
 from qparity.shor import LogicalInput, encode_shor
 from qparity.sim import (
     CNOT,
@@ -38,6 +39,27 @@ from qparity.sim import (
 
 S2 = 1 / math.sqrt(2)
 D_INPUT = LogicalInput(S2, S2)
+
+
+def chunk_edge_cases(rows):
+    """One pulse short of a chunk of ``rows(sources)`` pulses, one chunk,
+    one over, three chunks plus a remainder, and a second PULSE_BLOCK
+    block of one chunk and one pulse."""
+    cases = []
+    for sources in (1, 3):
+        k = rows(sources)
+        cases += [(sources, pulses) for pulses in
+                  (k - 1, k, k + 1, 3 * k + 7, PULSE_BLOCK + k + 1)]
+    return cases
+
+
+# Those of the widest samplers' 8192-pulse chunks, then each source
+# count's own.
+_WIDE = chunk_edge_cases(lambda sources: rates._chunk_rows((9, 3, 9, 3)))
+CHUNK_EDGE_CASES = _WIDE + [
+    case for case in chunk_edge_cases(
+        lambda sources: rates._chunk_rows((sources, sources, 1)))
+    if case not in _WIDE]
 
 
 class TestPostselectedCnot:
@@ -142,13 +164,10 @@ class TestCoincidenceRate:
                 0.8, 0.9, 1e6, sources, 0.5, pulses, seed)
             assert got == want
 
-    @pytest.mark.parametrize("pulses", [
-        CHUNK_SHOTS - 1, CHUNK_SHOTS, CHUNK_SHOTS + 1, 3 * CHUNK_SHOTS + 7,
-        PULSE_BLOCK + CHUNK_SHOTS + 1])
-    @pytest.mark.parametrize("sources", (1, 3))
+    @pytest.mark.parametrize("sources,pulses", CHUNK_EDGE_CASES)
     def test_monte_carlo_chunk_edges_match_oracle(self, sources, pulses):
-        """Chunks of CHUNK_SHOTS pulses inside each PULSE_BLOCK block read
-        the oracle's whole-block draws, also past the block edge."""
+        """Chunks inside each PULSE_BLOCK block read the oracle's
+        whole-block draws, also past the block edge."""
         params = SourceParams(0.8, 0.9, 1e6)
         seed = pulses + sources
         got = monte_carlo_coincidence(params, sources, 0.5, pulses, seed)
@@ -177,6 +196,22 @@ class TestCoincidenceRate:
         with pytest.raises(ValueError):
             monte_carlo_coincidence(SourceParams(0.5, 0.5), sources, factor,
                                     10, seed=0)
+
+    def test_64_sources_take_under_a_mebibyte(self, monkeypatch):
+        """A thread's chunk buffers stay within rates.CHUNK_BYTES at the
+        source cap: one thread's NumPy memory peaks under 1 MiB."""
+        monkeypatch.setattr(rates, "WORKERS", 1)
+        params = SourceParams(0.97, 0.97, 1e6)
+        # Warm-up: what the first call builds and keeps is not a buffer.
+        monte_carlo_coincidence(params, MAX_SAMPLED_SOURCES, 0.5, 10, 1)
+        tracemalloc.start()
+        try:
+            monte_carlo_coincidence(params, MAX_SAMPLED_SOURCES, 0.5, 20_000,
+                                    3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_source_cap_is_checked_before_allocating(self):
         params = SourceParams(0.5, 0.5)

@@ -1,6 +1,8 @@
 """Closed-form rate model vs Monte-Carlo oracles, and the optimizer."""
 
 import copy
+import math
+import re
 import sys
 import threading
 
@@ -15,7 +17,7 @@ from qparity.photonics import (
     monte_carlo_coincidence,
 )
 from qparity.rates import (
-    CHUNK_SHOTS,
+    CHUNK_BYTES,
     RateModel,
     evaluate,
     monte_carlo_bare,
@@ -101,6 +103,70 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_bare(0, 0.9, 0.5, 10, seed=0)
 
+    def test_numpy_integer_counts(self):
+        """NumPy integers are counts like ints: the stream offsets they
+        would make overflow PCG64.advance unless made ints first."""
+        model = RateModel(0.8, 0.6, np.int64(2), np.int64(3))
+        assert (monte_carlo_rate(model, np.int64(1001), 4)
+                == monte_carlo_rate(RateModel(0.8, 0.6, 2, 3), 1001, 4))
+        assert (monte_carlo_bare(np.int32(2), 0.9, 0.5, np.int32(1001), 4)
+                == monte_carlo_bare(2, 0.9, 0.5, 1001, 4))
+        params = SourceParams(0.8, 0.9, 1e6)
+        assert (monte_carlo_coincidence(params, np.int64(2), 0.5,
+                                        np.int64(1001), 4)
+                == monte_carlo_coincidence(params, 2, 0.5, 1001, 4))
+
+
+class TestValidation:
+    """Out-of-range probabilities and non-integral counts raise a
+    ValueError naming the parameter instead of a wrong answer or a
+    TypeError from deep inside NumPy."""
+
+    @pytest.mark.parametrize("eta,q,message", [
+        (2.0, 0.5, "eta 2.0 out of [0, 1]"),
+        (-0.1, 0.5, "eta -0.1 out of [0, 1]"),
+        (math.nan, 0.5, "eta nan out of [0, 1]"),
+        (0.9, 1.5, "q 1.5 out of [0, 1]"),
+        (0.9, math.nan, "q nan out of [0, 1]")])
+    def test_bare_probabilities(self, eta, q, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RateModel(eta, q)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            p_connect_bare(2, eta, q)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            monte_carlo_bare(2, eta, q, 1000, 1)
+
+    @pytest.mark.parametrize("n,m,name", [(2.5, 2, "n"), (2, 2.0, "m"),
+                                          ("2", 1, "n"), (0, 1, "n"),
+                                          (1, -3, "m")])
+    def test_model_sizes(self, n, m, name):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            RateModel(0.9, 0.5, n, m)
+
+    @pytest.mark.parametrize("n", (2.5, 2.0, 0))
+    def test_bare_size(self, n):
+        with pytest.raises(ValueError, match=r"\bn\b"):
+            p_connect_bare(n, 0.9, 0.5)
+        with pytest.raises(ValueError, match=r"\bn\b"):
+            monte_carlo_bare(n, 0.9, 0.5, 1000, 1)
+
+    @pytest.mark.parametrize("shots", (1e3, 1000.0, 0, -5))
+    def test_shots(self, shots):
+        model = RateModel(0.9, 0.5, 1, 1)
+        for call in (lambda: monte_carlo_side(model, shots, 1),
+                     lambda: monte_carlo_rate(model, shots, 1),
+                     lambda: monte_carlo_bare(1, 0.9, 0.5, shots, 1)):
+            with pytest.raises(ValueError, match="shots"):
+                call()
+
+    @pytest.mark.parametrize("sources,pulses,name", [
+        (2, 1000.0, "pulses"), (2, 0, "pulses"), (2.5, 1000, "n_sources"),
+        (2.0, 1000, "n_sources")])
+    def test_coincidence_counts(self, sources, pulses, name):
+        with pytest.raises(ValueError, match=name):
+            monte_carlo_coincidence(SourceParams(0.5, 0.5), sources, 0.5,
+                                    pulses, 1)
+
 
 # (seed, eta, q, shots): odd shot counts, losses from mild to heavy.
 ORACLE_RUNS = ((3, 0.9, 0.5, 4097), (41, 0.75, 0.35, 10_001),
@@ -128,18 +194,86 @@ class TestFoldMatchesAnyAll:
                     == ref.monte_carlo_bare_anyall(n, eta, q, shots, seed))
 
 
-# One shot short of a chunk, one chunk, one over, and three chunks plus a
-# remainder: every way the last chunk can end.
-CHUNK_EDGES = (CHUNK_SHOTS - 1, CHUNK_SHOTS, CHUNK_SHOTS + 1,
-               3 * CHUNK_SHOTS + 7)
+def side_rows(n, m):
+    """Shots per chunk of monte_carlo_side, as rates._count_hits reads
+    them; the other three are those of the other samplers."""
+    return rates._chunk_rows((n * m, n))
+
+
+def rate_rows(n, m):
+    return rates._chunk_rows((n * m, n, n * m, n))
+
+
+def bare_rows(n):
+    return rates._chunk_rows((2 * n, 2 * n))
+
+
+def coincidence_rows(sources):
+    return rates._chunk_rows((sources, sources, 1))
+
+
+def chunk_edges(rows):
+    """One shot short of a chunk, one chunk, one over, and three chunks
+    plus a remainder: every way the last chunk can end."""
+    return (rows - 1, rows, rows + 1, 3 * rows + 7)
+
+
+# The edges of the 8192-shot chunks of the widest samplers; the narrower
+# ones read them as shot counts inside their own larger chunks.
+CHUNK_EDGES = chunk_edges(rate_rows(3, 3))
+
+
+def with_own_edges(cases, own):
+    """``cases`` followed by those of ``own`` not among them."""
+    return list(cases) + [case for case in dict.fromkeys(own)
+                          if case not in cases]
+
+
+CHUNKED_MODELS = [(1, 1), (2, 3), (3, 3)]
+CHUNKED_SIDE_CASES = with_own_edges(
+    [(n, m, shots) for n, m in CHUNKED_MODELS for shots in CHUNK_EDGES],
+    [(n, m, shots) for n, m in CHUNKED_MODELS
+     for shots in chunk_edges(side_rows(n, m)) + chunk_edges(rate_rows(n, m))])
+CHUNKED_BARE_CASES = with_own_edges(
+    [(n, shots) for n in (1, 3) for shots in CHUNK_EDGES],
+    [(n, shots) for n in (1, 3) for shots in chunk_edges(bare_rows(n))])
+
+
+class TestChunkRows:
+    """A chunk's shots follow from its arrays' widths and CHUNK_BYTES."""
+
+    @pytest.mark.parametrize("width", range(1, 65))
+    def test_largest_power_of_two_within_budget(self, width):
+        for widths in ((width,), (width, 1), (width, width, 1),
+                       (width, width // 2 + 1, width, width // 2 + 1)):
+            rows = rates._chunk_rows(widths)
+            row_bytes = 8 * max(widths) + sum(widths)
+            assert rows & (rows - 1) == 0 and rows <= 2 ** 15
+            assert rows * row_bytes <= CHUNK_BYTES
+            assert rows == 2 ** 15 or 2 * rows * row_bytes > CHUNK_BYTES
+
+    def test_widest_samplers_keep_8192_shots(self):
+        """Rate and side 3 x 3, bare n = 3 and photonics-rate's default
+        5 sources: CHUNK_BYTES is exactly the 3 x 3 rate model's buffers."""
+        assert rate_rows(3, 3) * (8 * 9 + 24) == CHUNK_BYTES
+        assert {rate_rows(3, 3), side_rows(3, 3), bare_rows(3),
+                coincidence_rows(5)} == {8192}
+
+    def test_narrow_and_wide_samplers(self):
+        assert side_rows(1, 1) == rate_rows(1, 1) == 2 ** 15
+        assert coincidence_rows(2) == 2 ** 15
+        assert coincidence_rows(64) == 1024
+
+    def test_a_row_over_budget_is_read_one_shot_at_a_time(self):
+        assert rates._chunk_rows((CHUNK_BYTES,)) == 1
 
 
 class TestChunkedDraws:
-    """Draws read in chunks of CHUNK_SHOTS shots are the numbers of the
-    whole-array draws of tests/reference.py: the estimates are equal."""
+    """Draws read in chunks are the numbers of the whole-array draws of
+    tests/reference.py: the estimates are equal at the edges of each
+    sampler's own chunks and of the widest samplers' 8192-shot ones."""
 
-    @pytest.mark.parametrize("shots", CHUNK_EDGES)
-    @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("n,m,shots", CHUNKED_SIDE_CASES)
     def test_side_and_rate(self, shots, n, m):
         seed = shots + 10 * n + m
         model = RateModel(0.8, 0.6, n, m)
@@ -148,8 +282,7 @@ class TestChunkedDraws:
         assert (monte_carlo_rate(model, shots, seed)
                 == ref.monte_carlo_rate_anyall(0.8, 0.6, n, m, shots, seed))
 
-    @pytest.mark.parametrize("shots", CHUNK_EDGES)
-    @pytest.mark.parametrize("n", (1, 3))
+    @pytest.mark.parametrize("n,shots", CHUNKED_BARE_CASES)
     def test_bare(self, shots, n):
         seed = shots + n
         assert (monte_carlo_bare(n, 0.9, 0.5, shots, seed)
@@ -157,19 +290,19 @@ class TestChunkedDraws:
 
 
 # Each sampler beside its whole-array oracle, over a shot count that
-# spans two chunks.
+# spans two of its chunks.
 SAMPLERS = {
     "side": (lambda g: monte_carlo_side(RateModel(0.8, 0.6, 2, 3),
-                                        CHUNK_SHOTS + 5, g),
+                                        side_rows(2, 3) + 5, g),
              lambda g: ref.monte_carlo_side_anyall(0.8, 0.6, 2, 3,
-                                                   CHUNK_SHOTS + 5, g)),
+                                                   side_rows(2, 3) + 5, g)),
     "rate": (lambda g: monte_carlo_rate(RateModel(0.8, 0.6, 2, 3),
-                                        CHUNK_SHOTS + 5, g),
+                                        rate_rows(2, 3) + 5, g),
              lambda g: ref.monte_carlo_rate_anyall(0.8, 0.6, 2, 3,
-                                                   CHUNK_SHOTS + 5, g)),
-    "bare": (lambda g: monte_carlo_bare(3, 0.9, 0.5, CHUNK_SHOTS + 5, g),
+                                                   rate_rows(2, 3) + 5, g)),
+    "bare": (lambda g: monte_carlo_bare(3, 0.9, 0.5, bare_rows(3) + 5, g),
              lambda g: ref.monte_carlo_bare_anyall(3, 0.9, 0.5,
-                                                   CHUNK_SHOTS + 5, g)),
+                                                   bare_rows(3) + 5, g)),
 }
 
 
@@ -218,7 +351,8 @@ SPLIT_SAMPLERS = {
 # goldens (at 0.3 and 0.5 every chunk has a pulse where all five sources
 # emit, at 0.15 and 0.9 about half the chunks have none), the bare
 # scheme at eta 0.01 (every chunk skips its BSMs), and a rate model whose
-# left side fails in about two of three whole chunks.
+# left side fails in about two of three 8192-shot chunks and one in five
+# of its own 32768-shot ones.
 SPARSE_SAMPLERS = {
     "coincidence-defaults": (
         lambda s, g: monte_carlo_coincidence(SourceParams(0.06, 0.38, 8e7),
@@ -243,14 +377,31 @@ SPARSE_SAMPLERS = {
         lambda s, g: ref.monte_carlo_rate_anyall(0.01, 0.5, 1, 2, s, g)),
 }
 SPLIT_SAMPLERS.update(SPARSE_SAMPLERS)
-# Every chunk edge, 10^6 + 3 shots (for the coincidence sampler a second
-# PULSE_BLOCK block of 3 pulses), and a second block of two chunks; the
-# sparse samplers over 25 chunks and a remainder.
-SPLIT_CASES = ([(kind, shots) for kind in SPLIT_SAMPLERS
-                if kind not in SPARSE_SAMPLERS
-                for shots in CHUNK_EDGES + (10 ** 6 + 3,)]
-               + [("coincidence", PULSE_BLOCK + CHUNK_SHOTS + 1)]
-               + [(kind, 25 * CHUNK_SHOTS + 11) for kind in SPARSE_SAMPLERS])
+# Shots per chunk of each sampler above.
+SPLIT_ROWS = {"side": side_rows(2, 2), "rate": rate_rows(2, 2),
+              "bare": bare_rows(2), "coincidence": coincidence_rows(2),
+              "coincidence-defaults": coincidence_rows(5),
+              "coincidence-half": coincidence_rows(5),
+              "coincidence-mixed": coincidence_rows(5),
+              "bare-lossy": bare_rows(2), "rate-lossy": rate_rows(1, 2)}
+
+
+def split_cases(rows):
+    """Every chunk edge, 10^6 + 3 shots (for the coincidence sampler a
+    second PULSE_BLOCK block of 3 pulses), and a second block of two
+    chunks; the sparse samplers over 25 chunks and a remainder.  ``rows``
+    maps each sampler to its chunk's shots."""
+    return ([(kind, shots) for kind in SPLIT_SAMPLERS
+             if kind not in SPARSE_SAMPLERS
+             for shots in chunk_edges(rows[kind]) + (10 ** 6 + 3,)]
+            + [("coincidence", PULSE_BLOCK + rows["coincidence"] + 1)]
+            + [(kind, 25 * rows[kind] + 11) for kind in SPARSE_SAMPLERS])
+
+
+# Those of the widest samplers' 8192-shot chunks, then each sampler's own.
+SPLIT_CASES = with_own_edges(
+    split_cases(dict.fromkeys(SPLIT_SAMPLERS, rate_rows(3, 3))),
+    split_cases(SPLIT_ROWS))
 
 
 def check_split(kind, shots, seed):
@@ -285,7 +436,7 @@ class TestThreadedSpans:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            check_split(kind, 8 * CHUNK_SHOTS + 1, seed=8)
+            check_split(kind, 8 * SPLIT_ROWS[kind] + 1, seed=8)
         finally:
             sys.setswitchinterval(interval)
 
@@ -303,7 +454,8 @@ class TestThreadedSpans:
             return flags[:, 0]
 
         with pytest.raises(ZeroDivisionError, match="later span"):
-            rates._count_hits(np.random.default_rng(1), 3 * CHUNK_SHOTS,
+            rates._count_hits(np.random.default_rng(1),
+                              3 * rates._chunk_rows((1,)),
                               ((((1, 0.5),), success),))
         assert len(seen) == 3 and caller in seen
         assert not any(t.is_alive() for t in seen - {caller})
@@ -317,7 +469,9 @@ class TestThreadedSpans:
         advanced past, and count and end state are those of the whole
         arrays."""
         monkeypatch.setattr(rates, "WORKERS", workers)
-        shots, first_p, second_p = 20 * CHUNK_SHOTS + 3, 1e-4, 0.5
+        # About 0.8 first-stage passes per chunk: some chunks have none.
+        rows = rates._chunk_rows((1, 1))
+        shots, first_p, second_p = 20 * rows + 3, 0.8 / rows, 0.5
         local = threading.local()
         calls = []
 
@@ -340,8 +494,7 @@ class TestThreadedSpans:
         b = twin.random(shots) < second_p
         assert hits == int(np.count_nonzero(a & b))
         assert rng.bit_generator.state == twin.bit_generator.state
-        live = [bool(a[lo:lo + CHUNK_SHOTS].any())
-                for lo in range(0, shots, CHUNK_SHOTS)]
+        live = [bool(a[lo:lo + rows].any()) for lo in range(0, shots, rows)]
         assert len(calls) == sum(live)
         assert 0 < len(calls) < len(live)
 
@@ -352,7 +505,7 @@ class TestThreadedSpans:
 
         monkeypatch.setattr(rates, "WORKERS", 4)
         monkeypatch.setattr(threading, "Thread", refuse)
-        check_split(kind, CHUNK_SHOTS, seed=5)
+        check_split(kind, SPLIT_ROWS[kind], seed=5)
 
 
 class TestOptimizer:
