@@ -6,7 +6,6 @@ from types import ModuleType as _ModuleType
 from .config import TOL
 from .errors import ConditionViolation, ConfigError, PreconditionError
 from .photonics import (
-    NoiseParams,
     SourceParams,
     apply_visibility_noise,
     chained_postselect_factor,
@@ -54,7 +53,6 @@ from .shor import (
     DecodeResult,
     ErrorHypothesis,
     LogicalInput,
-    LossPattern,
     SHOR_LAYOUT,
     SyndromeRecord,
     apply_flip_channel,
@@ -78,6 +76,7 @@ from .sim import (
     apply_pauli,
     apply_pauli_channel,
     apply_unitary,
+    draw_branches,
     expectation,
     fidelity,
     make_basis_state,

@@ -282,8 +282,7 @@ def cmd_witness(args) -> None:
         sites = encoder_sites(scenario.rgs.kind, scenario.rgs_groups, index)
         initial = apply_visibility_noise(scenario.initial_state(), sites,
                                          noise)
-    branches = run_connection(scenario, mode="enumerate",
-                              initial_state=initial)
+    branches = run_connection(scenario, initial_state=initial)
     if args.format == "csv":
         rows = [
             [i, b.probability, " ".join(b.outcomes), "".join(b.correction),

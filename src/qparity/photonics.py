@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .rates import _check_count, _count_hits, _estimate, _fold
+from .rates import _check_count, _check_unit, _count_hits, _estimate, _fold
 from .shor import LogicalInput, SHOR_LAYOUT, encode_block, encode_shor
 from .sim import (
     CNOT,
@@ -50,24 +50,11 @@ class SourceParams:
     rep_rate: float = 80e6
 
     def __post_init__(self):
-        if not (0.0 <= self.pair_prob <= 1.0):
-            raise ValueError(f"pair_prob {self.pair_prob} out of [0, 1]")
-        if not (0.0 <= self.eta_pair <= 1.0):
-            raise ValueError(f"eta_pair {self.eta_pair} out of [0, 1]")
+        _check_unit("pair_prob", self.pair_prob)
+        _check_unit("eta_pair", self.eta_pair)
         if not (0.0 < self.rep_rate < math.inf):
             raise ValueError(f"rep_rate {self.rep_rate} must be positive "
                              "and finite")
-
-
-@dataclass(frozen=True)
-class NoiseParams:
-    """Interference visibility of the encoder beam splitters."""
-
-    visibility: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.visibility <= 1.0):
-            raise ValueError(f"visibility {self.visibility} out of [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +87,9 @@ def postselected_cnot(state: State, control: int, target: int,
 
 
 def chained_postselect_factor(n_stages: int) -> float:
-    """Overall acceptance of n_stages independent post-selected stages."""
-    if n_stages < 0:
-        raise ValueError("need n_stages >= 0")
+    """Overall acceptance of n_stages independent post-selected stages;
+    ``n_stages`` must be an integer >= 0 (ValueError otherwise)."""
+    _check_count("n_stages", n_stages, least=0)
     return POSTSELECT_SUCCESS ** n_stages
 
 
@@ -112,9 +99,7 @@ def chained_postselect_factor(n_stages: int) -> float:
 
 def _check_coincidence(n_sources: int, postselect_factor: float) -> None:
     _check_count("n_sources", n_sources)
-    if not (0.0 <= postselect_factor <= 1.0):
-        raise ValueError(f"postselect_factor {postselect_factor} "
-                         "out of [0, 1]")
+    _check_unit("postselect_factor", postselect_factor)
 
 
 def coincidence_rate(params: SourceParams, n_sources: int = 5,
@@ -192,8 +177,7 @@ def apply_visibility_noise(state: State, sites: Sequence[PauliString],
     Per site this equals a phase-kick channel applying the site's Pauli
     with probability (1-V)/2; sites compose left to right.
     """
-    if not (0.0 <= visibility <= 1.0):
-        raise ValueError(f"visibility {visibility} out of [0, 1]")
+    _check_unit("visibility", visibility)
     p_kick = (1.0 - visibility) / 2.0
     rho = state.to_density()
     for site in sites:

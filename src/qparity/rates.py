@@ -79,15 +79,15 @@ def _check_unit(name: str, value) -> None:
         raise ValueError(f"{name} {value} out of [0, 1]")
 
 
-def _check_count(name: str, value) -> None:
+def _check_count(name: str, value, least: int = 1) -> None:
     """A count must be an integer (a float is refused even when whole)
-    and at least 1."""
+    and at least ``least``."""
     try:
         index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"need {name} >= 1")
+    if value < least:
+        raise ValueError(f"need {name} >= {least}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,8 @@ class RateResult:
 
 def p_logical_alive(eta: float, m: int) -> float:
     """Probability an m-photon logical qubit keeps at least one photon."""
+    _check_unit("eta", eta)
+    _check_count("m", m)
     return 1.0 - (1.0 - eta) ** m
 
 
@@ -159,8 +161,8 @@ def p_connect_bare(n: int, eta: float, q: float) -> float:
 
 def sweep(eta: float, q: float, n_max: int, m_max: int) -> list:
     """Evaluate the full (n, m) grid, n-major order."""
-    if n_max < 1 or m_max < 1:
-        raise ValueError("empty grid")
+    _check_count("n_max", n_max)
+    _check_count("m_max", m_max)
     return [evaluate(RateModel(eta, q, n, m))
             for n in range(1, n_max + 1) for m in range(1, m_max + 1)]
 

@@ -452,19 +452,18 @@ def _pair_operator(pair: tuple, swapped: bool) -> np.ndarray:
     return op
 
 
-def run_connection(scenario: Scenario, mode: str = "enumerate",
-                   rng: np.random.Generator | None = None,
-                   initial_state: State | None = None):
+def run_connection(scenario: Scenario, *,
+                   initial_state: State | None = None) -> list:
     """Execute a connection scenario.
 
     Losses are traced out first, then the plan runs step by step.  Each
     branch's outcome key selects a fixed two-Pauli correction on the
     terminals (see :func:`connection_corrections`); the correction table
-    never depends on the loss pattern.  mode="enumerate" returns every
-    branch as a list of BranchResult with probabilities summing to 1;
-    mode="sample" follows one random path and returns a single
-    BranchResult.  ``initial_state`` overrides the scenario's ideal
-    state, e.g. to inject interference noise before the run.
+    never depends on the loss pattern.  Returns every branch as a list
+    of BranchResult in walk order, with probabilities summing to 1; the
+    indices :func:`qparity.sim.draw_branches` draws over the walk's
+    stack index this list.  ``initial_state`` overrides the scenario's
+    ideal state, e.g. to inject interference noise before the run.
 
     The branches stay one stack (:func:`qparity.sim.walk_stack`) to the
     end: the corrections are one batched product with each branch's pair
@@ -481,7 +480,7 @@ def run_connection(scenario: Scenario, mode: str = "enumerate",
         state = partial_trace(state, idxs)
         order = [p for p in order if p not in scenario.loss]
 
-    stack = walk_stack(state, order, scenario.plan, mode, rng)
+    stack = walk_stack(state, order, scenario.plan)
     swapped = _swapped(stack, scenario.terminals)
     tokens = _branch_tokens(scenario.plan, stack.records)
     pairs = []
@@ -492,14 +491,11 @@ def run_connection(scenario: Scenario, mode: str = "enumerate",
         pairs.append(corrections[key])
     corrected = stack.corrected(np.array([_pair_operator(pair, swapped)
                                           for pair in pairs]))
-    results = [BranchResult(probability=p, outcomes=toks, correction=pair,
-                            terminal=st, witness=wit)
-               for p, toks, pair, st, wit in zip(
-                   stack.probabilities, tokens, pairs, corrected.states(),
-                   _witnesses(corrected.vectors, corrected.weights))]
-    if mode == "sample":
-        return results[0]
-    return results
+    return [BranchResult(probability=p, outcomes=toks, correction=pair,
+                         terminal=st, witness=wit)
+            for p, toks, pair, st, wit in zip(
+                stack.probabilities, tokens, pairs, corrected.states(),
+                _witnesses(corrected.vectors, corrected.weights))]
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +547,11 @@ def connection_corrections(scenario: Scenario) -> MappingProxyType:
 # encoded-RGS loss test
 # ---------------------------------------------------------------------------
 
-def logical_loss_test(losses_on_c3: int = 0, mode: str = "enumerate",
-                      rng: np.random.Generator | None = None):
-    """Loss tolerance of the encoded RGS: witness between photons 1', 9'
-    while 0..2 photons of the middle logical qubit are lost.
+def logical_loss_test(losses_on_c3: int = 0) -> list:
+    """Loss tolerance of the encoded RGS: every branch of the witness
+    between photons 1', 9' while 0..2 photons of the middle logical
+    qubit are lost.
 
     Three losses destroy the logical qubit and raise ConditionViolation.
     """
-    scenario = encoded_loss_scenario(losses_on_c3)
-    return run_connection(scenario, mode=mode, rng=rng)
+    return run_connection(encoded_loss_scenario(losses_on_c3))

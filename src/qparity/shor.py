@@ -114,18 +114,6 @@ SHOR_LAYOUT = CodeLayout(3, 3)
 
 
 @dataclass(frozen=True)
-class LossPattern:
-    """Set of lost physical qubits."""
-
-    lost: frozenset
-
-    def validate(self, layout: CodeLayout) -> None:
-        for q in self.lost:
-            if not (0 <= q < layout.num_qubits):
-                raise ValueError(f"lost qubit {q} outside layout")
-
-
-@dataclass(frozen=True)
 class SyndromeRecord:
     """Values of a layout's stabilizers, in the order returned by
     :func:`stabilizers`: the n(m-1) ZZ pairs, then the n-1 X strings."""
@@ -459,8 +447,7 @@ def readout_correction_table() -> MappingProxyType:
 
 
 def decode_readout(state: State, losses: Iterable[int] = (),
-                   mode: str = "enumerate",
-                   rng: np.random.Generator | None = None):
+                   mode: str = "enumerate") -> list:
     """Read the encoded qubit back out of a (possibly lossy) code word.
 
     ``state`` may be the full 9-qubit word (losses are traced out here)
@@ -470,12 +457,19 @@ def decode_readout(state: State, losses: Iterable[int] = (),
     is then not guaranteed (for the (3, 3) code it drops to about 0.79
     for a generic input).  Without that flag every branch has
     fidelity 1.
-    mode="enumerate" returns every measurement branch as a list of
-    DecodeResult; mode="sample" follows a single random path.
+    Returns every measurement branch as a list of DecodeResult in walk
+    order; "enumerate" is the only ``mode``.  Sampled readouts are the
+    indices :func:`qparity.sim.draw_branches` draws over the readout's
+    walk.
     """
+    if mode != "enumerate":
+        raise ValueError(f"unknown mode {mode!r}: decode_readout only "
+                         "enumerates; sample with draw_branches")
     layout = SHOR_LAYOUT
     lost = frozenset(int(q) for q in losses)
-    LossPattern(lost).validate(layout)
+    for q in lost:
+        if not (0 <= q < layout.num_qubits):
+            raise ValueError(f"lost qubit {q} outside layout")
     if 0 in lost:
         raise PreconditionError("output qubit lost: qubit 0 carries the "
                                 "decoded state and cannot be recovered")
@@ -494,16 +488,12 @@ def decode_readout(state: State, losses: Iterable[int] = (),
     degraded = bool(lost & set(layout.block_qubits(0)))
 
     table = readout_correction_table()
-    stack = walk_stack(work, alive, _READOUT_PLAN, mode, rng)
+    stack = walk_stack(work, alive, _READOUT_PLAN)
     names = [table[_readout_key(recs)] for recs in stack.records]
     ops = np.array([_CORRECTION_OPS[name] for name in names])
     fixed = stack.corrected(ops)._replace(kind=DensityMatrix)
-    results = [DecodeResult(output=out, correction=name,
-                            transcript=[r for recs in records for r in recs],
-                            probability=p, degraded=degraded)
-               for out, name, records, p in zip(
-                   fixed.states(), names, stack.records,
-                   stack.probabilities)]
-    if mode == "sample":
-        return results[0]
-    return results
+    return [DecodeResult(output=out, correction=name,
+                         transcript=[r for recs in records for r in recs],
+                         probability=p, degraded=degraded)
+            for out, name, records, p in zip(
+                fixed.states(), names, stack.records, stack.probabilities)]

@@ -35,8 +35,8 @@ step, not a branch: it holds the live branches as one stack of rows
 (B x r x 2^n) with weights (B x r), so each measurement is one
 projection of every branch, and a stack outgrowing 2^n rows per branch
 is compressed by one stacked ``eigh`` (lower ranks padded with rows of
-weight zero).  A walk always enumerates; a sampled walk is the branch
-:func:`_draw` picks over the stack's outcome tree, and
+weight zero).  A walk only enumerates: sampled walks are the branches
+:func:`draw_branches` picks over the stack's outcome tree, and
 :meth:`PlanStack.states` builds one state per branch.  A correction is
 an operator on the qubits a plan leaves, applied to each branch by
 :meth:`PlanStack.corrected` in one batched matmul, in searches and runs.
@@ -54,6 +54,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import PreconditionError
+from .rates import _check_count
 
 MAX_QUBITS = 12
 
@@ -648,11 +649,14 @@ class PlanStack(NamedTuple):
         return self._replace(vectors=self.vectors @ ops.swapaxes(-1, -2))
 
 
-def _draw(stack: PlanStack, rng, shots: int) -> np.ndarray:
-    """The branch each of ``shots`` sampled walks ends on: one uniform per
-    walk and measurement group, walk by walk (the stream of walks drawn
-    one at a time), and at each node of ``stack.tree`` the child that
-    :func:`_pick` gives for the group's draw."""
+def draw_branches(stack: PlanStack, rng: np.random.Generator,
+                  shots: int) -> np.ndarray:
+    """The branch index in ``stack`` that each of ``shots`` sampled walks
+    ends on: one uniform per walk and measurement group, walk by walk
+    (the stream of walks drawn one at a time), and at each node of
+    ``stack.tree`` the child that :func:`_pick` gives for the group's
+    draw.  ``shots`` must be an integer >= 1 (ValueError otherwise)."""
+    _check_count("shots", shots)
     draws = rng.random((shots, len(stack.tree)))
     ends = np.zeros(shots, dtype=np.intp)
     for (parents, kept), column in zip(stack.tree, draws.T):
@@ -665,15 +669,13 @@ def _draw(stack: PlanStack, rng, shots: int) -> np.ndarray:
     return ends
 
 
-def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
-               mode: str = "enumerate",
-               rng: np.random.Generator | None = None) -> PlanStack:
-    """Run a measurement plan, removing every qubit it measures.
+def walk_stack(state: State, order: Sequence,
+               plan: Sequence[PlanStep]) -> PlanStack:
+    """Run a measurement plan, removing every qubit it measures, and
+    return every realizable branch as one PlanStack.
 
     ``order`` labels the qubits of ``state``, one distinct label each
-    (ValueError otherwise).  mode="enumerate" returns every realizable
-    branch, mode="sample" the one branch drawn from ``rng`` (one uniform
-    per measurement group), as one PlanStack.  ``records[b][i]`` holds the
+    (ValueError otherwise).  ``records[b][i]`` holds the
     MeasurementRecords of step i in branch b with photon labels in place
     of qubit indices (the label pair and basis "bell" for a BSM).
     Photons not in ``order`` are lost and a step records nothing for
@@ -684,13 +686,8 @@ def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
     stack outgrowing 2^n rows per branch is compressed through one
     stacked ``eigh``.  The children of a branch follow it, in
     outcome-label order, and ``tree`` keeps each group's parents and
-    probabilities.  Sample mode enumerates too, then keeps the branch
-    :func:`_draw` picks, whose ``tree`` is its path.
+    probabilities for :func:`draw_branches`.
     """
-    if mode not in ("enumerate", "sample"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sample" and rng is None:
-        raise ValueError("sample mode needs an rng")
     order = list(order)
     if len(order) != state.num_qubits:
         raise ValueError(f"order labels {len(order)} qubits, the state has "
@@ -729,14 +726,8 @@ def walk_stack(state: State, order: Sequence, plan: Sequence[PlanStep],
             order = [p for p in order if p not in group]
         records = [recs + (m,) for recs, m in zip(records, made)]
         probs = [p * s for p, s in zip(probs, p_step)]
-    stack = PlanStack(vectors, weights, probs, records, tuple(order),
-                      type(state), tuple(tree))
-    if mode == "enumerate":
-        return stack
-    end = int(_draw(stack, rng, 1)[0])
-    path = tuple(([0], [r.probability]) for recs in records[end] for r in recs)
-    return PlanStack(vectors[end:end + 1], weights[end:end + 1], [probs[end]],
-                     [records[end]], stack.order, stack.kind, path)
+    return PlanStack(vectors, weights, probs, records, tuple(order),
+                     type(state), tuple(tree))
 
 
 def correction_table(stack: PlanStack, keys: Sequence,

@@ -12,7 +12,6 @@ from qparity import rates
 from qparity.photonics import (
     MAX_SAMPLED_SOURCES,
     PULSE_BLOCK,
-    NoiseParams,
     SourceParams,
     apply_visibility_noise,
     chained_postselect_factor,
@@ -113,6 +112,15 @@ class TestPostselectedCnot:
             _, p = postselected_cnot(make_basis_state(2), 0, 1)
             got *= p
         assert got == chained_postselect_factor(4)
+
+    def test_chained_factor_counts_whole_stages(self):
+        assert chained_postselect_factor(0) == 1.0
+        assert chained_postselect_factor(np.int64(3)) == 0.125
+
+    @pytest.mark.parametrize("n_stages", [2.5, 2.0, -1])
+    def test_chained_factor_rejects_a_bad_stage_count(self, n_stages):
+        with pytest.raises(ValueError, match="n_stages"):
+            chained_postselect_factor(n_stages)
 
 
 class TestCoincidenceRate:
@@ -230,8 +238,6 @@ class TestCoincidenceRate:
         for rate in (0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 SourceParams(0.5, 0.5, rep_rate=rate)
-        with pytest.raises(ValueError):
-            NoiseParams(1.1)
 
 
 class TestVisibilityNoise:

@@ -36,6 +36,15 @@ class TestClosedForms:
         assert p_logical_alive(1.0, 5) == 1.0
         assert p_logical_alive(0.5, 1) == 0.5
         assert abs(p_logical_alive(0.5, 3) - 0.875) < 1e-15
+        assert p_logical_alive(0.5, np.int64(1)) == 0.5
+
+    @pytest.mark.parametrize("eta,m,match", [
+        (2.0, 2, r"eta 2.0 out of \[0, 1\]"), (-0.1, 2, "eta"),
+        (math.nan, 2, "eta"), (0.5, 2.5, "m must be an integer"),
+        (0.5, 2.0, "m must be an integer"), (0.5, 0, "need m >= 1")])
+    def test_alive_probability_checks_its_arguments(self, eta, m, match):
+        with pytest.raises(ValueError, match=match):
+            p_logical_alive(eta, m)
 
     def test_p_side_trivial(self):
         assert abs(p_side(RateModel(1.0, 1.0, 1, 1)) - 1.0) < 1e-15
@@ -555,6 +564,15 @@ class TestOptimizer:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep(0.9, 0.5, 0, 3)
+
+    @pytest.mark.parametrize("grid,match", [
+        ((2.5, 2), "n_max must be an integer"),
+        ((2, 2.0), "m_max must be an integer"),
+        ((2, 0), "need m_max >= 1")])
+    def test_grid_sizes_are_counts(self, grid, match):
+        for call in (sweep, optimize):
+            with pytest.raises(ValueError, match=match):
+                call(0.9, 0.5, *grid)
 
 
 class TestMonotonicity:

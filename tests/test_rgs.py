@@ -29,7 +29,7 @@ from qparity.rgs import (
     run_connection,
     witness,
 )
-from qparity import rgs, sim
+from qparity import rgs
 from qparity.rates import p_logical_alive
 from qparity.shor import (
     LogicalInput,
@@ -41,8 +41,8 @@ from qparity.sim import (
     DensityMatrix,
     PauliString,
     PureState,
-    _draw,
     apply_unitary,
+    draw_branches,
     expectation,
     walk_stack,
 )
@@ -368,20 +368,6 @@ class TestConnection:
         for b in run_connection(connect_scenario(0)):
             assert abs(b.probability - 1 / 64) < 1e-10
 
-    def test_sample_mode_reproducible(self):
-        scen = connect_scenario(1)
-        a = run_connection(scen, mode="sample", rng=np.random.default_rng(3))
-        b = run_connection(scen, mode="sample", rng=np.random.default_rng(3))
-        assert a.outcomes == b.outcomes
-        assert abs(a.witness.fidelity - b.witness.fidelity) < 1e-12
-
-    @pytest.mark.parametrize("mode,rng,match", [
-        ("distribution", np.random.default_rng(3), "unknown mode"),
-        ("sample", None, "sample mode needs an rng")])
-    def test_bad_mode_or_missing_rng(self, mode, rng, match):
-        with pytest.raises(ValueError, match=match):
-            run_connection(connect_scenario(1), mode=mode, rng=rng)
-
 
 def lost_subsets(photons):
     """Every subset of ``photons``, smallest first."""
@@ -568,30 +554,8 @@ class TestSampleFrequencies:
         stack = walk_stack(state, order, scen.plan)
         keys = ["|".join(t) for t in _branch_tokens(scen.plan, stack.records)]
         counts = Counter(keys[end]
-                         for end in _draw(stack, rng, shots).tolist())
+                         for end in draw_branches(stack, rng, shots).tolist())
         assert set(counts) <= set(probs)
         for key, p in probs.items():
             se = math.sqrt(p * (1 - p) / shots)
             assert abs(counts[key] / shots - p) <= 3 * se, key
-
-    def test_sampled_walks_build_one_state_per_measurement(self, monkeypatch):
-        """Sample mode builds one state per walk, the kept branch's when
-        its stack's states are built at the end: 2000 lossless connect
-        walks of 6 measurements each construct 2000 states."""
-        scen = connect_scenario(0)
-        state = scen.initial_state()
-        order = list(scen.photon_order())
-        built = []
-        original = sim._Ensemble._from_rows.__func__
-
-        def counting(cls, vectors, weights):
-            built.append(cls)
-            return original(cls, vectors, weights)
-
-        monkeypatch.setattr(sim._Ensemble, "_from_rows",
-                            classmethod(counting))
-        rng = np.random.default_rng(11)
-        for _ in range(2000):
-            walk_stack(state, order, scen.plan, "sample", rng).states()
-        assert len(built) == 2000
-        assert set(built) == {PureState}

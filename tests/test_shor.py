@@ -18,7 +18,6 @@ from qparity.photonics import noisy_block_fidelity
 from qparity.rgs import build_partial_encoded
 from qparity.shor import (
     CodeLayout,
-    DecodeResult,
     LogicalInput,
     SHOR_LAYOUT,
     SyndromeRecord,
@@ -413,10 +412,6 @@ class TestDiagnoseCorrect:
         assert abs(fidelity(fixed.to_density(), word) - 1) < 1e-12
 
 
-def branch_signature(result: DecodeResult):
-    return tuple((r.qubit, r.basis, r.outcome) for r in result.transcript)
-
-
 class TestDecodeReadout:
     def test_correction_table_contents(self):
         table = readout_correction_table()
@@ -502,22 +497,15 @@ class TestDecodeReadout:
         with pytest.raises(PreconditionError):
             decode_readout(encode_shor(D_INPUT), losses=[3, 4, 5])
 
-    def test_sample_mode_reproducible(self):
-        word = encode_shor(D_INPUT)
-        a = decode_readout(word, mode="sample",
-                           rng=np.random.default_rng(9))
-        b = decode_readout(word, mode="sample",
-                           rng=np.random.default_rng(9))
-        assert branch_signature(a) == branch_signature(b)
-        assert abs(a.fidelity_to(D_INPUT) - 1) < 1e-10
+    @pytest.mark.parametrize("mode", ["sample", "distribution"])
+    def test_only_enumerate_mode(self, mode):
+        with pytest.raises(ValueError, match="draw_branches"):
+            decode_readout(encode_shor(D_INPUT), losses=[4], mode=mode)
 
-    @pytest.mark.parametrize("mode,rng,match", [
-        ("distribution", np.random.default_rng(9), "unknown mode"),
-        ("sample", None, "sample mode needs an rng")])
-    def test_bad_mode_or_missing_rng(self, mode, rng, match):
-        with pytest.raises(ValueError, match=match):
-            decode_readout(encode_shor(D_INPUT), losses=[4], mode=mode,
-                           rng=rng)
+    @pytest.mark.parametrize("lost", [-1, 9])
+    def test_lost_qubit_outside_layout_rejected(self, lost):
+        with pytest.raises(ValueError, match=f"lost qubit {lost} outside"):
+            decode_readout(encode_shor(D_INPUT), losses=[lost])
 
     def test_json_round(self):
         b = decode_readout(encode_shor(D_INPUT))[0]

@@ -807,7 +807,9 @@ def test_package_exports_its_public_names_once():
 
     import qparity
     names = qparity.__all__
-    assert len(names) == len(set(names)) == 76
-    assert {"encode_qpc", "stabilizers", "PauliString", "TOL"} <= set(names)
+    assert len(names) == len(set(names)) == 75
+    assert {"encode_qpc", "stabilizers", "PauliString", "TOL",
+            "draw_branches"} <= set(names)
+    assert not {"LossPattern", "NoiseParams"} & set(names)
     assert not any(isinstance(getattr(qparity, name), types.ModuleType)
                    for name in names)

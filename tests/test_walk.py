@@ -1,11 +1,11 @@
 """The stacked plan walker against the per-branch walker it replaced
 (``reference.walk_plan_per_branch``): records, branch order, keys,
-probabilities and states, enumerated and sampled; the correction
+probabilities and states, enumerated and drawn; the correction
 search over the stack against dense per-branch fidelities; and the one
 correction step, ``PlanStack.corrected``, against dense products."""
 
+import inspect
 import itertools
-import math
 import re
 
 import numpy as np
@@ -22,6 +22,7 @@ from qparity.rgs import (
     connect_scenario,
     connection_corrections,
     encoded_loss_scenario,
+    logical_loss_test,
     run_connection,
 )
 from qparity.shor import (
@@ -36,9 +37,9 @@ from qparity.sim import (
     DensityMatrix,
     PlanStep,
     PureState,
-    _draw,
     _eigen_rows,
     correction_table,
+    draw_branches,
     partial_trace,
     walk_stack,
 )
@@ -203,7 +204,7 @@ class TestSampledWalks:
         plan, state, order = SAMPLED_CASES[case]()
         rng, ref_rng = np.random.default_rng(99), np.random.default_rng(99)
         stack = walk_stack(state, order, plan)
-        for end in _draw(stack, rng, 3000).tolist():
+        for end in draw_branches(stack, rng, 3000).tolist():
             ((recs, prob, *_),) = ref.walk_plan_per_branch(
                 state.vectors, state.weights, order, plan, "sample",
                 ref_rng)
@@ -211,28 +212,26 @@ class TestSampledWalks:
             assert abs(stack.probabilities[end] - prob) < ATOL
         assert rng.random() == ref_rng.random()
 
-    @pytest.mark.parametrize("case", ["connect-1", "readout-lose-3,5"])
-    def test_sampled_walk_is_the_drawn_enumerated_branch(self, case):
-        """A sampled walk keeps the enumerated branch that one draw
-        picks, with the same rows; its tree is that branch's path, so a
-        draw over the sampled stack ends on its one branch."""
-        plan, state, order = SAMPLED_CASES[case]()
+    def test_walkers_take_no_mode_or_rng(self):
+        """Walkers only enumerate; draw_branches is the one sampler."""
+        for walker in (walk_stack, run_connection, logical_loss_test):
+            params = inspect.signature(walker).parameters
+            assert not {"mode", "rng"} & set(params), walker.__name__
+
+    @pytest.mark.parametrize("shots", [0, -1, 2.5])
+    def test_shots_must_be_a_positive_integer(self, shots):
+        plan, state, order = SAMPLED_CASES["connect-1"]()
         stack = walk_stack(state, order, plan)
-        for seed in range(20):
-            (end,) = _draw(stack, np.random.default_rng(seed), 1)
-            rng = np.random.default_rng(seed)
-            one = walk_stack(state, order, plan, "sample", rng)
-            assert one.records == [stack.records[end]]
-            assert one.probabilities == [stack.probabilities[end]]
-            np.testing.assert_array_equal(one.vectors,
-                                          stack.vectors[end:end + 1])
-            assert len(one.tree) == len(stack.tree)
-            assert math.prod(kept for _, (kept,) in one.tree) == \
-                pytest.approx(one.probabilities[0], abs=ATOL)
-            assert _draw(one, np.random.default_rng(seed), 5).tolist() == \
-                [0] * 5
-            assert rng.random() == np.random.default_rng(seed).random(
-                len(stack.tree) + 1)[-1]
+        with pytest.raises(ValueError, match="shots"):
+            draw_branches(stack, np.random.default_rng(0), shots)
+
+    def test_numpy_integer_shots_draw_the_same_branches(self):
+        plan, state, order = SAMPLED_CASES["readout-lose-3,5"]()
+        stack = walk_stack(state, order, plan)
+        ends = draw_branches(stack, np.random.default_rng(7), 50)
+        np.testing.assert_array_equal(
+            draw_branches(stack, np.random.default_rng(7), np.int64(50)),
+            ends)
 
 
 class TestStack:
