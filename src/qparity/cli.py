@@ -496,14 +496,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _config_option() -> argparse.ArgumentParser:
+    """Finds --config in every spelling the full parser takes for it
+    (``--config F``, ``--config=F``, a unique prefix such as ``--conf F``)
+    and ignores every other argument."""
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    parser.add_argument("--config")
+    return parser
+
+
 def _apply_config_file(argv) -> list:
-    """Fold --config file values in as defaults; explicit flags win."""
-    if "--config" not in argv:
+    """Fold --config file values in as defaults; explicit flags win.
+
+    The file's flags go right after the command, so the parser checks
+    each with its flag's type and choices, and a later explicit flag in
+    any spelling (``--loss=1``, ``--los 1``) overrides it."""
+    try:
+        path = _config_option().parse_known_args(argv)[0].config
+    except argparse.ArgumentError as exc:
+        raise ConfigError("--config needs a path") from exc
+    if path is None:
         return list(argv)
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ConfigError("--config needs a path")
-    path = argv[i + 1]
     try:
         with open(path) as fh:
             values = json.load(fh)
@@ -511,13 +525,9 @@ def _apply_config_file(argv) -> list:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(values, dict):
         raise ConfigError("config file must hold a JSON object")
-    merged = list(argv)
-    for key, val in sorted(values.items()):
-        flag = "--" + key.replace("_", "-")
-        if flag in argv:
-            continue
-        merged.extend([flag, str(val)])
-    return merged
+    flags = [arg for key, val in sorted(values.items())
+             for arg in ("--" + key.replace("_", "-"), str(val))]
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None) -> int:

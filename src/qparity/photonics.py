@@ -64,26 +64,15 @@ class SourceParams:
 POSTSELECT_SUCCESS = 0.5
 
 
-def postselected_cnot(state: State, control: int, target: int,
-                      mode: str = "postselect",
-                      rng: np.random.Generator | None = None):
+def postselected_cnot(state: State, control: int, target: int):
     """Polarization CNOT via beam splitter + half-wave plate.
 
     The gate succeeds with probability 1/2 after post-selecting one
     photon per output port; the success branch acts as an ideal CNOT.
-    mode="postselect" returns (success_state, 0.5); mode="sample" draws
-    the post-selection and returns (None, 0.5) on failure.
+    Returns (success_state, 0.5): the post-selected state and the
+    probability of keeping it.
     """
-    success = apply_unitary(state, CNOT, [control, target])
-    if mode == "postselect":
-        return success, POSTSELECT_SUCCESS
-    if mode == "sample":
-        if rng is None:
-            raise ValueError("sample mode needs an rng")
-        if rng.random() < POSTSELECT_SUCCESS:
-            return success, POSTSELECT_SUCCESS
-        return None, POSTSELECT_SUCCESS
-    raise ValueError(f"unknown mode {mode!r}")
+    return apply_unitary(state, CNOT, [control, target]), POSTSELECT_SUCCESS
 
 
 def chained_postselect_factor(n_stages: int) -> float:
@@ -196,8 +185,13 @@ def encoder_sites(kind: str, groups: Sequence[Sequence],
     encoded RGS rotates its encoded leader after that stage, so the
     block's encoder kick is an X string too; a fully encoded RGS builds
     its blocks last, each leaving a Z kick on its second photon.  A lone
-    block (one group) has no GHZ stage.
+    block (one group) has no GHZ stage.  ``kind`` is "bare", "partial"
+    or "encoded" (ValueError otherwise).
     """
+    if kind not in ("bare", "partial", "encoded"):
+        raise ValueError(f"unknown RGS kind {kind!r}: expected 'bare', "
+                         "'partial' or 'encoded'")
+
     def site(photons, letter):
         return PauliString({(index[p] if index else p): letter
                             for p in photons})

@@ -47,6 +47,7 @@ from .sim import (
     PureState,
     State,
     _apply_to_axes,
+    _pick,
     apply_pauli_channel,
     apply_unitary,
     correction_table,
@@ -297,8 +298,9 @@ def measure_syndromes(state: State, mode: str = "expectation",
 
     mode="expectation" leaves the state untouched and records <S_i>;
     mode="sample" measures the (commuting) operators sequentially in the
-    listed order, collapsing as it goes.  Returns (SyndromeRecord,
-    post_measurement_state).
+    listed order, collapsing as it goes: per operator one uniform from
+    ``rng`` picks among its enumerated outcomes.  Returns
+    (SyndromeRecord, post_measurement_state).
     """
     if state.num_qubits != layout.num_qubits:
         raise ValueError(f"state has {state.num_qubits} qubits, layout needs "
@@ -308,10 +310,13 @@ def measure_syndromes(state: State, mode: str = "expectation",
         return (SyndromeRecord(tuple(expectation(state, g) for g in gens),
                                layout), state)
     if mode == "sample":
+        if rng is None:
+            raise ValueError("sample mode needs an rng")
         values = []
         for g in gens:
-            outcome, _, state = measure_pauli(state, g, mode="sample",
-                                              rng=rng)
+            results = measure_pauli(state, g)
+            outcome, _, state = results[_pick([p for _, p, _ in results],
+                                              rng.random())]
             values.append(outcome)
         return SyndromeRecord(tuple(values), layout), state
     raise ValueError(f"unknown mode {mode!r}")

@@ -18,15 +18,12 @@ argument once with ``eigh``, ``DensityMatrix.matrix`` is rebuilt on
 demand, and a stack outgrowing 2^n rows is compressed back through one
 ``eigh``.
 
-Stochastic operations draw from a caller-supplied
-``numpy.random.Generator``; for a fixed seed every run is bit-identical
-because every draw happens in documented call order: each sampled
-measurement makes exactly one draw.
-
 Every measurement of one state (:func:`measure_pauli`, :func:`measure`,
-:func:`measure_out`) returns ``(outcome, probability, state)``: one
-triple in mode "sample" or "forced", and in mode "enumerate" the list
-of realizable triples in label order.
+:func:`measure_out`) returns the list of realizable
+``(outcome, probability, state)`` triples in label order.  Nothing here
+samples a single state's outcome: a caller keeps the triple it wants,
+by label or by :func:`_pick` over the probabilities with one uniform
+from its own ``numpy.random.Generator``.
 
 The measurement-plan walker (:func:`walk_stack`) and the correction
 search (:func:`correction_table`) shared by the Shor readout and the
@@ -409,24 +406,6 @@ def _pick(probs: Sequence[float], draws):
                       len(probs) - 1)
 
 
-def _select(results: list, mode: str, rng: np.random.Generator | None,
-            outcome) -> tuple:
-    """The one of the realizable (outcome, probability, state) triples
-    kept: mode="forced" keeps the given ``outcome``; mode="sample" draws
-    exactly one uniform number from ``rng`` and keeps :func:`_pick`'s."""
-    if mode == "forced":
-        for result in results:
-            if result[0] == outcome:
-                return result
-        raise PreconditionError(f"forced outcome {outcome!r} has probability "
-                                f"below {TOL.branch_eps}")
-    if mode == "sample":
-        if rng is None:
-            raise ValueError("sample mode needs an rng")
-        return results[_pick([p for _, p, _ in results], rng.random())]
-    raise ValueError(f"unknown measurement mode {mode!r}")
-
-
 def _project_out(vectors: np.ndarray, targets: Sequence[int],
                  basis: str) -> tuple:
     """Project the target qubits of a stack of ensembles (B x r x 2^n)
@@ -470,63 +449,47 @@ def _children(rows: np.ndarray, weights: np.ndarray):
     return parents, picks, kept.tolist(), vectors, weights
 
 
-def _outcomes(state: State, labels: Sequence, rows: np.ndarray, mode: str,
-              rng, outcome):
-    """(outcome, probability, state) of a one-state projection: the list
-    of every outcome above the branch floor, in label order, for
-    mode="enumerate", else the one triple :func:`_select` keeps of it."""
+def _outcomes(state: State, labels: Sequence, rows: np.ndarray) -> list:
+    """(outcome, probability, state) of every outcome of a one-state
+    projection above the branch floor, in label order."""
     _, picks, probs, vectors, weights = _children(rows, state.weights[None])
-    results = [(labels[i], p, state._from_rows(v, w))
-               for i, p, v, w in zip(picks, probs, vectors, weights)]
-    if mode == "enumerate":
-        return results
-    return _select(results, mode, rng, outcome)
+    return [(labels[i], p, state._from_rows(v, w))
+            for i, p, v, w in zip(picks, probs, vectors, weights)]
 
 
-def measure(state: State, qubit: int, basis: str = "Z", mode: str = "sample",
-            rng: np.random.Generator | None = None,
-            outcome: int | None = None):
+def measure(state: State, qubit: int, basis: str = "Z") -> list:
     """Projective single-qubit measurement in basis X, Y or Z: the
-    :func:`measure_pauli` of that one-letter Pauli, with its modes and
+    :func:`measure_pauli` of that one-letter Pauli, with its
     ``(outcome, probability, collapsed_state)`` triples."""
     _check_targets([qubit], state.num_qubits)
-    return measure_pauli(state, PauliString({qubit: basis}), mode, rng,
-                         outcome)
+    return measure_pauli(state, PauliString({qubit: basis}))
 
 
-def measure_out(state: State, qubits: Sequence[int], basis: str = "Z",
-                mode: str = "sample",
-                rng: np.random.Generator | None = None,
-                outcome=None):
+def measure_out(state: State, qubits: Sequence[int],
+                basis: str = "Z") -> list:
     """Measure the given qubits and remove them from the state.
 
     ``basis`` is X, Y or Z for one qubit (outcomes +1, -1) or "bell" for
     a pair (outcomes "phi+", "phi-", "psi+", "psi-"); any other basis,
     or one that does not fit the number of qubits, raises ValueError.
-    Same modes and triples as :func:`measure_pauli`, but the returned
-    states have the measured qubits contracted away (the rest keep
-    their relative order), so at least one qubit must remain.
+    Same triples as :func:`measure_pauli`, but the returned states have
+    the measured qubits contracted away (the rest keep their relative
+    order), so at least one qubit must remain.
     """
-    return _outcomes(state, *_project_out(state.vectors[None], qubits, basis),
-                     mode, rng, outcome)
+    return _outcomes(state, *_project_out(state.vectors[None], qubits, basis))
 
 
-def measure_pauli(state: State, op: PauliString, mode: str = "sample",
-                  rng: np.random.Generator | None = None,
-                  outcome: int | None = None):
+def measure_pauli(state: State, op: PauliString) -> list:
     """Projective measurement of a +-1-valued Pauli product.
 
-    mode="sample" draws the outcome s = +-1 from ``rng`` (exactly one
-    uniform); mode="forced" collapses onto the requested ``outcome``.
-    Both return one ``(s, probability, collapsed_state)`` triple;
-    mode="enumerate" returns the list of realizable triples in label
-    order (+1 first), whose probabilities sum to 1.  The branches are
-    the rows (v +- P v) / 2, one stack of 1 x 2 x r x 2^n.
+    Returns the realizable ``(s, probability, collapsed_state)`` triples
+    in label order (+1 first), whose probabilities sum to 1.  The
+    branches are the rows (v +- P v) / 2, one stack of 1 x 2 x r x 2^n.
     """
     vectors = state.vectors
     pv = _pauli_rows(vectors, op)
     rows = np.stack([(vectors + pv) / 2.0, (vectors - pv) / 2.0])
-    return _outcomes(state, (+1, -1), rows[None], mode, rng, outcome)
+    return _outcomes(state, (+1, -1), rows[None])
 
 
 def expectation(state: State, op: PauliString) -> float:

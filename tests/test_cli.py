@@ -246,6 +246,43 @@ class TestConfigFile:
         rc = main(["encode", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("spelling,loss", [
+        (("--loss=1", "--config", "{cfg}"), 1),
+        (("--los", "1", "--config", "{cfg}"), 1),
+        (("--config={cfg}",), 2),
+        (("--conf", "{cfg}", "--loss", "0"), 0),
+    ], ids=["flag-equals", "flag-prefix", "config-equals", "config-prefix"])
+    def test_every_flag_spelling_beats_config(self, tmp_path, spelling,
+                                              loss):
+        """The parser's own spellings (``--flag=value``, a unique
+        prefix) count as explicit flags, and ``--config=FILE`` is read."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"loss": 2}))
+        argv = [arg.format(cfg=cfg) for arg in spelling]
+        rc, raw = run(tmp_path, "connect", *argv)
+        assert rc == 0
+        assert json.loads(raw)["loss_count"] == loss
+
+    @pytest.mark.parametrize("values", [{"loss": "x"}, {"format": "xml"},
+                                        {"bogus": 1}])
+    def test_config_values_pass_the_flag_checks(self, tmp_path, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        with pytest.raises(SystemExit) as exc:
+            main(["connect", "--config", str(cfg)])
+        assert exc.value.code == 2
+
+    def test_config_supplies_a_required_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta": 0.9, "n_max": 2, "m_max": 2}))
+        rc, raw = run(tmp_path, "rate", "--config", str(cfg))
+        assert rc == 0
+        assert raw.decode().splitlines()[2].startswith("0.9,0.5,1,1,")
+
+    def test_config_needs_a_path(self, capsys):
+        assert main(["encode", "--config"]) == 2
+        assert capsys.readouterr().err == "error: --config needs a path\n"
+
 
 class TestDeterminism:
     COMMANDS = [

@@ -17,6 +17,7 @@ from qparity.photonics import (
     chained_postselect_factor,
     coincidence_rate,
     encode_shor_noisy,
+    encoder_sites,
     ideal_support,
     monte_carlo_coincidence,
     noisy_block_fidelity,
@@ -94,16 +95,10 @@ class TestPostselectedCnot:
             np.testing.assert_allclose(out.amplitudes, want.amplitudes,
                                        atol=1e-10)
 
-    def test_sample_mode(self):
-        state = make_basis_state(2)
-        rng = np.random.default_rng(0)
-        results = [postselected_cnot(state, 0, 1, mode="sample", rng=rng)
-                   for _ in range(200)]
-        successes = [r for r, _ in results if r is not None]
-        assert 0 < len(successes) < 200  # both branches appear
-        # frequency within 3 sigma of 1/2
-        p_hat = len(successes) / 200
-        assert abs(p_hat - 0.5) <= 3 * math.sqrt(0.25 / 200)
+    def test_takes_no_mode_or_rng(self):
+        for kw in ({"mode": "sample"}, {"rng": np.random.default_rng(0)}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                postselected_cnot(make_basis_state(2), 0, 1, **kw)
 
     def test_chained_factor(self):
         assert chained_postselect_factor(4) == 0.0625
@@ -265,6 +260,12 @@ class TestVisibilityNoise:
         assert sites[0].factors == {3: "X", 4: "X", 5: "X"}
         assert [s.factors for s in sites[1:]] == [{1: "Z"}, {4: "Z"},
                                                   {7: "Z"}]
+
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="'bare', 'partial' or 'encoded'"):
+            encoder_sites("bogus", [[0], [1, 2]])
+        assert [s.label() for s in encoder_sites("bare", [[0], [1, 2]])] == \
+            ["X1 X2"]
 
     def test_stabilizers_degrade_smoothly(self):
         word_fidelities = []

@@ -323,10 +323,83 @@ class TestSyndromes:
         record, _ = measure_syndromes(state, mode="sample", rng=rng)
         assert record.values == SINGLE_ERROR_SYNDROMES[("X", 3)]
 
+    def test_sample_mode_needs_an_rng(self):
+        with pytest.raises(ValueError, match="sample mode needs an rng"):
+            measure_syndromes(encode_shor(D_INPUT), mode="sample")
+
     def test_json_shape(self):
         record, _ = measure_syndromes(encode_shor(D_INPUT))
         d = record.to_json_dict()
         assert len(d["SZ"]) == 6 and len(d["SX"]) == 2
+
+
+def _sampled_syndrome_states():
+    """States whose sampled syndromes depend on the draws: a 50% bit flip
+    on a Shor word, a random 9-qubit state and a (4, 3) flip mixture."""
+    flipped = apply_flip_channel(encode_shor(D_INPUT), 3, "bit-flip", 0.5)
+    rng = np.random.default_rng(2024)
+    v = rng.normal(size=512) + 1j * rng.normal(size=512)
+    mixture = encode_qpc(LogicalInput.from_angles(1.1, 0.7), 4, 3)
+    for qubit, kind, p in ((4, "bit-flip", 0.3), (7, "phase-flip", 0.4),
+                           (11, "bit-flip", 0.5)):
+        mixture = apply_flip_channel(mixture, qubit, kind, p)
+    return {"bit-flip": (flipped, SHOR_LAYOUT),
+            "random": (PureState(v / np.linalg.norm(v)), SHOR_LAYOUT),
+            "qpc43": (mixture, CodeLayout(4, 3))}
+
+
+# Sampled records per seed 0..4, and the generator's next draw after
+# each, frozen from the measurement code that drew one uniform per
+# syndrome operator through _pick.
+SAMPLED_SYNDROME_PINS = {
+    "bit-flip": [
+        ((1, 1, 1, 1, 1, 1, 1, 1), 0.5436249914654229),
+        ((1, 1, 1, 1, 1, 1, 1, 1), 0.5495936876730595),
+        ((1, 1, -1, 1, 1, 1, 1, 1), 0.2749693679060381),
+        ((1, 1, -1, 1, 1, 1, 1, 1), 0.7345771514092145),
+        ((1, 1, -1, 1, 1, 1, 1, 1), 0.8716352741876564)],
+    "random": [
+        ((-1, 1, 1, 1, -1, -1, -1, 1), 0.5436249914654229),
+        ((-1, -1, 1, -1, 1, 1, -1, 1), 0.5495936876730595),
+        ((1, 1, -1, 1, -1, -1, 1, 1), 0.2749693679060381),
+        ((1, 1, -1, -1, 1, 1, -1, 1), 0.7345771514092145),
+        ((-1, -1, -1, 1, -1, 1, -1, 1), 0.8716352741876564)],
+    "qpc43": [
+        ((1, 1, 1, 1, 1, 1, 1, -1, 1, -1, -1), 0.002738500170148095),
+        ((1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), 0.5381433132192782),
+        ((1, 1, -1, -1, 1, 1, 1, 1, 1, -1, -1), 0.15006226330533612),
+        ((1, 1, -1, -1, 1, 1, 1, 1, 1, 1, 1), 0.5167401826213637),
+        ((1, 1, -1, -1, 1, 1, 1, 1, 1, 1, 1), 0.4771535238392063)],
+}
+
+
+class TestSampledSyndromeStream:
+    """Sampled syndromes of states whose outcomes are not certain, so a
+    changed draw or a changed pick rule shows."""
+
+    @pytest.mark.parametrize("name", SAMPLED_SYNDROME_PINS)
+    def test_pinned_records_and_next_draw(self, name):
+        state, layout = _sampled_syndrome_states()[name]
+        for seed, (values, next_draw) in enumerate(
+                SAMPLED_SYNDROME_PINS[name]):
+            rng = np.random.default_rng(seed)
+            record, post = measure_syndromes(state, mode="sample", rng=rng,
+                                             layout=layout)
+            assert record.values == values, seed
+            assert rng.random() == next_draw, seed
+            # The post-measurement state sits in the recorded eigenspace.
+            np.testing.assert_allclose(
+                [expectation(post, g) for g in stabilizers(layout)], values,
+                atol=1e-10)
+
+    @pytest.mark.parametrize("name", SAMPLED_SYNDROME_PINS)
+    def test_one_uniform_per_generator(self, name):
+        state, layout = _sampled_syndrome_states()[name]
+        rng = np.random.default_rng(123)
+        measure_syndromes(state, mode="sample", rng=rng, layout=layout)
+        ref_rng = np.random.default_rng(123)
+        ref_rng.random(len(stabilizers(layout)))
+        assert rng.random() == ref_rng.random()
 
 
 class TestFlipChannel:

@@ -49,6 +49,12 @@ def random_state(n, seed):
     return PureState(v / np.linalg.norm(v))
 
 
+def by_label(branches, label):
+    """The one (outcome, probability, state) triple with that outcome."""
+    (found,) = [branch for branch in branches if branch[0] == label]
+    return found
+
+
 def bell_pair():
     s = apply_unitary(make_basis_state(2), H, [0])
     return apply_unitary(s, CNOT, [0, 1])
@@ -162,48 +168,38 @@ class TestApplyUnitary:
 class TestMeasure:
     def test_plus_in_x_is_deterministic(self):
         s = apply_unitary(make_basis_state(1), H, [0])
-        branches = measure(s, 0, "X", mode="enumerate")
+        branches = measure(s, 0, "X")
         assert len(branches) == 1
         outcome, p, _ = branches[0]
         assert outcome == +1 and abs(p - 1) < 1e-10
 
     def test_zero_in_x_is_even(self):
-        branches = measure(make_basis_state(1), 0, "X", mode="enumerate")
+        branches = measure(make_basis_state(1), 0, "X")
         probs = {outcome: p for outcome, p, _ in branches}
         assert abs(probs[+1] - 0.5) < 1e-10
         assert abs(probs[-1] - 0.5) < 1e-10
 
     def test_ghz_forced_collapse(self):
         ghz = PureState(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2))
-        outcome, p, post = measure(ghz, 0, "Z", mode="forced", outcome=+1)
+        outcome, p, post = by_label(measure(ghz, 0, "Z"), +1)
         assert outcome == +1 and abs(p - 0.5) < 1e-10
         assert np.allclose(post.amplitudes, [1, 0, 0, 0, 0, 0, 0, 0])
 
     def test_forced_impossible_outcome(self):
-        with pytest.raises(PreconditionError):
-            measure(make_basis_state(1), 0, "Z", mode="forced", outcome=-1)
+        branches = measure(make_basis_state(1), 0, "Z")
+        assert -1 not in [outcome for outcome, _, _ in branches]
 
     def test_branch_probabilities_sum_to_one(self):
         for seed in range(4):
             state = random_state(4, seed)
             for basis in ("X", "Y", "Z"):
-                branches = measure(state, seed % 4, basis, mode="enumerate")
+                branches = measure(state, seed % 4, basis)
                 assert abs(sum(p for _, p, _ in branches) - 1) < 1e-10
-
-    def test_sampling_reproducible(self):
-        state = random_state(4, 5)
-        a = [measure(state, 1, "Z", mode="sample",
-                     rng=np.random.default_rng(42))[0]
-             for _ in range(10)]
-        b = [measure(state, 1, "Z", mode="sample",
-                     rng=np.random.default_rng(42))[0]
-             for _ in range(10)]
-        assert a == b
 
     def test_measure_out_matches_measure(self):
         state = random_state(5, 11)
-        kept = measure(state, 2, "Y", mode="enumerate")
-        removed = measure_out(state, [2], "Y", mode="enumerate")
+        kept = measure(state, 2, "Y")
+        removed = measure_out(state, [2], "Y")
         assert len(kept) == len(removed)
         for (o1, p1, s1), (o2, p2, s2) in zip(kept, removed):
             assert o1 == o2
@@ -217,7 +213,7 @@ class TestMeasure:
         rho = random_state(3, 17).to_density()
         columns = {"Z": [[1, 0], [0, 1]], "X": [[1, 1], [1, -1]],
                    "Y": [[1, 1], [1j, -1j]]}
-        for outcome, p, post in measure(rho, 1, basis, mode="enumerate"):
+        for outcome, p, post in measure(rho, 1, basis):
             col = (1 - outcome) // 2
             v = np.array(columns[basis], dtype=complex)[:, col]
             v = v / np.linalg.norm(v)
@@ -230,7 +226,7 @@ class TestMeasure:
     def test_measure_out_rejects_other_bases(self, basis):
         with pytest.raises(ValueError, match=f"basis '{basis}' does not fit "
                                              "1 target"):
-            measure_out(make_basis_state(3), [0], basis, mode="enumerate")
+            measure_out(make_basis_state(3), [0], basis)
 
     def test_measure_out_basis_must_fit_the_targets(self):
         """"bell" takes a pair and X, Y, Z one qubit; the message names the
@@ -242,26 +238,29 @@ class TestMeasure:
         for basis in "XYZ":
             with pytest.raises(ValueError,
                                match=f"basis '{basis}' does not fit 2 target"):
-                measure_out(state, [0, 2], basis, mode="enumerate")
+                measure_out(state, [0, 2], basis)
 
     def test_distribution_mode_is_unknown(self):
+        """Measurements only enumerate: they take no mode, rng or outcome."""
         state = random_state(3, 8)
-        for call in (lambda mode: measure(state, 0, "X", mode=mode),
-                     lambda mode: measure_out(state, [0], "X", mode=mode),
-                     lambda mode: measure_pauli(
-                         state, PauliString({0: "Z", 1: "X"}), mode=mode)):
-            with pytest.raises(ValueError, match="unknown measurement mode"):
-                call("distribution")
+        for call in (lambda **kw: measure(state, 0, "X", **kw),
+                     lambda **kw: measure_out(state, [0], "X", **kw),
+                     lambda **kw: measure_pauli(
+                         state, PauliString({0: "Z", 1: "X"}), **kw)):
+            for kw in ({"mode": "distribution"}, {"mode": "enumerate"},
+                       {"rng": np.random.default_rng(0)}, {"outcome": 1}):
+                with pytest.raises(TypeError, match="unexpected keyword"):
+                    call(**kw)
 
     def test_measure_pauli_product(self):
         ghz = PureState(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2))
         op = PauliString({0: "Z", 1: "Z"})
-        branches = measure_pauli(ghz, op, mode="enumerate")
+        branches = measure_pauli(ghz, op)
         assert len(branches) == 1 and branches[0][0] == +1
         op = PauliString({0: "X", 1: "X", 2: "X"})
         assert abs(expectation(ghz, op) - 1) < 1e-10  # XXX stabilizes GHZ
-        outcome, p, post = measure_pauli(make_basis_state(3), op,
-                                         mode="forced", outcome=-1)
+        outcome, p, post = by_label(measure_pauli(make_basis_state(3), op),
+                                    -1)
         assert outcome == -1 and abs(p - 0.5) < 1e-10
         assert abs(expectation(post, op) + 1) < 1e-10
 
@@ -338,13 +337,12 @@ class TestPartialTrace:
 class TestBellProject:
     def test_bell_pair_is_phi_plus(self):
         big = PureState(np.kron(bell_pair().amplitudes, [1, 0]))
-        label, p, _ = measure_out(big, (0, 1), "bell", mode="forced",
-                                  outcome="phi+")
+        label, p, _ = by_label(measure_out(big, (0, 1), "bell"), "phi+")
         assert label == "phi+" and abs(p - 1) < 1e-10
 
     def test_product_zero_splits_evenly(self):
         s = make_basis_state(3)
-        branches = measure_out(s, (0, 1), "bell", mode="enumerate")
+        branches = measure_out(s, (0, 1), "bell")
         got = {label: p for label, p, _ in branches}
         assert set(got) == {"phi+", "phi-"}
         assert abs(got["phi+"] - 0.5) < 1e-10
@@ -353,7 +351,7 @@ class TestBellProject:
         for seed in range(4):
             n = 4
             state = random_state(n, 60 + seed)
-            branches = measure_out(state, (1, 3), "bell", mode="enumerate")
+            branches = measure_out(state, (1, 3), "bell")
             got = {label: p for label, p, _ in branches}
             for label in BELL_LABELS:
                 proj = ref.bell_projector(label, 1, 3, n)
@@ -366,7 +364,7 @@ class TestBellProject:
         qubits in the Bell state matching the outcome."""
         chain = PureState(np.kron(bell_pair().amplitudes,
                                   bell_pair().amplitudes))
-        branches = measure_out(chain, (1, 2), "bell", mode="enumerate")
+        branches = measure_out(chain, (1, 2), "bell")
         assert len(branches) == 4
         for label, p, rest in branches:
             assert abs(p - 0.25) < 1e-10
@@ -376,9 +374,8 @@ class TestBellProject:
 
     def test_density_matrix_branch_agrees_with_pure(self):
         state = random_state(4, 77)
-        pure_branches = measure_out(state, (0, 2), "bell", mode="enumerate")
-        dm_branches = measure_out(state.to_density(), (0, 2), "bell",
-                                  mode="enumerate")
+        pure_branches = measure_out(state, (0, 2), "bell")
+        dm_branches = measure_out(state.to_density(), (0, 2), "bell")
         for (l1, p1, s1), (l2, p2, s2) in zip(pure_branches, dm_branches):
             assert l1 == l2
             assert abs(p1 - p2) < 1e-10
@@ -498,7 +495,7 @@ class TestPauliKernel:
         for call in (lambda: apply_pauli(state, op),
                      lambda: apply_pauli_channel(state, op, 0.5),
                      lambda: expectation(state, op),
-                     lambda: measure_pauli(state, op, mode="enumerate")):
+                     lambda: measure_pauli(state, op)):
             with pytest.raises(PreconditionError):
                 call()
 
@@ -530,29 +527,8 @@ class TestPauliString:
 
 
 class TestSampleDraws:
-    """Sample mode makes exactly one uniform draw per call, whatever the
-    number of realizable branches (the draw-order contract)."""
-
-    CALLS = {
-        "measure": lambda st, rng: measure(st, 1, "X", rng=rng),
-        "measure_out": lambda st, rng: measure_out(st, [1], "Y", rng=rng),
-        "measure_pauli": lambda st, rng: measure_pauli(
-            st, PauliString({0: "Z", 2: "X"}), rng=rng),
-        "measure_out_bell": lambda st, rng: measure_out(st, (0, 2), "bell",
-                                                        rng=rng),
-    }
-
-    @pytest.mark.parametrize("density", [False, True])
-    @pytest.mark.parametrize("name", sorted(CALLS))
-    def test_one_draw_per_call(self, name, density):
-        for state in (random_state(3, 4), make_basis_state(3)):
-            if density:
-                state = state.to_density()
-            rng = np.random.default_rng(123)
-            self.CALLS[name](state, rng)
-            ref_rng = np.random.default_rng(123)
-            ref_rng.random()
-            assert rng.random() == ref_rng.random()
+    """The one sampling rule, shared by sampled syndromes and
+    :func:`sim.draw_branches`."""
 
     def test_pick_is_the_sequential_cumulative_rule(self):
         """The first outcome whose in-order cumulative probability
@@ -561,18 +537,6 @@ class TestSampleDraws:
         draws = [0.0, 0.4999, 0.5, 0.74, 0.75, 0.94, 0.96, 0.999]
         assert _pick([0.5, 0.25, 0.2], draws).tolist() == \
             [0, 0, 1, 1, 2, 2, 2, 2]
-
-    def test_sample_keeps_the_enumerated_outcome_pick_gives(self):
-        state = random_state(3, 4)
-        outcomes = measure_out(state, (0, 2), "bell", mode="enumerate")
-        probs = [p for _, p, _ in outcomes]
-        for seed in range(40):
-            draw = np.random.default_rng(seed).random()
-            got = measure_out(state, (0, 2), "bell",
-                              rng=np.random.default_rng(seed))
-            want = outcomes[_pick(probs, draw)]
-            assert got[:2] == want[:2]
-            np.testing.assert_array_equal(got[2].vectors, want[2].vectors)
 
 
 def random_ensemble(n, rank, seed, negative=False):
@@ -694,15 +658,15 @@ class TestEnsembleOracle:
             pauli = ref.pauli_matrix(factors, n)
             eye = np.eye(2 ** n)
             self.assert_branches(
-                measure_pauli(state, PauliString(factors), mode="enumerate"),
+                measure_pauli(state, PauliString(factors)),
                 {+1: (eye + pauli) / 2, -1: (eye - pauli) / 2}, mat)
-            self.assert_branches(measure(state, q, basis, mode="enumerate"),
+            self.assert_branches(measure(state, q, basis),
                                  projectors, mat)
             if n < 2:
                 continue
             keep = [k for k in range(n) if k != q]
             self.assert_branches(
-                measure_out(state, [q], basis, mode="enumerate"),
+                measure_out(state, [q], basis),
                 projectors, mat,
                 reduce=lambda m: ref.partial_trace_dense(m, keep, n))
             if n < 3:
@@ -710,7 +674,7 @@ class TestEnsembleOracle:
             qa, qb = (int(x) for x in rng.choice(n, size=2, replace=False))
             keep = [k for k in range(n) if k not in (qa, qb)]
             self.assert_branches(
-                measure_out(state, (qa, qb), "bell", mode="enumerate"),
+                measure_out(state, (qa, qb), "bell"),
                 {label: ref.bell_projector(label, qa, qb, n)
                  for label in BELL_LABELS}, mat,
                 reduce=lambda m: ref.partial_trace_dense(m, keep, n))
@@ -754,7 +718,7 @@ class TestMemoryAtTheCap:
             lossy = partial_trace(noisy, [11])
             kept = [s for s in stabilizers(layout) if 11 not in s.factors]
             values += [expectation(lossy, s) for s in kept]
-            branches = measure_out(lossy, [0], "X", mode="enumerate")
+            branches = measure_out(lossy, [0], "X")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
