@@ -175,27 +175,13 @@ def _parse_qubits(text: str) -> list:
     return [q - 1 for q in nums]
 
 
-def _angles_input(theta: float, phi: float) -> LogicalInput:
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise ConfigError("theta/phi must be finite")
-    return LogicalInput.from_angles(theta, phi)
-
-
-def _check_noise(v: float | None) -> float | None:
-    if v is None:
-        return None
-    if not (0.0 <= v <= 1.0):
-        raise ConfigError(f"--noise visibility {v} outside [0, 1]")
-    return v
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_encode(args) -> None:
-    inp = _angles_input(args.theta, args.phi)
-    noise = _check_noise(args.noise)
+    inp = LogicalInput.from_angles(args.theta, args.phi)
+    noise = args.noise
     state = encode_shor(inp)
     rho = (state if noise is None
            else apply_visibility_noise(state, shor_encoder_sites(), noise))
@@ -233,11 +219,7 @@ def cmd_syndrome_scan(args) -> None:
     if not (1 <= qubit <= 9):
         raise ConfigError(f"--qubit {qubit} outside 1..9")
     p_values = _parse_floats(args.p_values)
-    for p in p_values:
-        if not (0.0 <= p <= 1.0):
-            raise ConfigError(f"channel probability {p} outside [0, 1]")
-    inp = _angles_input(args.theta, args.phi)
-    word = encode_shor(inp)
+    word = encode_shor(LogicalInput.from_angles(args.theta, args.phi))
     rows = []
     for p in p_values:
         rho = apply_flip_channel(word, qubit - 1, kind, p)
@@ -248,8 +230,8 @@ def cmd_syndrome_scan(args) -> None:
 
 
 def cmd_loss_readout(args) -> None:
-    inp = _angles_input(args.theta, args.phi)
-    noise = _check_noise(args.noise)
+    inp = LogicalInput.from_angles(args.theta, args.phi)
+    noise = args.noise
     losses = _parse_qubits(args.lose) if args.lose else []
     state = encode_shor(inp) if noise is None else encode_shor_noisy(inp,
                                                                      noise)
@@ -274,7 +256,7 @@ def cmd_loss_readout(args) -> None:
 def cmd_witness(args) -> None:
     """connect, rgs-loss and bare-control: per-branch witness rows of the
     command's scenario."""
-    noise = _check_noise(args.noise)
+    noise = args.noise
     scenario = args.scenario_factory(args.loss)
     initial = None
     if noise is not None:
@@ -303,13 +285,9 @@ def cmd_witness(args) -> None:
 
 
 def cmd_rate(args) -> None:
-    if args.n_max < 1 or args.m_max < 1:
-        raise ConfigError("--n-max and --m-max must be >= 1")
     if args.n_max * args.m_max > RATE_GRID_CAP:
         raise ConfigError(f"--n-max x --m-max = {args.n_max * args.m_max} "
                           f"exceeds the grid cap of {RATE_GRID_CAP} points")
-    if not (0.0 <= args.eta <= 1.0) or not (0.0 <= args.q <= 1.0):
-        raise ConfigError("--eta and --q must lie in [0, 1]")
     rows = [
         [args.eta, args.q, r.n, r.m, r.p_side, r.p_connect, r.efficiency]
         for r in sweep(args.eta, args.q, args.n_max, args.m_max)
@@ -345,24 +323,13 @@ def _stage_factors(factor: float) -> list | None:
 
 
 def cmd_photonics_rate(args) -> None:
-    for name, val in (("--pair-prob", args.pair_prob),
-                      ("--eta-pair", args.eta_pair),
-                      ("--factor", args.factor)):
-        if not (0.0 <= val <= 1.0):
-            raise ConfigError(f"{name} {val} outside [0, 1]")
-    if not (0.0 < args.rep_rate < math.inf):
-        raise ConfigError("--rep-rate must be positive and finite")
-    if args.sources < 1:
-        raise ConfigError("--sources must be >= 1")
-    if args.shots is not None and args.sources > MAX_SAMPLED_SOURCES:
-        raise ConfigError(f"--sources {args.sources} exceeds the Monte-Carlo "
-                          f"cap of {MAX_SAMPLED_SOURCES} sources")
-    if args.shots is not None and args.shots < 1:
-        raise ConfigError("--shots must be >= 1")
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be >= 0")
-    noise = _check_noise(args.noise)
+    if args.shots is not None and args.seed is None:
+        raise ConfigError("--shots needs --seed for reproducibility")
     params = SourceParams(args.pair_prob, args.eta_pair, args.rep_rate)
+    # Checks --sources and --factor before _stage_factors takes a log.
+    rate = coincidence_rate(params, args.sources, args.factor)
     payload = {
         "command": "photonics-rate",
         "sources": args.sources,
@@ -371,26 +338,25 @@ def cmd_photonics_rate(args) -> None:
         "rep_rate": args.rep_rate,
         "postselect_factor": args.factor,
         "encoder_stage_factors": _stage_factors(args.factor),
-        "predicted_rate_hz": coincidence_rate(params, args.sources,
-                                              args.factor),
+        "predicted_rate_hz": rate,
     }
+    # Before the sampler, so that a bad --noise is refused without
+    # drawing (the JSON keys are written sorted).
+    if args.noise is not None:
+        ideal = encode_shor(LogicalInput.from_angles(math.pi / 2, 0.0))
+        sites = shor_encoder_sites()
+        snr = snr_hv(apply_visibility_noise(ideal, sites, args.noise), ideal)
+        payload["noise"] = {
+            "visibility": args.noise,
+            "snr_hv": "clean" if math.isinf(snr) else snr,
+            "block_fidelity": noisy_block_fidelity(args.noise),
+            "interference_sites": [s.label() for s in sites],
+        }
     if args.shots is not None:
-        if args.seed is None:
-            raise ConfigError("--shots needs --seed for reproducibility")
         est, se = monte_carlo_coincidence(params, args.sources, args.factor,
                                           args.shots, args.seed)
         payload["monte_carlo"] = {"pulses": args.shots, "seed": args.seed,
                                   "rate_hz": est, "rate_se_hz": se}
-    if noise is not None:
-        ideal = encode_shor(LogicalInput.from_angles(math.pi / 2, 0.0))
-        sites = shor_encoder_sites()
-        snr = snr_hv(apply_visibility_noise(ideal, sites, noise), ideal)
-        payload["noise"] = {
-            "visibility": noise,
-            "snr_hv": "clean" if math.isinf(snr) else snr,
-            "block_fidelity": noisy_block_fidelity(noise),
-            "interference_sites": [s.label() for s in sites],
-        }
     _emit(_write_json(payload), args.out)
 
 

@@ -6,7 +6,9 @@ its subclasses to exit code 3 (physically illegal simulation request).
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration (bad flag value, malformed config file)."""
+    """A refused argument: a public function or constructor given a
+    value out of range or non-finite, a count that is not an integer or
+    a state of the wrong size; also a bad flag value or config file."""
 
 
 class PreconditionError(ValueError):

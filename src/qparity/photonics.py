@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .rates import _check_count, _check_unit, _count_hits, _estimate, _fold
 from .shor import LogicalInput, SHOR_LAYOUT, encode_block, encode_shor
 from .sim import (
@@ -53,8 +54,8 @@ class SourceParams:
         _check_unit("pair_prob", self.pair_prob)
         _check_unit("eta_pair", self.eta_pair)
         if not (0.0 < self.rep_rate < math.inf):
-            raise ValueError(f"rep_rate {self.rep_rate} must be positive "
-                             "and finite")
+            raise ConfigError(f"rep_rate {self.rep_rate} must be positive "
+                              "and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +78,7 @@ def postselected_cnot(state: State, control: int, target: int):
 
 def chained_postselect_factor(n_stages: int) -> float:
     """Overall acceptance of n_stages independent post-selected stages;
-    ``n_stages`` must be an integer >= 0 (ValueError otherwise)."""
+    ``n_stages`` must be an integer >= 0 (ConfigError otherwise)."""
     _check_count("n_stages", n_stages, least=0)
     return POSTSELECT_SUCCESS ** n_stages
 
@@ -135,8 +136,8 @@ def monte_carlo_coincidence(params: SourceParams, n_sources: int,
     """
     _check_coincidence(n_sources, postselect_factor)
     if n_sources > MAX_SAMPLED_SOURCES:
-        raise ValueError(f"n_sources {n_sources} exceeds the sampler's cap "
-                         f"of {MAX_SAMPLED_SOURCES}")
+        raise ConfigError(f"n_sources {n_sources} exceeds the sampler's cap "
+                          f"of {MAX_SAMPLED_SOURCES}")
     _check_count("pulses", pulses)
     rng = np.random.default_rng(seed)
     emitted = (((n_sources, params.pair_prob),),
@@ -186,11 +187,11 @@ def encoder_sites(kind: str, groups: Sequence[Sequence],
     block's encoder kick is an X string too; a fully encoded RGS builds
     its blocks last, each leaving a Z kick on its second photon.  A lone
     block (one group) has no GHZ stage.  ``kind`` is "bare", "partial"
-    or "encoded" (ValueError otherwise).
+    or "encoded" (ConfigError otherwise).
     """
     if kind not in ("bare", "partial", "encoded"):
-        raise ValueError(f"unknown RGS kind {kind!r}: expected 'bare', "
-                         "'partial' or 'encoded'")
+        raise ConfigError(f"unknown RGS kind {kind!r}: expected 'bare', "
+                          "'partial' or 'encoded'")
 
     def site(photons, letter):
         return PauliString({(index[p] if index else p): letter
@@ -245,8 +246,8 @@ def snr_hv(rho: State, ideal: PureState | None = None) -> float:
     if ideal is None:
         ideal = encode_shor(LogicalInput.from_angles(math.pi / 2, 0.0))
     if rho.num_qubits != ideal.num_qubits:
-        raise ValueError(f"state has {rho.num_qubits} qubits, ideal has "
-                         f"{ideal.num_qubits}")
+        raise ConfigError(f"state has {rho.num_qubits} qubits, ideal has "
+                          f"{ideal.num_qubits}")
     probs = rho.probabilities()
     support = ideal_support(ideal)
     signal = float(probs[support].sum())

@@ -56,6 +56,8 @@ from operator import and_, index, or_
 
 import numpy as np
 
+from .errors import ConfigError
+
 DEFAULT_BSM_SUCCESS = 0.5
 
 # Bytes of one thread's chunk buffers: per shot of the chunk, a double
@@ -76,7 +78,7 @@ WORKERS = min(_CORES, 4)
 
 def _check_unit(name: str, value) -> None:
     if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} {value} out of [0, 1]")
+        raise ConfigError(f"{name} {value} out of [0, 1]")
 
 
 def _check_count(name: str, value, least: int = 1) -> None:
@@ -85,9 +87,10 @@ def _check_count(name: str, value, least: int = 1) -> None:
     try:
         index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise ConfigError(f"{name} must be an integer, "
+                          f"got {value!r}") from None
     if value < least:
-        raise ValueError(f"need {name} >= {least}")
+        raise ConfigError(f"need {name} >= {least}")
 
 
 @dataclass(frozen=True)
@@ -175,8 +178,8 @@ def optimize(eta: float, q: float, n_max: int, m_max: int,
     (n, m, RateResult).
     """
     if metric not in ("p_connect", "efficiency"):
-        raise ValueError(f"metric must be 'p_connect' or 'efficiency', "
-                         f"got {metric!r}")
+        raise ConfigError(f"metric must be 'p_connect' or 'efficiency', "
+                          f"got {metric!r}")
     best = None
     for res in sweep(eta, q, n_max, m_max):
         key = (-getattr(res, metric), res.photons_used, res.n)
@@ -249,7 +252,7 @@ def _count_hits(rng: np.random.Generator, shots: int, stages) -> int:
     # outputs.  np.random is looked up here, not at import: loading it
     # costs about 15 ms.
     if not isinstance(bitgen, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise ValueError(
+        raise ConfigError(
             f"Monte-Carlo samplers need a PCG64 or PCG64DXSM generator to "
             f"position their chunked draws, got {type(bitgen).__name__}")
     # advance() overflows on a NumPy integer, which the stream offsets

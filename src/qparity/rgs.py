@@ -61,7 +61,7 @@ PHI_PLUS_2Q = PureState(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
 def build_bare_rgs(n: int) -> PureState:
     """n-qubit GHZ state, the unprotected repeater graph state."""
     if not (2 <= n <= MAX_QUBITS):
-        raise ValueError(f"bare RGS size {n} outside 2..{MAX_QUBITS}")
+        raise ConfigError(f"bare RGS size {n} outside 2..{MAX_QUBITS}")
     return PureState(_ghz_amps(n))
 
 
@@ -75,8 +75,8 @@ def build_partial_encoded(m: int) -> PureState:
     is the circuit bit for bit).
     """
     if not (1 <= m <= MAX_QUBITS - 3):
-        raise ValueError(f"block size {m} makes {3 + m} qubits, cap is "
-                         f"{MAX_QUBITS}")
+        raise ConfigError(f"block size {m} makes {3 + m} qubits, cap is "
+                          f"{MAX_QUBITS}")
     register = _apply_to_axes(_ghz_amps(4).reshape([2] * 4), H, [3])
     return _spread(register.reshape(-1), (1, 1, 1, m))
 
@@ -386,7 +386,7 @@ def _witnesses(vectors: np.ndarray, weights: np.ndarray) -> list:
 def witness(rho: State) -> WitnessResult:
     """Evaluate the |phi+> witness on a two-qubit state."""
     if rho.num_qubits != 2:
-        raise ValueError(f"witness needs 2 qubits, got {rho.num_qubits}")
+        raise ConfigError(f"witness needs 2 qubits, got {rho.num_qubits}")
     return _witnesses(rho.vectors[None], rho.weights[None])[0]
 
 
@@ -473,7 +473,7 @@ def run_connection(scenario: Scenario, *,
     state: State = (scenario.initial_state() if initial_state is None
                     else initial_state)
     if state.num_qubits != len(scenario.photon_order()):
-        raise ValueError("initial_state qubit count does not match scenario")
+        raise ConfigError("initial_state qubit count does not match scenario")
     order = list(scenario.photon_order())
     if scenario.loss:
         idxs = sorted(order.index(p) for p in scenario.loss)

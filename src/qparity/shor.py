@@ -35,7 +35,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import TOL
-from .errors import PreconditionError
+from .errors import ConfigError, PreconditionError
 from .sim import (
     H,
     MAX_QUBITS,
@@ -69,12 +69,14 @@ class LogicalInput:
 
     def __post_init__(self):
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > TOL.atol:
-            raise ValueError(f"input not normalized: |a|^2+|b|^2 = {norm!r}")
+        if not abs(norm - 1.0) <= TOL.atol:   # a NaN norm is refused too
+            raise ConfigError(f"input not normalized: |a|^2+|b|^2 = {norm!r}")
 
     @classmethod
     def from_angles(cls, theta: float, phi: float) -> "LogicalInput":
         """Bloch angles: alpha = cos(theta/2), beta = e^{i phi} sin(theta/2)."""
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ConfigError("theta/phi must be finite")
         return cls(math.cos(theta / 2),
                    cmath.exp(1j * phi) * math.sin(theta / 2))
 
@@ -91,7 +93,7 @@ class CodeLayout:
 
     def __post_init__(self):
         if self.n_blocks < 1 or self.block_size < 1:
-            raise ValueError("layout needs n_blocks >= 1 and block_size >= 1")
+            raise ConfigError("layout needs n_blocks >= 1 and block_size >= 1")
 
     @property
     def num_qubits(self) -> int:
@@ -99,9 +101,9 @@ class CodeLayout:
 
     def qubit_of(self, block: int, position: int) -> int:
         if not (0 <= block < self.n_blocks):
-            raise ValueError(f"block {block} out of range")
+            raise ConfigError(f"block {block} out of range")
         if not (0 <= position < self.block_size):
-            raise ValueError(f"position {position} out of range")
+            raise ConfigError(f"position {position} out of range")
         return block * self.block_size + position
 
     def block_qubits(self, block: int) -> tuple:
@@ -125,12 +127,12 @@ class SyndromeRecord:
     def __post_init__(self):
         count = len(stabilizers(self.layout))
         if len(self.values) != count:
-            raise ValueError(f"syndrome record of a {self.layout.n_blocks}x"
-                             f"{self.layout.block_size} layout needs "
-                             f"exactly {count} values")
+            raise ConfigError(f"syndrome record of a {self.layout.n_blocks}x"
+                              f"{self.layout.block_size} layout needs "
+                              f"exactly {count} values")
         for v in self.values:
             if not (-1.0 - TOL.atol <= v <= 1.0 + TOL.atol):
-                raise ValueError(f"syndrome value {v} outside [-1, 1]")
+                raise ConfigError(f"syndrome value {v} outside [-1, 1]")
 
     @property
     def sz(self) -> tuple:
@@ -224,8 +226,8 @@ def encode_block(inp: LogicalInput, m: int = 3) -> PureState:
     qubit spread over a block of m with no gate, bit for bit what m-1
     CNOTs onto fresh |0> targets give."""
     if not (1 <= m <= MAX_QUBITS):
-        raise ValueError(f"block size m must be in 1..{MAX_QUBITS}, "
-                         f"got {m}")
+        raise ConfigError(f"block size m must be in 1..{MAX_QUBITS}, "
+                          f"got {m}")
     register = np.array([inp.alpha, inp.beta], dtype=complex)
     return _spread(register + 0.0 if m > 1 else register, (m,))
 
@@ -241,10 +243,10 @@ def encode_qpc(inp: LogicalInput, n: int, m: int) -> PureState:
     |0/1>_L = (|0..0> +- |1..1>)/sqrt2, bit for bit the circuit's.
     """
     if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+        raise ConfigError("need n >= 1 and m >= 1")
     if n * m > MAX_QUBITS:
-        raise ValueError(f"{n}x{m} = {n * m} qubits exceeds the "
-                         f"{MAX_QUBITS}-qubit cap")
+        raise ConfigError(f"{n}x{m} = {n * m} qubits exceeds the "
+                          f"{MAX_QUBITS}-qubit cap")
     # A zero column 1 keeps each product at two or more columns, as on
     # a full word of two or more qubits: NumPy runs a one-column product
     # through another BLAS kernel, whose last bits differ.
@@ -303,15 +305,15 @@ def measure_syndromes(state: State, mode: str = "expectation",
     (SyndromeRecord, post_measurement_state).
     """
     if state.num_qubits != layout.num_qubits:
-        raise ValueError(f"state has {state.num_qubits} qubits, layout needs "
-                         f"{layout.num_qubits}")
+        raise ConfigError(f"state has {state.num_qubits} qubits, layout needs "
+                          f"{layout.num_qubits}")
     gens = stabilizers(layout)
     if mode == "expectation":
         return (SyndromeRecord(tuple(expectation(state, g) for g in gens),
                                layout), state)
     if mode == "sample":
         if rng is None:
-            raise ValueError("sample mode needs an rng")
+            raise ConfigError("sample mode needs an rng")
         values = []
         for g in gens:
             results = measure_pauli(state, g)
@@ -319,7 +321,7 @@ def measure_syndromes(state: State, mode: str = "expectation",
                                               rng.random())]
             values.append(outcome)
         return SyndromeRecord(tuple(values), layout), state
-    raise ValueError(f"unknown mode {mode!r}")
+    raise ConfigError(f"unknown mode {mode!r}")
 
 
 def apply_flip_channel(state: State, qubit: int, kind: str,
@@ -327,8 +329,8 @@ def apply_flip_channel(state: State, qubit: int, kind: str,
     """Probabilistic bit-flip (X) or phase-flip (Z) channel on one qubit."""
     ops = {"bit-flip": "X", "phase-flip": "Z"}
     if kind not in ops:
-        raise ValueError(f"kind must be 'bit-flip' or 'phase-flip', "
-                         f"got {kind!r}")
+        raise ConfigError(f"kind must be 'bit-flip' or 'phase-flip', "
+                          f"got {kind!r}")
     return apply_pauli_channel(state, PauliString({qubit: ops[kind]}), p)
 
 
@@ -361,7 +363,7 @@ def diagnose(record: SyndromeRecord) -> ErrorHypothesis:
     layout = record.layout
     vals = tuple(int(v) for v in record.values)
     if any(v not in (-1, 1) for v in vals):
-        raise ValueError("diagnose needs a sampled record with +-1 entries")
+        raise ConfigError("diagnose needs a sampled record with +-1 entries")
     links = layout.block_size - 1
     x_hits = []
     for b in range(layout.n_blocks):
@@ -403,7 +405,7 @@ def correct(state: State, hypothesis: ErrorHypothesis,
     if hypothesis.kind == "y":
         q = hypothesis.qubit
         return apply_unitary(apply_unitary(state, Z, [q]), X, [q])
-    raise ValueError(f"unknown hypothesis kind {hypothesis.kind!r}")
+    raise ConfigError(f"unknown hypothesis kind {hypothesis.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +470,13 @@ def decode_readout(state: State, losses: Iterable[int] = (),
     walk.
     """
     if mode != "enumerate":
-        raise ValueError(f"unknown mode {mode!r}: decode_readout only "
-                         "enumerates; sample with draw_branches")
+        raise ConfigError(f"unknown mode {mode!r}: decode_readout only "
+                          "enumerates; sample with draw_branches")
     layout = SHOR_LAYOUT
     lost = frozenset(int(q) for q in losses)
     for q in lost:
         if not (0 <= q < layout.num_qubits):
-            raise ValueError(f"lost qubit {q} outside layout")
+            raise ConfigError(f"lost qubit {q} outside layout")
     if 0 in lost:
         raise PreconditionError("output qubit lost: qubit 0 carries the "
                                 "decoded state and cannot be recovered")
@@ -488,8 +490,8 @@ def decode_readout(state: State, losses: Iterable[int] = (),
     elif state.num_qubits == len(alive):
         work = state
     else:
-        raise ValueError(f"state has {state.num_qubits} qubits; expected "
-                         f"{layout.num_qubits} or {len(alive)}")
+        raise ConfigError(f"state has {state.num_qubits} qubits; expected "
+                          f"{layout.num_qubits} or {len(alive)}")
     degraded = bool(lost & set(layout.block_qubits(0)))
 
     table = readout_correction_table()

@@ -50,7 +50,7 @@ from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .config import TOL
-from .errors import PreconditionError
+from .errors import ConfigError, PreconditionError
 from .rates import _check_count
 
 MAX_QUBITS = 12
@@ -91,8 +91,8 @@ _BRAS = {
 def _check_dimension(dim: int, what: str) -> None:
     n = dim.bit_length() - 1
     if dim != 2 ** n or not (1 <= n <= MAX_QUBITS):
-        raise ValueError(f"{what} {dim} is not a power of two within "
-                         f"1..{MAX_QUBITS} qubits")
+        raise ConfigError(f"{what} {dim} is not a power of two within "
+                          f"1..{MAX_QUBITS} qubits")
 
 
 def _dense(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -170,9 +170,11 @@ class PureState(_Ensemble):
     def __init__(self, amplitudes: np.ndarray):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         _check_dimension(amps.size, "amplitude vector length")
+        if not np.isfinite(amps).all():
+            raise ConfigError("state has a non-finite amplitude")
         norm = float(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > TOL.atol:
-            raise ValueError(f"state not normalized: sum |a|^2 = {norm!r}")
+            raise ConfigError(f"state not normalized: sum |a|^2 = {norm!r}")
         self.vectors = amps.reshape(1, -1)
         self.weights = np.ones(1)
 
@@ -197,13 +199,15 @@ class DensityMatrix(_Ensemble):
     def __init__(self, matrix: np.ndarray):
         mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("density matrix must be square")
+            raise ConfigError("density matrix must be square")
         _check_dimension(mat.shape[0], "dimension")
+        if not np.isfinite(mat).all():
+            raise ConfigError("density matrix has a non-finite entry")
         if np.max(np.abs(mat - mat.conj().T)) > TOL.atol:
-            raise ValueError("density matrix not Hermitian")
+            raise ConfigError("density matrix not Hermitian")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TOL.atol:
-            raise ValueError(f"density matrix trace {tr!r} != 1")
+            raise ConfigError(f"density matrix trace {tr!r} != 1")
         vectors, weights = _eigen_rows(mat[None])
         self.vectors, self.weights = vectors[0], weights[0]
 
@@ -217,8 +221,8 @@ class DensityMatrix(_Ensemble):
         """Raise if any eigenvalue is more negative than the PSD slack."""
         evals = np.linalg.eigvalsh(self.matrix)
         if evals.min() < -TOL.psd_slack:
-            raise ValueError(f"density matrix not PSD: min eigenvalue "
-                             f"{evals.min():.3e}")
+            raise ConfigError(f"density matrix not PSD: min eigenvalue "
+                              f"{evals.min():.3e}")
 
 
 State = Union[PureState, DensityMatrix]
@@ -239,14 +243,14 @@ class PauliString:
 
     def __post_init__(self):
         if self.sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
+            raise ConfigError("sign must be +1 or -1")
         object.__setattr__(self, "factors", MappingProxyType(
             dict(sorted(self.factors.items()))))
         for q, letter in self.factors.items():
             if letter not in ("X", "Y", "Z"):
-                raise ValueError(f"bad Pauli letter {letter!r} on qubit {q}")
+                raise ConfigError(f"bad Pauli letter {letter!r} on qubit {q}")
             if q < 0:
-                raise ValueError(f"negative qubit index {q}")
+                raise ConfigError(f"negative qubit index {q}")
 
     def commutes_with(self, other: "PauliString") -> bool:
         overlap = set(self.factors) & set(other.factors)
@@ -264,7 +268,7 @@ class PauliString:
             elif factors[q] == letter:
                 del factors[q]
             else:
-                raise ValueError("product would carry an imaginary phase")
+                raise ConfigError("product would carry an imaginary phase")
         return PauliString(factors, sign)
 
     def label(self) -> str:
@@ -285,7 +289,7 @@ class MeasurementRecord:
 
     def __post_init__(self):
         if not (0.0 - TOL.atol <= self.probability <= 1.0 + TOL.atol):
-            raise ValueError(f"probability {self.probability} out of [0,1]")
+            raise ConfigError(f"probability {self.probability} out of [0,1]")
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +347,10 @@ def _pauli_rows(vectors: np.ndarray, op: PauliString) -> np.ndarray:
 
 def _check_targets(targets: Sequence[int], n: int) -> None:
     if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate target qubits {targets}")
+        raise ConfigError(f"duplicate target qubits {targets}")
     for q in targets:
         if not (0 <= q < n):
-            raise ValueError(f"target qubit {q} out of range for {n} qubits")
+            raise ConfigError(f"target qubit {q} out of range for {n} qubits")
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +366,8 @@ def state_from_qubit(alpha: complex, beta: complex,
                      num_qubits: int = 1) -> PureState:
     """alpha|0> + beta|1> on qubit 0, all other qubits |0>."""
     if not (1 <= num_qubits <= MAX_QUBITS):
-        raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, "
-                         f"got {num_qubits}")
+        raise ConfigError(f"num_qubits must be in 1..{MAX_QUBITS}, "
+                          f"got {num_qubits}")
     amps = np.zeros(2 ** num_qubits, dtype=complex)
     amps[0] = alpha
     amps[2 ** (num_qubits - 1)] = beta
@@ -380,10 +384,10 @@ def apply_unitary(state: State, matrix: np.ndarray,
     mat = np.asarray(matrix, dtype=complex)
     k = len(targets)
     if mat.shape != (2 ** k, 2 ** k) or k not in (1, 2):
-        raise ValueError(f"matrix shape {mat.shape} does not match "
-                         f"{k} target(s)")
-    if np.max(np.abs(mat.conj().T @ mat - np.eye(2 ** k))) > TOL.atol:
-        raise ValueError("matrix is not unitary within tolerance")
+        raise ConfigError(f"matrix shape {mat.shape} does not match "
+                          f"{k} target(s)")
+    if not np.max(np.abs(mat.conj().T @ mat - np.eye(2 ** k))) <= TOL.atol:
+        raise ConfigError("matrix is not unitary within tolerance")
     n = state.num_qubits
     _check_targets(targets, n)
     rows = _apply_to_axes(state.vectors.reshape([-1] + [2] * n), mat,
@@ -418,10 +422,10 @@ def _project_out(vectors: np.ndarray, targets: Sequence[int],
     n, k = vectors.shape[2].bit_length() - 1, len(targets)
     _check_targets(targets, n)
     if k >= n:
-        raise ValueError("cannot remove every qubit")
+        raise ConfigError("cannot remove every qubit")
     if basis not in _BRAS or _BRAS[basis][1].shape[1] != 2 ** k:
-        raise ValueError(f"basis {basis!r} does not fit {k} target(s): "
-                         "X, Y and Z measure one qubit, 'bell' a pair")
+        raise ConfigError(f"basis {basis!r} does not fit {k} target(s): "
+                          "X, Y and Z measure one qubit, 'bell' a pair")
     labels, bras = _BRAS[basis]
     rest = [2 + q for q in range(n) if q not in targets]
     psi = vectors.reshape([len(vectors), -1] + [2] * n).transpose(
@@ -471,7 +475,7 @@ def measure_out(state: State, qubits: Sequence[int],
 
     ``basis`` is X, Y or Z for one qubit (outcomes +1, -1) or "bell" for
     a pair (outcomes "phi+", "phi-", "psi+", "psi-"); any other basis,
-    or one that does not fit the number of qubits, raises ValueError.
+    or one that does not fit the number of qubits, raises ConfigError.
     Same triples as :func:`measure_pauli`, but the returned states have
     the measured qubits contracted away (the rest keep their relative
     order), so at least one qubit must remain.
@@ -518,10 +522,10 @@ def partial_trace(state: State, discard: Iterable[int]) -> DensityMatrix:
     disc = sorted(set(int(q) for q in discard))
     _check_targets(disc, n)
     if not disc:
-        raise ValueError("discard set is empty")
+        raise ConfigError("discard set is empty")
     keep = [q for q in range(n) if q not in disc]
     if not keep:
-        raise ValueError("cannot trace out every qubit")
+        raise ConfigError("cannot trace out every qubit")
     rows = state.vectors.reshape([-1] + [2] * n).transpose(
         [0] + [1 + q for q in disc + keep]).reshape(-1, 2 ** len(keep))
     weights = np.repeat(state.weights, 2 ** len(disc))
@@ -532,8 +536,8 @@ def partial_trace(state: State, discard: Iterable[int]) -> DensityMatrix:
 def fidelity(state: State, target: PureState) -> float:
     """<target| rho |target> = sum_i w_i |<target|v_i>|^2."""
     if state.num_qubits != target.num_qubits:
-        raise ValueError(f"qubit count mismatch: {state.num_qubits} vs "
-                         f"{target.num_qubits}")
+        raise ConfigError(f"qubit count mismatch: {state.num_qubits} vs "
+                          f"{target.num_qubits}")
     t = target.amplitudes
     val = sum(w * abs(np.vdot(t, v)) ** 2
               for w, v in zip(state.weights, state.vectors))
@@ -547,7 +551,7 @@ def apply_pauli_channel(state: State, op: PauliString, p: float) -> DensityMatri
     weight zero are dropped.
     """
     if not (0.0 <= p <= 1.0):
-        raise ValueError(f"channel probability {p} out of [0, 1]")
+        raise ConfigError(f"channel probability {p} out of [0, 1]")
     vectors, weights = state.vectors, state.weights
     rows = np.concatenate([vectors, _pauli_rows(vectors, op)])
     weights = np.concatenate([(1.0 - p) * weights, p * weights])
@@ -574,12 +578,12 @@ class PlanStep:
 
     def __post_init__(self):
         if self.op not in _STEP_BASIS:
-            raise ValueError(f"unknown plan op {self.op!r}")
+            raise ConfigError(f"unknown plan op {self.op!r}")
         object.__setattr__(self, "photons", tuple(self.photons))
         if self.op == "measure_x" and len(self.photons) != 1:
-            raise ValueError("measure_x takes exactly one photon")
+            raise ConfigError("measure_x takes exactly one photon")
         if self.op == "bsm" and len(set(self.photons)) != 2:
-            raise ValueError("bsm takes exactly two distinct photons")
+            raise ConfigError("bsm takes exactly two distinct photons")
 
 
 _STEP_BASIS = {"measure_x": "X", "measure_block_z": "Z", "bsm": "bell"}
@@ -618,7 +622,7 @@ def draw_branches(stack: PlanStack, rng: np.random.Generator,
     ends on: one uniform per walk and measurement group, walk by walk
     (the stream of walks drawn one at a time), and at each node of
     ``stack.tree`` the child that :func:`_pick` gives for the group's
-    draw.  ``shots`` must be an integer >= 1 (ValueError otherwise)."""
+    draw.  ``shots`` must be an integer >= 1 (ConfigError otherwise)."""
     _check_count("shots", shots)
     draws = rng.random((shots, len(stack.tree)))
     ends = np.zeros(shots, dtype=np.intp)
@@ -638,7 +642,7 @@ def walk_stack(state: State, order: Sequence,
     return every realizable branch as one PlanStack.
 
     ``order`` labels the qubits of ``state``, one distinct label each
-    (ValueError otherwise).  ``records[b][i]`` holds the
+    (ConfigError otherwise).  ``records[b][i]`` holds the
     MeasurementRecords of step i in branch b with photon labels in place
     of qubit indices (the label pair and basis "bell" for a BSM).
     Photons not in ``order`` are lost and a step records nothing for
@@ -653,11 +657,11 @@ def walk_stack(state: State, order: Sequence,
     """
     order = list(order)
     if len(order) != state.num_qubits:
-        raise ValueError(f"order labels {len(order)} qubits, the state has "
-                         f"{state.num_qubits}")
+        raise ConfigError(f"order labels {len(order)} qubits, the state has "
+                          f"{state.num_qubits}")
     initial = set(order)
     if len(initial) != len(order):
-        raise ValueError(f"order repeats a label: {order}")
+        raise ConfigError(f"order repeats a label: {order}")
     vectors, weights = state.vectors[None], state.weights[None]
     probs = [1.0]
     records = [()]
@@ -708,8 +712,8 @@ def correction_table(stack: PlanStack, keys: Sequence,
     corrections, at the first such branch in walk order.
     """
     if stack.vectors.shape[2] != len(target.amplitudes):
-        raise ValueError(f"qubit count mismatch: {len(stack.order)} vs "
-                         f"{target.num_qubits}")
+        raise ConfigError(f"qubit count mismatch: {len(stack.order)} vs "
+                          f"{target.num_qubits}")
     chosen = [None] * len(keys)
     for name, op in candidates.items():
         fixed = stack.corrected(op)

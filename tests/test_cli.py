@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, exit codes, goldens."""
 
+import argparse
 import enum
 import json
 from pathlib import Path
@@ -194,6 +195,62 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def flag_sweep():
+    """Per subcommand of ``build_parser()``, each float flag at nan, inf,
+    -inf, -1 and 2 and each int flag at -1 and 0, one flag at a time;
+    required flags otherwise take 0.5, and --shots comes with --seed 1."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    cases = []
+    for command, parser in subparsers.choices.items():
+        flags = [a for a in parser._actions if a.type in (float, int)]
+        required = [arg for a in flags if a.required
+                    for arg in (a.option_strings[0], "0.5")]
+        for flag in flags:
+            values = (("nan", "inf", "-inf", "-1", "2") if flag.type is float
+                      else ("-1", "0"))
+            for value in values:
+                argv = [command, *required, flag.option_strings[0], value]
+                if flag.dest == "shots":
+                    argv += ["--seed", "1"]
+                cases.append(argv)
+    return cases
+
+
+class TestFlagSweep:
+    """With the cli's repeated range checks gone, the library refuses bad
+    values: no exception escapes ``main``, and a refusal is one
+    "error:" line."""
+
+    CASES = flag_sweep()
+
+    def test_sweep_reaches_every_deleted_check(self):
+        lines = {" ".join(argv) for argv in self.CASES}
+        for line in ("encode --theta nan", "loss-readout --phi inf",
+                     "connect --noise 2", "rate --eta 0.5 --q -inf",
+                     "rate --eta 0.5 --n-max 0",
+                     "photonics-rate --pair-prob -1",
+                     "photonics-rate --eta-pair nan",
+                     "photonics-rate --factor nan",
+                     "photonics-rate --rep-rate inf",
+                     "photonics-rate --sources 0",
+                     "photonics-rate --shots -1 --seed 1"):
+            assert line in lines
+
+    @pytest.mark.parametrize("argv", CASES, ids=[" ".join(a) for a in CASES])
+    def test_bad_value_exits_cleanly(self, tmp_path, capsys, argv):
+        try:
+            rc, _ = run(tmp_path, *argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+        assert rc in (0, 2, 3)
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("error: ")
+            assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestParserReuse:

@@ -9,6 +9,7 @@ import pytest
 
 import reference as ref
 from qparity import rates
+from qparity.errors import ConfigError
 from qparity.photonics import (
     MAX_SAMPLED_SOURCES,
     PULSE_BLOCK,
@@ -235,7 +236,36 @@ class TestCoincidenceRate:
                 SourceParams(0.5, 0.5, rep_rate=rate)
 
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda: SourceParams(math.nan, 0.5), "pair_prob"),
+        (lambda: SourceParams(0.5, 2.0), "eta_pair"),
+        (lambda: SourceParams(0.5, 0.5, math.inf), "rep_rate"),
+        (lambda: coincidence_rate(SourceParams(0.5, 0.5), 0), "n_sources"),
+        (lambda: coincidence_rate(SourceParams(0.5, 0.5), 5, math.nan),
+         "postselect_factor"),
+        (lambda: monte_carlo_coincidence(SourceParams(0.5, 0.5), 65, 0.5, 10,
+                                         0), "cap"),
+        (lambda: monte_carlo_coincidence(SourceParams(0.5, 0.5), 5, 0.5, 0,
+                                         0), "pulses"),
+        (lambda: monte_carlo_coincidence(SourceParams(0.5, 0.5), 5, -1.0, 10,
+                                         0), "postselect_factor"),
+    ], ids=["pair_prob", "eta_pair", "rep_rate", "sources", "factor", "cap",
+            "pulses", "sampled-factor"])
+    def test_bad_arguments_are_config_errors(self, call, match):
+        """Each refusal names the parameter; the cli relies on these for
+        its exit code 2."""
+        with pytest.raises(ConfigError, match=match):
+            call()
+
+
 class TestVisibilityNoise:
+    @pytest.mark.parametrize("visibility", [math.nan, math.inf, -1.0, 2.0])
+    def test_visibility_outside_unit_interval_is_a_config_error(
+            self, visibility):
+        with pytest.raises(ConfigError, match="visibility"):
+            apply_visibility_noise(encode_shor(D_INPUT), shor_encoder_sites(),
+                                   visibility)
+
     def test_full_visibility_is_identity(self):
         word = encode_shor(D_INPUT)
         rho = apply_visibility_noise(word, shor_encoder_sites(), 1.0)

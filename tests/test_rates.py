@@ -11,6 +11,7 @@ import pytest
 
 import reference as ref
 from qparity import rates
+from qparity.errors import ConfigError
 from qparity.photonics import (
     PULSE_BLOCK,
     SourceParams,
@@ -573,6 +574,19 @@ class TestOptimizer:
         for call in (sweep, optimize):
             with pytest.raises(ValueError, match=match):
                 call(0.9, 0.5, *grid)
+
+
+    @pytest.mark.parametrize("eta,q,n_max,m_max,match", [
+        (math.nan, 0.5, 2, 2, "eta"), (2.0, 0.5, 2, 2, "eta"),
+        (0.9, math.inf, 2, 2, "^q "), (0.9, -1.0, 2, 2, "^q "),
+        (0.9, 0.5, -1, 2, "n_max"), (0.9, 0.5, 2, 0, "m_max")])
+    def test_bad_grid_arguments_are_config_errors(self, eta, q, n_max, m_max,
+                                                  match):
+        with pytest.raises(ConfigError, match=match):
+            sweep(eta, q, n_max, m_max)
+        if n_max >= 1 and m_max >= 1:
+            with pytest.raises(ConfigError, match=match):
+                RateModel(eta, q)
 
 
 class TestMonotonicity:

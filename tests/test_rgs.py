@@ -254,6 +254,12 @@ class TestScenario:
                     rgs_order=("3'", "10'", "7'") + block,
                     rgs_groups=(("3'",), ("10'",), ("7'",), block))
 
+    def test_unknown_plan_op_is_a_config_error(self):
+        data = connect_scenario(0).to_json_dict()
+        data["plan"] = ({"op": "teleport", "photons": ("3'",)},)
+        with pytest.raises(ConfigError, match="unknown plan op 'teleport'"):
+            Scenario.from_json_dict(data)
+
     def test_bad_rgs_spec_is_a_config_error(self):
         with pytest.raises(ConfigError):
             RgsSpec("ring", 4, 3)

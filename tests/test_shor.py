@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from qparity.errors import PreconditionError
+from qparity.errors import ConfigError, PreconditionError
 from qparity.photonics import noisy_block_fidelity
 from qparity.rgs import build_partial_encoded
 from qparity.shor import (
@@ -68,6 +68,21 @@ def random_inputs(count, seed=0):
 
 def apply_pauli_error(state, qubit, letter):
     return apply_unitary(state, ref.PAULI[letter], [qubit])
+
+
+class TestLogicalInput:
+    @pytest.mark.parametrize("theta,phi", [
+        (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (1.0, -math.inf)])
+    def test_non_finite_angles_are_config_errors(self, theta, phi):
+        """nan built a NaN word and inf raised "math domain error"."""
+        with pytest.raises(ConfigError, match="theta/phi must be finite"):
+            LogicalInput.from_angles(theta, phi)
+
+    @pytest.mark.parametrize("alpha,beta", [(math.nan, 0.0), (S2, math.nan),
+                                            (math.inf, 0.0)])
+    def test_non_finite_amplitudes_are_config_errors(self, alpha, beta):
+        with pytest.raises(ConfigError, match="not normalized"):
+            LogicalInput(alpha, beta)
 
 
 class TestEncodeBlock:
@@ -425,6 +440,11 @@ class TestFlipChannel:
     def test_bad_probability(self):
         with pytest.raises(ValueError):
             apply_flip_channel(encode_shor(D_INPUT), 0, "bit-flip", 1.5)
+
+    @pytest.mark.parametrize("p", [-0.25, 1.5, math.nan, math.inf])
+    def test_probability_outside_unit_interval_is_a_config_error(self, p):
+        with pytest.raises(ConfigError, match="channel probability"):
+            apply_flip_channel(encode_shor(D_INPUT), 0, "bit-flip", p)
 
 
 class TestDiagnoseCorrect:

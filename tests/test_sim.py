@@ -7,7 +7,7 @@ import pytest
 
 import reference as ref
 from qparity import sim
-from qparity.errors import PreconditionError
+from qparity.errors import ConfigError, PreconditionError
 from qparity.photonics import (
     SourceParams,
     apply_visibility_noise,
@@ -101,6 +101,19 @@ class TestStates:
         rho = DensityMatrix(np.eye(2) / 2)
         rho.validate()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(0, np.nan)])
+    def test_non_finite_entries_are_config_errors(self, bad):
+        """A NaN passes every tolerance comparison, so each state refuses
+        non-finite entries outright (a NaN density matrix became an
+        ensemble of no rows)."""
+        with pytest.raises(ConfigError, match="non-finite"):
+            PureState(np.array([bad, 0]))
+        with pytest.raises(ConfigError, match="non-finite"):
+            DensityMatrix(np.array([[bad, 0], [0, 0]]))
+        with pytest.raises(ConfigError, match="non-finite"):
+            DensityMatrix(np.array([[1, bad], [bad, 0]]))
+
     def test_density_validate_catches_negative(self):
         mat = np.diag([1.5, -0.5]).astype(complex)
         rho = DensityMatrix(mat)
@@ -127,6 +140,10 @@ class TestApplyUnitary:
         with pytest.raises(ValueError):
             apply_unitary(make_basis_state(1), np.array([[1, 0], [1, 1]]),
                           [0])
+
+    def test_nan_matrix_is_not_unitary(self):
+        with pytest.raises(ConfigError, match="not unitary"):
+            apply_unitary(make_basis_state(1), np.full((2, 2), np.nan), [0])
 
     def test_bad_targets_rejected(self):
         with pytest.raises(ValueError):
