@@ -33,22 +33,20 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConditionViolation, ConfigError, PreconditionError
+from .errors import ConditionViolation, ConfigError
 from .shor import LogicalInput, _spread, encode_qpc
 from .sim import (
     H,
     MAX_QUBITS,
     PAULI,
     PauliString,
-    PlanStack,
     PlanStep,
+    Protocol,
     PureState,
     State,
     _apply_to_axes,
     _pauli_rows,
     correction_table,
-    partial_trace,
-    walk_stack,
 )
 
 PHI_PLUS_2Q = PureState(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
@@ -208,6 +206,21 @@ class Scenario:
             order.extend([term, iface])
         order.extend(self.rgs_order)
         return tuple(order)
+
+    def protocol(self) -> Protocol:
+        """The connection as a :class:`qparity.sim.Protocol`: a branch's
+        key joins its :func:`_branch_tokens`, the candidates are the 16
+        terminal Pauli pairs, and the terminals are kept in photon order.
+        A walk never reorders the photons it leaves, so whether the pair
+        operators swap the terminals is known without walking."""
+        keep = tuple(p for p in self.photon_order() if p in self.terminals)
+        swapped = keep != self.terminals
+        return Protocol(
+            self.plan,
+            lambda records: ["|".join(tokens) for tokens
+                             in _branch_tokens(self.plan, records)],
+            {pair: _pair_operator(pair, swapped) for pair in _PAULI_PAIRS},
+            keep)
 
     def initial_state(self) -> PureState:
         """|phi+> per channel, left to right, then the RGS; one shared,
@@ -435,15 +448,6 @@ def _branch_tokens(plan: tuple, branch_records: list) -> list:
     return list(zip(*columns)) if columns else [()] * len(branch_records)
 
 
-def _swapped(stack: PlanStack, terminals: tuple) -> bool:
-    """Whether a walk left the terminals in reverse order."""
-    if sorted(stack.order) != sorted(terminals):
-        raise PreconditionError(
-            f"malformed plan: photons {list(stack.order)} remain, "
-            f"expected the terminals {list(terminals)}")
-    return stack.order != terminals
-
-
 @lru_cache(maxsize=None)
 def _pair_operator(pair: tuple, swapped: bool) -> np.ndarray:
     """Read-only kron of a terminal Pauli pair, in the walk's order."""
@@ -454,48 +458,26 @@ def _pair_operator(pair: tuple, swapped: bool) -> np.ndarray:
 
 def run_connection(scenario: Scenario, *,
                    initial_state: State | None = None) -> list:
-    """Execute a connection scenario.
+    """Execute a connection scenario through its :meth:`Scenario.protocol`.
 
-    Losses are traced out first, then the plan runs step by step.  Each
-    branch's outcome key selects a fixed two-Pauli correction on the
-    terminals (see :func:`connection_corrections`); the correction table
-    never depends on the loss pattern.  Returns every branch as a list
-    of BranchResult in walk order, with probabilities summing to 1; the
-    indices :func:`qparity.sim.draw_branches` draws over the walk's
-    stack index this list.  ``initial_state`` overrides the scenario's
-    ideal state, e.g. to inject interference noise before the run.
-
-    The branches stay one stack (:func:`qparity.sim.walk_stack`) to the
-    end: the corrections are one batched product with each branch's pair
-    operator, and the witnesses one reduction over the corrected rows.
+    Returns every branch as a BranchResult, probabilities summing to 1,
+    in walk order: the indices :func:`qparity.sim.draw_branches` draws
+    over the protocol's stack index this list.  Each branch's outcome
+    key selects a fixed terminal Pauli pair from the table of the
+    lossless scenario (:func:`connection_corrections`).
+    ``initial_state`` overrides the scenario's ideal state, e.g. with
+    interference noise; it holds every photon of
+    :meth:`Scenario.photon_order` (the lost ones are traced out here) or
+    only the survivors (ConfigError for any other size).
     """
-    corrections = connection_corrections(scenario)
-    state: State = (scenario.initial_state() if initial_state is None
-                    else initial_state)
-    if state.num_qubits != len(scenario.photon_order()):
-        raise ConfigError("initial_state qubit count does not match scenario")
-    order = list(scenario.photon_order())
-    if scenario.loss:
-        idxs = sorted(order.index(p) for p in scenario.loss)
-        state = partial_trace(state, idxs)
-        order = [p for p in order if p not in scenario.loss]
-
-    stack = walk_stack(state, order, scenario.plan)
-    swapped = _swapped(stack, scenario.terminals)
-    tokens = _branch_tokens(scenario.plan, stack.records)
-    pairs = []
-    for toks in tokens:
-        key = "|".join(toks)
-        if key not in corrections:
-            raise PreconditionError(f"no correction entry for outcome {key!r}")
-        pairs.append(corrections[key])
-    corrected = stack.corrected(np.array([_pair_operator(pair, swapped)
-                                          for pair in pairs]))
-    return [BranchResult(probability=p, outcomes=toks, correction=pair,
-                         terminal=st, witness=wit)
-            for p, toks, pair, st, wit in zip(
-                stack.probabilities, tokens, pairs, corrected.states(),
-                _witnesses(corrected.vectors, corrected.weights))]
+    stack, _, pairs, corrected = scenario.protocol().run(
+        scenario.initial_state() if initial_state is None else initial_state,
+        scenario.photon_order(), scenario.loss,
+        connection_corrections(scenario))
+    return list(map(BranchResult, stack.probabilities,
+                    _branch_tokens(scenario.plan, stack.records), pairs,
+                    corrected.states(),
+                    _witnesses(corrected.vectors, corrected.weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -510,21 +492,15 @@ def derive_corrections(scenario: Scenario) -> dict:
 
     For every branch of the lossless run, the first pair of terminal
     Paulis turning the branch state into |phi+> (fidelity 1) is
-    recorded; each pair is tried on the whole stack of branches as the
-    operator :func:`run_connection` applies.  Keys are
-    loss-independent: a Z measurement on an encoded block contributes
-    only its block sign, which assumes GHZ-type blocks whose survivor
-    outcomes are perfectly correlated (true for every code this package
-    builds).
+    recorded.  Keys are loss-independent: a Z measurement on an encoded
+    block contributes only its block sign, which assumes GHZ-type blocks
+    whose survivor outcomes are perfectly correlated (true for every code
+    this package builds).
     """
-    lossless = replace(scenario, loss=())
-    stack = walk_stack(lossless.initial_state(), lossless.photon_order(),
-                       lossless.plan)
-    keys = ["|".join(tokens)
-            for tokens in _branch_tokens(lossless.plan, stack.records)]
-    swapped = _swapped(stack, lossless.terminals)
-    candidates = {pair: _pair_operator(pair, swapped) for pair in _PAULI_PAIRS}
-    return correction_table(stack, keys, candidates, PHI_PLUS_2Q)
+    protocol = scenario.protocol()
+    return correction_table(*protocol.walk(scenario.initial_state(),
+                                           scenario.photon_order()),
+                            protocol.candidates, PHI_PLUS_2Q)
 
 
 # ``derive`` is bound here: a profile counts it in connection_corrections.

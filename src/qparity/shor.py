@@ -44,6 +44,7 @@ from .sim import (
     DensityMatrix,
     PauliString,
     PlanStep,
+    Protocol,
     PureState,
     State,
     _apply_to_axes,
@@ -54,9 +55,7 @@ from .sim import (
     expectation,
     fidelity,
     measure_pauli,
-    partial_trace,
     state_from_qubit,
-    walk_stack,
 )
 
 
@@ -432,6 +431,11 @@ def _readout_key(records: tuple) -> tuple:
     return signs["Z"], signs["X"]
 
 
+# The readout leaves the output block's leader, qubit 0.
+_READOUT = Protocol(_READOUT_PLAN, lambda rs: [_readout_key(r) for r in rs],
+                    _CORRECTION_OPS, keep=(0,))
+
+
 @lru_cache(maxsize=None)
 def readout_correction_table() -> MappingProxyType:
     """(block-sign product, X parity) -> correction in {I, Z, X, ZX}.
@@ -443,10 +447,8 @@ def readout_correction_table() -> MappingProxyType:
     """
     # Asymmetric amplitudes so that every wrong correction is detectable.
     inp = LogicalInput(math.cos(0.35), cmath.exp(0.9j) * math.sin(0.35))
-    stack = walk_stack(encode_shor(inp), range(SHOR_LAYOUT.num_qubits),
-                       _READOUT_PLAN)
-    table = correction_table(stack, [_readout_key(recs) for recs in
-                                     stack.records],
+    table = correction_table(*_READOUT.walk(encode_shor(inp),
+                                            range(SHOR_LAYOUT.num_qubits)),
                              _CORRECTION_OPS, inp.to_state())
     if len(table) != 4:
         raise RuntimeError(f"expected 4 table entries, derived {len(table)}")
@@ -466,8 +468,7 @@ def decode_readout(state: State, losses: Iterable[int] = (),
     fidelity 1.
     Returns every measurement branch as a list of DecodeResult in walk
     order; "enumerate" is the only ``mode``.  Sampled readouts are the
-    indices :func:`qparity.sim.draw_branches` draws over the readout's
-    walk.
+    indices :func:`qparity.sim.draw_branches` draws over its walk.
     """
     if mode != "enumerate":
         raise ConfigError(f"unknown mode {mode!r}: decode_readout only "
@@ -484,23 +485,12 @@ def decode_readout(state: State, losses: Iterable[int] = (),
         if set(layout.block_qubits(b)) <= lost:
             raise PreconditionError(f"block {b} fully lost: no photon left "
                                     "to measure")
-    alive = [q for q in range(layout.num_qubits) if q not in lost]
-    if state.num_qubits == layout.num_qubits and lost:
-        work: State = partial_trace(state, lost)
-    elif state.num_qubits == len(alive):
-        work = state
-    else:
-        raise ConfigError(f"state has {state.num_qubits} qubits; expected "
-                          f"{layout.num_qubits} or {len(alive)}")
     degraded = bool(lost & set(layout.block_qubits(0)))
-
-    table = readout_correction_table()
-    stack = walk_stack(work, alive, _READOUT_PLAN)
-    names = [table[_readout_key(recs)] for recs in stack.records]
-    ops = np.array([_CORRECTION_OPS[name] for name in names])
-    fixed = stack.corrected(ops)._replace(kind=DensityMatrix)
+    stack, _, names, fixed = _READOUT.run(state, range(layout.num_qubits),
+                                          lost, readout_correction_table())
     return [DecodeResult(output=out, correction=name,
                          transcript=[r for recs in records for r in recs],
                          probability=p, degraded=degraded)
             for out, name, records, p in zip(
-                fixed.states(), names, stack.records, stack.probabilities)]
+                fixed._replace(kind=DensityMatrix).states(), names,
+                stack.records, stack.probabilities)]

@@ -25,18 +25,15 @@ samples a single state's outcome: a caller keeps the triple it wants,
 by label or by :func:`_pick` over the probabilities with one uniform
 from its own ``numpy.random.Generator``.
 
-The measurement-plan walker (:func:`walk_stack`) and the correction
-search (:func:`correction_table`) shared by the Shor readout and the
-RGS connection protocol live here too.  The walker's unit of work is a
-step, not a branch: it holds the live branches as one stack of rows
-(B x r x 2^n) with weights (B x r), so each measurement is one
-projection of every branch, and a stack outgrowing 2^n rows per branch
-is compressed by one stacked ``eigh`` (lower ranks padded with rows of
-weight zero).  A walk only enumerates: sampled walks are the branches
-:func:`draw_branches` picks over the stack's outcome tree, and
-:meth:`PlanStack.states` builds one state per branch.  A correction is
-an operator on the qubits a plan leaves, applied to each branch by
-:meth:`PlanStack.corrected` in one batched matmul, in searches and runs.
+The measurement-plan walker (:func:`walk_stack`), the correction
+search (:func:`correction_table`) and the loss protocol built on them
+(:class:`Protocol`), which the Shor readout and the RGS connection
+share, live here too.  A walk holds its live branches as one stack
+(:class:`PlanStack`), so each measurement is one projection of every
+branch; it only enumerates, and :func:`draw_branches` samples walks
+over the stack's outcome tree.  A correction is an operator on the
+qubits a plan leaves, applied to every branch in one batched matmul
+(:meth:`PlanStack.corrected`), in searches and runs alike.
 """
 
 from __future__ import annotations
@@ -45,7 +42,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import (Callable, Hashable, Iterable, Mapping, NamedTuple,
+                    Sequence, Union)
 
 import numpy as np
 
@@ -731,3 +729,51 @@ def correction_table(stack: PlanStack, keys: Sequence,
         if table.setdefault(k, name) != name:
             raise RuntimeError(f"correction table is inconsistent at {k!r}")
     return table
+
+
+class Protocol(NamedTuple):
+    """A loss protocol: trace out the lost photons, walk ``plan``, key
+    each branch (``key`` maps a walk's records to one key per branch) and
+    correct it by its table entry, a name in ``candidates``, which maps
+    each name to its operator on ``keep``, the labels the plan leaves.
+    The table is ``correction_table(*protocol.walk(lossless_state,
+    order), protocol.candidates, target)``."""
+
+    plan: tuple
+    key: Callable
+    candidates: Mapping
+    keep: tuple
+
+    def walk(self, state: State, order: Sequence, lost=()) -> tuple:
+        """(stack, keys) of the plan walked on ``state``, whose photons
+        ``order`` labels, the lost ones included.  A state of every
+        photon has ``lost`` traced out, one of the survivors is walked as
+        is, and any other size raises ConfigError.  Raises
+        PreconditionError unless the walk leaves exactly ``keep``."""
+        order, lost = list(order), set(lost)
+        if not lost <= set(order):
+            raise ConfigError(f"lost labels {lost - set(order)} not in order")
+        alive = [p for p in order if p not in lost]
+        if lost and state.num_qubits == len(order):
+            state = partial_trace(state, [order.index(p) for p in lost])
+        elif state.num_qubits != len(alive):
+            raise ConfigError(f"state has {state.num_qubits} qubits; expected "
+                              f"{len(order)} or {len(alive)}")
+        stack = walk_stack(state, alive, self.plan)
+        if stack.order != self.keep:
+            raise PreconditionError(f"malformed plan: {list(stack.order)} "
+                                    f"remain, expected {list(self.keep)}")
+        return stack, self.key(stack.records)
+
+    def run(self, state: State, order, lost, table: Mapping) -> tuple:
+        """(stack, keys, names, corrected): :meth:`walk`, each branch's
+        correction name in ``table`` (PreconditionError for a key it
+        lacks) and one :meth:`PlanStack.corrected` by those names."""
+        stack, keys = self.walk(state, order, lost)
+        try:
+            names = [table[key] for key in keys]
+        except KeyError as missing:
+            raise PreconditionError(f"no correction entry for outcome "
+                                    f"{missing.args[0]!r}") from None
+        ops = np.array([self.candidates[name] for name in names])
+        return stack, keys, names, stack.corrected(ops)
