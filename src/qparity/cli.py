@@ -33,7 +33,7 @@ from .photonics import (
     shor_encoder_sites,
     snr_hv,
 )
-from .rates import optimize, sweep
+from .rates import GRID_CAP as RATE_GRID_CAP, optimize, sweep
 from .rgs import (
     bare_loss_scenario,
     encoded_loss_scenario,
@@ -52,8 +52,6 @@ from .sim import expectation
 
 SCHEMA_VERSION = 1
 SYNDROME_COLUMNS = ["SZ1", "SZ2", "SZ3", "SZ4", "SZ5", "SZ6", "SX1", "SX2"]
-# Largest --n-max x --m-max grid that `rate` evaluates (about 0.3 s).
-RATE_GRID_CAP = 10_000
 READOUT_COLUMNS = ["branch", "probability", "correction", "fidelity",
                    "degraded"]
 WITNESS_COLUMNS = ["branch", "probability", "outcomes", "correction",
@@ -285,9 +283,6 @@ def cmd_witness(args) -> None:
 
 
 def cmd_rate(args) -> None:
-    if args.n_max * args.m_max > RATE_GRID_CAP:
-        raise ConfigError(f"--n-max x --m-max = {args.n_max * args.m_max} "
-                          f"exceeds the grid cap of {RATE_GRID_CAP} points")
     rows = [
         [args.eta, args.q, r.n, r.m, r.p_side, r.p_connect, r.efficiency]
         for r in sweep(args.eta, args.q, args.n_max, args.m_max)

@@ -30,19 +30,10 @@ than NumPy's axis reduction and gives the same booleans.
 Stream layout: a sampler's uniforms are whole arrays, one row per shot,
 drawn one after another from a PCG64 stream (for ``monte_carlo_side``:
 all shots' photons, then all shots' BSMs).  The samplers count their
-hits through ``_count_hits``, which splits the shots into at most
-``WORKERS`` contiguous spans, one per thread.  Each span reads its rows
-of every array in chunks, from copies of the generator advanced to
-where those rows start.  A chunk holds as many shots as keep its
-buffers within ``CHUNK_BYTES``, so a narrow sampler reads fewer, larger
-chunks than a wide one.  A sampler states its success as a conjunction
-of stages, each a test on some of the arrays (``monte_carlo_rate``: the
-left side, then the right side).
-Once no shot of a chunk has passed every stage so far, the chunk's rows
-of the later arrays are advanced past instead of drawn, which no count
-can tell.  So the counts are those of the whole arrays whatever the
-chunk size or thread count, and peak memory is one chunk's buffers per
-thread whatever ``shots`` is.
+hits through ``_count_hits``, which reads the arrays in chunks on up to
+``WORKERS`` threads: its counts are those of the whole arrays whatever
+the chunk size or thread count, and peak memory is one chunk's buffers
+per thread whatever ``shots`` is.
 """
 
 from __future__ import annotations
@@ -59,6 +50,9 @@ import numpy as np
 from .errors import ConfigError
 
 DEFAULT_BSM_SUCCESS = 0.5
+
+# Largest n_max x m_max grid that sweep and optimize evaluate (about 0.3 s).
+GRID_CAP = 10_000
 
 # Bytes of one thread's chunk buffers: per shot of the chunk, a double
 # per entry of the widest array and a bool per draw of every array.  A
@@ -82,13 +76,11 @@ def _check_unit(name: str, value) -> None:
 
 
 def _check_count(name: str, value, least: int = 1) -> None:
-    """A count must be an integer (a float is refused even when whole)
-    and at least ``least``."""
-    try:
-        index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, "
-                          f"got {value!r}") from None
+    """A count must be an integer by the ``operator.index`` rule (its
+    type has ``__index__``), not a bool, and at least ``least``: a float
+    is refused even when whole, and True does not count as 1."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"need {name} >= {least}")
 
@@ -163,9 +155,12 @@ def p_connect_bare(n: int, eta: float, q: float) -> float:
 
 
 def sweep(eta: float, q: float, n_max: int, m_max: int) -> list:
-    """Evaluate the full (n, m) grid, n-major order."""
+    """Evaluate the (n, m) grid, n-major order, of <= GRID_CAP points."""
     _check_count("n_max", n_max)
     _check_count("m_max", m_max)
+    if n_max * m_max > GRID_CAP:
+        raise ConfigError(f"n_max x m_max = {n_max * m_max} exceeds the "
+                          f"grid cap of {GRID_CAP} points")
     return [evaluate(RateModel(eta, q, n, m))
             for n in range(1, n_max + 1) for m in range(1, m_max + 1)]
 

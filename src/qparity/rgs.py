@@ -3,21 +3,13 @@
 A Scenario wires EPR channel pairs to a repeater graph state (RGS),
 lists which photons are lost, and gives the ordered measurement plan
 (single-photon X measurements, per-logical-qubit Z measurements,
-Bell-state measurements).  Running a scenario yields, per measurement
-branch, the corrected two-qubit state of the terminal photons together
-with its Bell-state witness.
-
-The plan runs through the walker shared with the Shor readout
-(:func:`qparity.sim.walk_stack`), whose measurement records become each
-branch's outcome key.  Pauli corrections are never hand-written: the
-shared search (:func:`qparity.sim.correction_table`) derives them from
-a scenario's lossless variant as the first terminal Pauli pair giving
-unit fidelity with |phi+>; a pair is one cached two-qubit operator,
-applied to the whole stack of branches by
-:meth:`qparity.sim.PlanStack.corrected` in the search and in runs alike.
-Every table is derived on first use and cached per lossless scenario;
-none is shipped.  Lossy runs reuse the lossless tables, which is what
-makes the loss-tolerance claim meaningful.
+Bell-state measurements).  It runs as a :class:`qparity.sim.Protocol`,
+the loss protocol of the Shor readout too, and yields per measurement
+branch the corrected two-qubit state of the terminal photons and its
+Bell-state witness.  The corrections, terminal Pauli pairs giving unit
+fidelity with |phi+>, are derived on first use from the lossless
+scenario and cached, never shipped; lossy runs reuse them, which is
+what makes the loss-tolerance claim meaningful.
 
 Photon labels follow the conventional primed numbering: terminals 1'
 and 9', channel interfaces 2' and 8', RGS photons 3', 10', 7' plus the
@@ -34,6 +26,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConditionViolation, ConfigError
+from .rates import _check_count
 from .shor import LogicalInput, _spread, encode_qpc
 from .sim import (
     H,
@@ -268,6 +261,7 @@ _C4 = ("4'", "5'", "6'")
 def _check_loss_count(loss_count: int, qubit: str) -> None:
     if loss_count < 0:
         raise ConfigError(f"loss count {loss_count} is negative")
+    _check_count("loss count", loss_count, least=0)
     if loss_count >= len(_C4):
         raise ConditionViolation(
             f"condition (ii) violated: the {qubit} must keep at least one "
@@ -308,6 +302,7 @@ def bare_loss_scenario(loss_count: int = 1) -> Scenario:
     if loss_count not in (0, 1):
         raise ConfigError(f"loss count {loss_count} outside 0..1: the bare "
                           "arm has a single photon")
+    _check_count("loss count", loss_count, least=0)   # refuses 1.0, True
     return Scenario(
         name="bare-control",
         channels=(("1'", "2'"), ("9'", "8'")),

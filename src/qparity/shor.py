@@ -10,17 +10,12 @@ circuit's CNOTs only move amplitudes, so the Hadamards act on the
 n-leader register alone, which is then spread over the blocks (each
 leader bit becomes m equal bits), bit for bit as the circuit does.
 
-Readout is a measurement plan run by the same walker as an RGS
-connection (:func:`qparity.sim.walk_stack`): Z on the survivors of blocks
-2..n (each block's sign is the outcome of its first survivor), then X on
-the non-leader survivors of block 1, every measured qubit removed.  The
-leader is left; it gets a fixed Hadamard and one of {I, Z, X, ZX}, one
-operator per name applied to every branch by
-:meth:`qparity.sim.PlanStack.corrected`.  The outcome-to-correction
-table is derived the first time it is needed by the shared correction
-search (:func:`qparity.sim.correction_table`), which tries the same
-operators on the stacked lossless branches of a generic code word; it
-is never hand-written.
+Readout is a :class:`qparity.sim.Protocol`, the loss protocol of an
+RGS connection too: Z on the survivors of blocks 2..n (each block's sign
+is the outcome of its first survivor), then X on the non-leader
+survivors of block 1.  The leader is left; it gets a fixed Hadamard and
+one of {I, Z, X, ZX}, by a table derived on first use from a generic
+code word's lossless walk, never hand-written.
 """
 
 from __future__ import annotations
@@ -36,6 +31,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import ConfigError, PreconditionError
+from .rates import _check_count
 from .sim import (
     H,
     MAX_QUBITS,
@@ -67,7 +63,9 @@ class LogicalInput:
     beta: complex
 
     def __post_init__(self):
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        a, b = abs(self.alpha), abs(self.beta)
+        # Squaring an amplitude above 1e150 could overflow.
+        norm = math.inf if max(a, b) > 1e150 else a ** 2 + b ** 2
         if not abs(norm - 1.0) <= TOL.atol:   # a NaN norm is refused too
             raise ConfigError(f"input not normalized: |a|^2+|b|^2 = {norm!r}")
 
@@ -474,10 +472,11 @@ def decode_readout(state: State, losses: Iterable[int] = (),
         raise ConfigError(f"unknown mode {mode!r}: decode_readout only "
                           "enumerates; sample with draw_branches")
     layout = SHOR_LAYOUT
-    lost = frozenset(int(q) for q in losses)
+    lost = frozenset(losses)
     for q in lost:
         if not (0 <= q < layout.num_qubits):
             raise ConfigError(f"lost qubit {q} outside layout")
+        _check_count("lost qubit", q, least=0)   # refuses 4.7 and True
     if 0 in lost:
         raise PreconditionError("output qubit lost: qubit 0 carries the "
                                 "decoded state and cannot be recovered")

@@ -344,11 +344,12 @@ def _pauli_rows(vectors: np.ndarray, op: PauliString) -> np.ndarray:
 
 
 def _check_targets(targets: Sequence[int], n: int) -> None:
+    for q in targets:
+        _check_count("target qubit", q, least=0)
+        if q >= n:
+            raise ConfigError(f"target qubit {q} out of range for {n} qubits")
     if len(set(targets)) != len(targets):
         raise ConfigError(f"duplicate target qubits {targets}")
-    for q in targets:
-        if not (0 <= q < n):
-            raise ConfigError(f"target qubit {q} out of range for {n} qubits")
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +385,8 @@ def apply_unitary(state: State, matrix: np.ndarray,
     if mat.shape != (2 ** k, 2 ** k) or k not in (1, 2):
         raise ConfigError(f"matrix shape {mat.shape} does not match "
                           f"{k} target(s)")
+    if not np.isfinite(mat).all():   # before a matmul that would warn
+        raise ConfigError("matrix is not unitary: it has a non-finite entry")
     if not np.max(np.abs(mat.conj().T @ mat - np.eye(2 ** k))) <= TOL.atol:
         raise ConfigError("matrix is not unitary within tolerance")
     n = state.num_qubits
@@ -517,7 +520,7 @@ def partial_trace(state: State, discard: Iterable[int]) -> DensityMatrix:
     vanish are dropped.
     """
     n = state.num_qubits
-    disc = sorted(set(int(q) for q in discard))
+    disc = sorted(set(discard))
     _check_targets(disc, n)
     if not disc:
         raise ConfigError("discard set is empty")

@@ -170,6 +170,14 @@ class TestExitCodes:
         assert rc == code
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_negative_grid_counts_name_the_count(self, tmp_path, capsys):
+        """Two negative counts multiplied into a grid above the cap, and
+        the error reported the cap."""
+        rc, _ = run(tmp_path, "rate", "--eta", "0.9", "--n-max", "-200",
+                    "--m-max", "-200")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: need n_max >= 1\n"
+
     def test_rate_grid_cap_is_inclusive(self, tmp_path):
         assert RATE_GRID_CAP == 100 * 100
         rc, _ = run(tmp_path, "rate", "--eta", "0.9", "--n-max", "100",

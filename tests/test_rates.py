@@ -42,7 +42,8 @@ class TestClosedForms:
     @pytest.mark.parametrize("eta,m,match", [
         (2.0, 2, r"eta 2.0 out of \[0, 1\]"), (-0.1, 2, "eta"),
         (math.nan, 2, "eta"), (0.5, 2.5, "m must be an integer"),
-        (0.5, 2.0, "m must be an integer"), (0.5, 0, "need m >= 1")])
+        (0.5, 2.0, "m must be an integer"), (0.5, 0, "need m >= 1"),
+        (0.5, True, "m must be an integer, got True")])
     def test_alive_probability_checks_its_arguments(self, eta, m, match):
         with pytest.raises(ValueError, match=match):
             p_logical_alive(eta, m)
@@ -148,19 +149,20 @@ class TestValidation:
 
     @pytest.mark.parametrize("n,m,name", [(2.5, 2, "n"), (2, 2.0, "m"),
                                           ("2", 1, "n"), (0, 1, "n"),
-                                          (1, -3, "m")])
+                                          (1, -3, "m"), (True, 1, "n"),
+                                          (1, np.bool_(True), "m")])
     def test_model_sizes(self, n, m, name):
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             RateModel(0.9, 0.5, n, m)
 
-    @pytest.mark.parametrize("n", (2.5, 2.0, 0))
+    @pytest.mark.parametrize("n", (2.5, 2.0, 0, True))
     def test_bare_size(self, n):
         with pytest.raises(ValueError, match=r"\bn\b"):
             p_connect_bare(n, 0.9, 0.5)
         with pytest.raises(ValueError, match=r"\bn\b"):
             monte_carlo_bare(n, 0.9, 0.5, 1000, 1)
 
-    @pytest.mark.parametrize("shots", (1e3, 1000.0, 0, -5))
+    @pytest.mark.parametrize("shots", (1e3, 1000.0, 0, -5, True))
     def test_shots(self, shots):
         model = RateModel(0.9, 0.5, 1, 1)
         for call in (lambda: monte_carlo_side(model, shots, 1),
@@ -562,6 +564,19 @@ class TestOptimizer:
                                               for n in (1, 2, 3)
                                               for m in (1, 2)}
 
+    @pytest.mark.parametrize("grid", [(10 ** 30, 1), (1, 10 ** 30),
+                                      (10_001, 1), (101, 100)])
+    def test_grid_cap_is_checked_before_any_point(self, grid):
+        """The cap lived only in the cli, so a library call of 10^30
+        points never returned."""
+        for call in (sweep, optimize):
+            with pytest.raises(ConfigError, match="exceeds the grid cap of "
+                                                  "10000 points"):
+                call(0.9, 0.5, *grid)
+
+    def test_grid_cap_is_inclusive(self):
+        assert len(sweep(0.9, 0.5, rates.GRID_CAP, 1)) == rates.GRID_CAP
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep(0.9, 0.5, 0, 3)
@@ -569,7 +584,7 @@ class TestOptimizer:
     @pytest.mark.parametrize("grid,match", [
         ((2.5, 2), "n_max must be an integer"),
         ((2, 2.0), "m_max must be an integer"),
-        ((2, 0), "need m_max >= 1")])
+        ((2, 0), "need m_max >= 1"), ((2, True), "m_max must be an integer")])
     def test_grid_sizes_are_counts(self, grid, match):
         for call in (sweep, optimize):
             with pytest.raises(ValueError, match=match):
@@ -579,7 +594,8 @@ class TestOptimizer:
     @pytest.mark.parametrize("eta,q,n_max,m_max,match", [
         (math.nan, 0.5, 2, 2, "eta"), (2.0, 0.5, 2, 2, "eta"),
         (0.9, math.inf, 2, 2, "^q "), (0.9, -1.0, 2, 2, "^q "),
-        (0.9, 0.5, -1, 2, "n_max"), (0.9, 0.5, 2, 0, "m_max")])
+        (0.9, 0.5, -1, 2, "n_max"), (0.9, 0.5, 2, 0, "m_max"),
+        (0.9, 0.5, -200, -200, "need n_max >= 1")])
     def test_bad_grid_arguments_are_config_errors(self, eta, q, n_max, m_max,
                                                   match):
         with pytest.raises(ConfigError, match=match):

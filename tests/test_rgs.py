@@ -6,6 +6,7 @@ import math
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from qparity.rgs import (
     run_connection,
     witness,
 )
-from qparity import rgs
+from qparity import rgs, shor
 from qparity.rates import p_logical_alive
 from qparity.shor import (
     LogicalInput,
@@ -343,6 +344,32 @@ class TestConnection:
         with pytest.raises(ConditionViolation):
             connect_scenario(3)
 
+    @pytest.mark.parametrize("factory,count", [
+        (connect_scenario, 2.5), (connect_scenario, 1.0),
+        (connect_scenario, True), (encoded_loss_scenario, math.nan),
+        (encoded_loss_scenario, False), (bare_loss_scenario, 1.0),
+        (bare_loss_scenario, True), (logical_loss_test, 1.5)],
+        ids=lambda v: getattr(v, "__name__", repr(v)))
+    def test_loss_counts_must_be_integers(self, factory, count):
+        """2.5 and nan raised NumPy's slice TypeError; True lost a
+        photon and 1.0 built the one-loss scenario of bare-control."""
+        with pytest.raises(ConfigError, match="loss count must be an "
+                                              "integer"):
+            factory(count)
+
+    @pytest.mark.parametrize("factory,message", [
+        (connect_scenario, "loss count -1 is negative"),
+        (encoded_loss_scenario, "loss count -1 is negative"),
+        (bare_loss_scenario, "loss count -1 outside 0..1")])
+    def test_negative_loss_counts_keep_their_message(self, factory, message):
+        with pytest.raises(ConfigError, match=message):
+            factory(-1)
+
+    def test_numpy_integer_loss_counts(self):
+        for factory in (connect_scenario, encoded_loss_scenario,
+                        bare_loss_scenario):
+            assert factory(np.int64(1)) == factory(1)
+
     def test_bare_control_lossless_works(self):
         res = run_connection(bare_loss_scenario(0))
         for b in res:
@@ -565,3 +592,29 @@ class TestSampleFrequencies:
         for key, p in probs.items():
             se = math.sqrt(p * (1 - p) / shots)
             assert abs(counts[key] / shots - p) <= 3 * se, key
+
+    @pytest.mark.parametrize("case", ["connect-1", "connect-2",
+                                      "readout-lose-3,5"])
+    def test_lossy_draws_land_at_the_enumerated_rates(self, case):
+        """10^5 lossy walks drawn over the stack of the run's own
+        protocol land on each branch of the public function's list at
+        its probability, within a bound that all branches together
+        exceed by chance once in 1000 seeds (Bonferroni)."""
+        if case.startswith("connect"):
+            scen = connect_scenario(int(case[-1]))
+            results = run_connection(scen)
+            stack, _ = scen.protocol().walk(
+                scen.initial_state(), scen.photon_order(), scen.loss)
+        else:
+            word = encode_shor(LogicalInput.from_angles(1.0, 0.5))
+            results = decode_readout(word, losses=(3, 5))
+            stack, _ = shor._READOUT.walk(word, range(9), (3, 5))
+        shots = 100_000
+        counts = Counter(draw_branches(stack, np.random.default_rng(5),
+                                       shots).tolist())
+        assert set(counts) <= set(range(len(results)))
+        z = NormalDist().inv_cdf(1 - 1e-3 / (2 * len(results)))
+        for i, res in enumerate(results):
+            p = res.probability
+            se = math.sqrt(p * (1 - p) / shots)
+            assert abs(counts[i] / shots - p) <= z * se, i

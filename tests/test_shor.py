@@ -84,6 +84,21 @@ class TestLogicalInput:
         with pytest.raises(ConfigError, match="not normalized"):
             LogicalInput(alpha, beta)
 
+    @pytest.mark.parametrize("alpha,beta", [
+        (1e200, 0.0), (0.0, -1e200), (complex(0, 1e300), 0.0),
+        (np.float64(1e200), 0.0), (1e155, 1e155)])
+    def test_huge_amplitudes_are_config_errors(self, alpha, beta):
+        """Squaring 1e200 raised OverflowError (a NumPy float warned)."""
+        with pytest.raises(ConfigError, match="not normalized: .* = inf"):
+            LogicalInput(alpha, beta)
+
+    def test_moderately_large_amplitudes_report_their_norm(self):
+        with pytest.raises(ConfigError, match=r"= 9\.0$"):
+            LogicalInput(3.0, 0.0)
+        with pytest.raises(ConfigError) as err:
+            LogicalInput(2.0 ** 490, 0.0)    # squares exactly to 2^980
+        assert str(err.value).endswith(f"= {2.0 ** 980!r}")
+
 
 class TestEncodeBlock:
     def test_zero_input(self):
@@ -599,6 +614,22 @@ class TestDecodeReadout:
     def test_lost_qubit_outside_layout_rejected(self, lost):
         with pytest.raises(ValueError, match=f"lost qubit {lost} outside"):
             decode_readout(encode_shor(D_INPUT), losses=[lost])
+
+    @pytest.mark.parametrize("losses", [(4.7,), (True,), (3.0, 4.0, 5.0),
+                                        (False,), (np.float64(4.0),)],
+                             ids=repr)
+    def test_lost_qubits_must_be_integers(self, losses):
+        """4.7 read as qubit 4 and True as qubit 1; a block of whole
+        floats read as a fully lost block."""
+        with pytest.raises(ConfigError, match="lost qubit must be an integer"):
+            decode_readout(encode_shor(D_INPUT), losses=losses)
+
+    def test_numpy_integer_losses_read_as_ints(self):
+        word = encode_shor(D_INPUT)
+        got = decode_readout(word, losses=(np.int64(3), np.int64(5)))
+        want = decode_readout(word, losses=(3, 5))
+        assert [b.probability for b in got] == [b.probability for b in want]
+        assert [b.correction for b in got] == [b.correction for b in want]
 
     def test_json_round(self):
         b = decode_readout(encode_shor(D_INPUT))[0]

@@ -145,6 +145,18 @@ class TestApplyUnitary:
         with pytest.raises(ConfigError, match="not unitary"):
             apply_unitary(make_basis_state(1), np.full((2, 2), np.nan), [0])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(np.inf, 0),
+                                     complex(0, np.nan)])
+    def test_non_finite_matrix_is_refused_before_any_product(self, bad):
+        """An infinite entry made the unitarity check's matmul warn
+        (an error under this suite's warning filter) before it refused
+        the matrix."""
+        with pytest.raises(ConfigError, match="non-finite entry"):
+            apply_unitary(make_basis_state(1), [[bad, 0], [0, 1]], [0])
+        with pytest.raises(ConfigError, match="non-finite entry"):
+            apply_unitary(make_basis_state(2), np.diag([1, 1, 1, bad]),
+                          [0, 1])
+
     def test_bad_targets_rejected(self):
         with pytest.raises(ValueError):
             apply_unitary(make_basis_state(2), CNOT, [0, 0])
@@ -180,6 +192,36 @@ class TestApplyUnitary:
         np.testing.assert_allclose(out.matrix,
                                    full @ rho.matrix @ full.conj().T,
                                    atol=1e-12)
+
+
+class TestQubitIndices:
+    """A qubit index must be an integer: a float, even a whole one, or a
+    bool was truncated or taken as 0/1 without an error."""
+
+    BAD = [0.5, 1.0, np.float64(0.0), True, False]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_partial_trace_refuses_non_integer_indices(self, bad):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            partial_trace(make_basis_state(2), [bad])
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_gates_and_measurements_refuse_non_integer_indices(self, bad):
+        state = make_basis_state(2)
+        for call in (lambda: apply_unitary(state, ref.X, [bad]),
+                     lambda: measure(state, bad),
+                     lambda: measure_out(state, [bad])):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                call()
+
+    def test_numpy_integers_are_indices(self):
+        state = state_from_qubit(0.6, 0.8, 2)
+        np.testing.assert_allclose(
+            partial_trace(state, [np.int64(1)]).matrix,
+            partial_trace(state, [1]).matrix, atol=0)
+        np.testing.assert_allclose(
+            apply_unitary(state, ref.X, [np.int64(0)]).amplitudes,
+            apply_unitary(state, ref.X, [0]).amplitudes, atol=0)
 
 
 class TestMeasure:

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import reference as ref
-from qparity import photonics
+from qparity import photonics, shor
+from qparity.errors import ConfigError, PreconditionError
 from qparity.rgs import (
     _PAULI_PAIRS,
     PHI_PLUS_2Q,
@@ -416,3 +417,95 @@ class TestCorrected:
             .vectors, atol=ATOL)
         for got, rows in zip(shared, stack.vectors):
             np.testing.assert_allclose(got, (op @ rows.T).T, atol=ATOL)
+
+
+# Every --lose pattern the cli reads out: any photons but the output
+# qubit 0, as long as each block keeps one.
+READOUT_LOSSES = [lost for k in range(9)
+                  for lost in itertools.combinations(range(1, 9), k)
+                  if not any({3 * b, 3 * b + 1, 3 * b + 2} <= set(lost)
+                             for b in range(3))]
+
+
+class TestProtocol:
+    """``sim.Protocol``, the one loss-protocol runner: the stack its walk
+    returns is the public functions' list, branch for branch, so
+    :func:`draw_branches` over it samples their results."""
+
+    @pytest.mark.parametrize("factory,loss", SCENARIOS, ids=SCENARIO_IDS)
+    def test_connection_stack_is_the_run(self, factory, loss):
+        scen = factory(loss)
+        stack, keys = scen.protocol().walk(scen.initial_state(),
+                                           scen.photon_order(), scen.loss)
+        results = run_connection(scen)
+        assert stack.probabilities == [r.probability for r in results]
+        assert keys == ["|".join(r.outcomes) for r in results]
+        assert stack.order == tuple(p for p in scen.photon_order()
+                                    if p in scen.terminals)
+
+    def test_readout_stack_is_the_readout(self):
+        word = encode_shor(LogicalInput.from_angles(1.0471975511965976, 0.5))
+        table = readout_correction_table()
+        for lost in READOUT_LOSSES:
+            stack, keys = shor._READOUT.walk(word, range(9), lost)
+            results = decode_readout(word, losses=lost)
+            assert stack.probabilities == [r.probability
+                                           for r in results], lost
+            assert [table[k] for k in keys] == [r.correction
+                                                for r in results], lost
+
+    def test_readout_losses_are_every_pattern_the_readout_takes(self):
+        word = encode_shor(LogicalInput(1, 0))
+        assert len(READOUT_LOSSES) == 4 * 7 * 7
+        for k in range(10):
+            for lost in itertools.combinations(range(9), k):
+                if lost not in READOUT_LOSSES:
+                    with pytest.raises(PreconditionError):
+                        decode_readout(word, losses=lost)
+
+    def test_full_and_survivor_states_walk_alike(self):
+        scen = connect_scenario(1)
+        full = scen.initial_state()
+        order = scen.photon_order()
+        reduced = partial_trace(full, [order.index(p) for p in scen.loss])
+        protocol = scen.protocol()
+        want, want_keys = protocol.walk(full, order, scen.loss)
+        got, got_keys = protocol.walk(reduced, order, scen.loss)
+        assert got_keys == want_keys
+        np.testing.assert_array_equal(got.vectors, want.vectors)
+        assert got.probabilities == want.probabilities
+        for a, b in zip(run_connection(scen, initial_state=reduced),
+                        run_connection(scen)):
+            assert a.outcomes == b.outcomes and a.correction == b.correction
+            assert a.witness == b.witness
+
+    def test_other_state_sizes_are_config_errors(self):
+        """connect with two losses walks 10 photons or 8 survivors; a
+        9-qubit code word is neither."""
+        scen = connect_scenario(2)
+        word = encode_shor(LogicalInput(1, 0))
+        for call in (lambda: scen.protocol().walk(word, scen.photon_order(),
+                                                  scen.loss),
+                     lambda: run_connection(scen, initial_state=word)):
+            with pytest.raises(ConfigError, match="state has 9 qubits; "
+                                                  "expected 10 or 8"):
+                call()
+
+    def test_lost_labels_must_be_in_the_order(self):
+        scen = connect_scenario(0)
+        with pytest.raises(ConfigError, match="not in order"):
+            scen.protocol().walk(scen.initial_state(), scen.photon_order(),
+                                 ("11'",))
+
+    def test_a_key_missing_from_the_table_is_a_precondition_error(self):
+        scen = connect_scenario(1)
+        with pytest.raises(PreconditionError,
+                           match="no correction entry for outcome"):
+            scen.protocol().run(scen.initial_state(), scen.photon_order(),
+                                scen.loss, {})
+
+    def test_keep_is_checked_in_walk_order(self):
+        scen = connect_scenario(0)
+        swapped = scen.protocol()._replace(keep=scen.terminals[::-1])
+        with pytest.raises(PreconditionError, match="malformed plan"):
+            swapped.walk(scen.initial_state(), scen.photon_order())
