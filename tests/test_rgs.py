@@ -598,8 +598,8 @@ class TestSampleFrequencies:
     def test_lossy_draws_land_at_the_enumerated_rates(self, case):
         """10^5 lossy walks drawn over the stack of the run's own
         protocol land on each branch of the public function's list at
-        its probability, within a bound that all branches together
-        exceed by chance once in 1000 seeds (Bonferroni)."""
+        its probability, within a bound that a correct sampler exceeds
+        on some branch for at most one seed in 1000 (Bonferroni)."""
         if case.startswith("connect"):
             scen = connect_scenario(int(case[-1]))
             results = run_connection(scen)
