@@ -3,7 +3,6 @@ repeaters built on the nine-qubit Shor / quantum parity code."""
 
 from types import ModuleType as _ModuleType
 
-from .config import TOL
 from .errors import ConditionViolation, ConfigError, PreconditionError
 from .photonics import (
     SourceParams,

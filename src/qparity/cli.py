@@ -19,7 +19,7 @@ import json
 import math
 import sys
 
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, PreconditionError, _check_count
 from .photonics import (
     MAX_SAMPLED_SOURCES,
     SourceParams,
@@ -166,8 +166,7 @@ def _parse_qubits(text: str) -> list:
     except ValueError as exc:
         raise ConfigError(f"bad qubit list {text!r}") from exc
     for q in nums:
-        if not (1 <= q <= 9):
-            raise ConfigError(f"photon number {q} outside 1..9")
+        _check_count("photon number", q, most=9)
     if len(set(nums)) != len(nums):
         raise ConfigError(f"photon list {text!r} repeats a photon")
     return [q - 1 for q in nums]
@@ -214,8 +213,7 @@ def cmd_syndrome_scan(args) -> None:
                           f"got {kind!r}")
     default_qubit = 4 if kind == "bit-flip" else 2
     qubit = args.qubit if args.qubit is not None else default_qubit
-    if not (1 <= qubit <= 9):
-        raise ConfigError(f"--qubit {qubit} outside 1..9")
+    _check_count("--qubit", qubit, most=9)
     p_values = _parse_floats(args.p_values)
     word = encode_shor(LogicalInput.from_angles(args.theta, args.phi))
     rows = []

@@ -26,8 +26,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
-from .rates import _check_count, _check_unit, _count_hits, _estimate, _fold
+from .errors import ConfigError, _check_count, _check_unit
+from .rates import _count_hits, _estimate, _fold, _rng
 from .shor import LogicalInput, SHOR_LAYOUT, encode_block, encode_shor
 from .sim import (
     CNOT,
@@ -139,7 +139,7 @@ def monte_carlo_coincidence(params: SourceParams, n_sources: int,
         raise ConfigError(f"n_sources {n_sources} exceeds the sampler's cap "
                           f"of {MAX_SAMPLED_SOURCES}")
     _check_count("pulses", pulses)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     emitted = (((n_sources, params.pair_prob),),
                functools.partial(_fold, and_))
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ from operator import and_, index, or_
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_count, _check_unit
 
 DEFAULT_BSM_SUCCESS = 0.5
 
@@ -68,21 +69,6 @@ CHUNK_BYTES = 768 * 1024
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
 WORKERS = min(_CORES, 4)
-
-
-def _check_unit(name: str, value) -> None:
-    if not (0.0 <= value <= 1.0):
-        raise ConfigError(f"{name} {value} out of [0, 1]")
-
-
-def _check_count(name: str, value, least: int = 1) -> None:
-    """A count must be an integer by the ``operator.index`` rule (its
-    type has ``__index__``), not a bool, and at least ``least``: a float
-    is refused even when whole, and True does not count as 1."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ConfigError(f"need {name} >= {least}")
 
 
 @dataclass(frozen=True)
@@ -354,6 +340,15 @@ def _side_success(model: RateModel, arrived: np.ndarray,
     return _fold(and_, alive) & _fold(or_, intact & bsm_ok)
 
 
+def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, with a seed that is a number held
+    to the count rule: a bool, a float or a negative int raises
+    ConfigError, not NumPy's TypeError or plain ValueError."""
+    if isinstance(seed, (numbers.Number, np.bool_)):
+        _check_count("seed", seed, least=0)
+    return np.random.default_rng(seed)
+
+
 def _estimate(hits: int, shots: int):
     p_hat = hits / shots
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / shots)
@@ -369,11 +364,12 @@ def _side_stage(model: RateModel):
 def monte_carlo_side(model: RateModel, shots: int, seed):
     """Monte-Carlo estimate of p_side: (estimate, standard error).
 
-    ``seed`` is anything :func:`numpy.random.default_rng` takes; a PCG64
+    ``seed`` is an integer >= 0, a ``SeedSequence`` or anything else
+    :func:`numpy.random.default_rng` takes that is not a number; a PCG64
     ``Generator`` is used in place and stepped past the draws.
     """
     _check_count("shots", shots)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     return _estimate(_count_hits(rng, shots, (_side_stage(model),)), shots)
 
 
@@ -389,7 +385,7 @@ def monte_carlo_rate(model: RateModel, shots: int, seed):
     right-side draws.
     """
     _check_count("shots", shots)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     side = _side_stage(model)
     return _estimate(_count_hits(rng, shots, (side, side)), shots)
 
@@ -402,7 +398,7 @@ def monte_carlo_bare(n: int, eta: float, q: float, shots: int, seed):
     """
     _check_bare(n, eta, q)
     _check_count("shots", shots)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
 
     def bsms(bsm_ok):
         return _fold(and_, _fold(or_, bsm_ok.reshape(-1, 2, n)))

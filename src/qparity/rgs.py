@@ -25,8 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConditionViolation, ConfigError
-from .rates import _check_count
+from .errors import ConditionViolation, ConfigError, _check_count
 from .shor import LogicalInput, _spread, encode_qpc
 from .sim import (
     H,
@@ -51,8 +50,7 @@ PHI_PLUS_2Q = PureState(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
 
 def build_bare_rgs(n: int) -> PureState:
     """n-qubit GHZ state, the unprotected repeater graph state."""
-    if not (2 <= n <= MAX_QUBITS):
-        raise ConfigError(f"bare RGS size {n} outside 2..{MAX_QUBITS}")
+    _check_count("n", n, least=2, most=MAX_QUBITS)
     return PureState(_ghz_amps(n))
 
 
@@ -65,9 +63,7 @@ def build_partial_encoded(m: int) -> PureState:
     1, 1, 1 and m qubits (:func:`qparity.shor.encode_qpc` says why this
     is the circuit bit for bit).
     """
-    if not (1 <= m <= MAX_QUBITS - 3):
-        raise ConfigError(f"block size {m} makes {3 + m} qubits, cap is "
-                          f"{MAX_QUBITS}")
+    _check_count("m", m, most=MAX_QUBITS - 3)
     register = _apply_to_axes(_ghz_amps(4).reshape([2] * 4), H, [3])
     return _spread(register.reshape(-1), (1, 1, 1, m))
 
@@ -96,6 +92,8 @@ class RgsSpec:
     m: int
 
     def __post_init__(self):
+        _check_count("n", self.n)
+        _check_count("m", self.m)
         if self.kind not in ("bare", "partial", "encoded"):
             raise ConfigError(f"unknown RGS kind {self.kind!r}")
         if self.kind == "bare" and self.m != 1:
@@ -104,7 +102,7 @@ class RgsSpec:
             raise ConfigError("partially encoded RGS has n = 4: three bare "
                               "arms and one encoded block")
         least = 2 if self.kind == "bare" else 1
-        if self.n < least or self.m < 1 or self.qubits > MAX_QUBITS:
+        if self.n < least or self.qubits > MAX_QUBITS:
             raise ConfigError(f"{self.kind} RGS n = {self.n}, m = {self.m} "
                               f"makes {self.qubits} photons; its builder "
                               f"takes n >= {least}, m >= 1 and at most "
@@ -259,8 +257,6 @@ _C4 = ("4'", "5'", "6'")
 
 
 def _check_loss_count(loss_count: int, qubit: str) -> None:
-    if loss_count < 0:
-        raise ConfigError(f"loss count {loss_count} is negative")
     _check_count("loss count", loss_count, least=0)
     if loss_count >= len(_C4):
         raise ConditionViolation(
@@ -299,10 +295,7 @@ def bare_loss_scenario(loss_count: int = 1) -> Scenario:
     Losing that photon leaves nothing to measure in Z, so the run
     proceeds without its outcome and the terminals end up separable.
     """
-    if loss_count not in (0, 1):
-        raise ConfigError(f"loss count {loss_count} outside 0..1: the bare "
-                          "arm has a single photon")
-    _check_count("loss count", loss_count, least=0)   # refuses 1.0, True
+    _check_count("loss count", loss_count, least=0, most=1)
     return Scenario(
         name="bare-control",
         channels=(("1'", "2'"), ("9'", "8'")),

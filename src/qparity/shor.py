@@ -29,10 +29,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import TOL
-from .errors import ConfigError, PreconditionError
-from .rates import _check_count
+from .errors import ConfigError, PreconditionError, _check_count
 from .sim import (
+    ATOL,
     H,
     MAX_QUBITS,
     X,
@@ -66,7 +65,7 @@ class LogicalInput:
         a, b = abs(self.alpha), abs(self.beta)
         # Squaring an amplitude above 1e150 could overflow.
         norm = math.inf if max(a, b) > 1e150 else a ** 2 + b ** 2
-        if not abs(norm - 1.0) <= TOL.atol:   # a NaN norm is refused too
+        if not abs(norm - 1.0) <= ATOL:   # a NaN norm is refused too
             raise ConfigError(f"input not normalized: |a|^2+|b|^2 = {norm!r}")
 
     @classmethod
@@ -89,18 +88,16 @@ class CodeLayout:
     block_size: int
 
     def __post_init__(self):
-        if self.n_blocks < 1 or self.block_size < 1:
-            raise ConfigError("layout needs n_blocks >= 1 and block_size >= 1")
+        _check_count("n_blocks", self.n_blocks)
+        _check_count("block_size", self.block_size)
 
     @property
     def num_qubits(self) -> int:
         return self.n_blocks * self.block_size
 
     def qubit_of(self, block: int, position: int) -> int:
-        if not (0 <= block < self.n_blocks):
-            raise ConfigError(f"block {block} out of range")
-        if not (0 <= position < self.block_size):
-            raise ConfigError(f"position {position} out of range")
+        _check_count("block", block, least=0, most=self.n_blocks - 1)
+        _check_count("position", position, least=0, most=self.block_size - 1)
         return block * self.block_size + position
 
     def block_qubits(self, block: int) -> tuple:
@@ -128,7 +125,7 @@ class SyndromeRecord:
                               f"{self.layout.block_size} layout needs "
                               f"exactly {count} values")
         for v in self.values:
-            if not (-1.0 - TOL.atol <= v <= 1.0 + TOL.atol):
+            if not (-1.0 - ATOL <= v <= 1.0 + ATOL):
                 raise ConfigError(f"syndrome value {v} outside [-1, 1]")
 
     @property
@@ -222,9 +219,7 @@ def encode_block(inp: LogicalInput, m: int = 3) -> PureState:
     """Quantum encoder: alpha|0..0> + beta|1..1> over m qubits, the input
     qubit spread over a block of m with no gate, bit for bit what m-1
     CNOTs onto fresh |0> targets give."""
-    if not (1 <= m <= MAX_QUBITS):
-        raise ConfigError(f"block size m must be in 1..{MAX_QUBITS}, "
-                          f"got {m}")
+    _check_count("m", m, most=MAX_QUBITS)
     register = np.array([inp.alpha, inp.beta], dtype=complex)
     return _spread(register + 0.0 if m > 1 else register, (m,))
 
@@ -239,8 +234,8 @@ def encode_qpc(inp: LogicalInput, n: int, m: int) -> PureState:
     blocks.  The result is alpha |0>_L^n + beta |1>_L^n with
     |0/1>_L = (|0..0> +- |1..1>)/sqrt2, bit for bit the circuit's.
     """
-    if n < 1 or m < 1:
-        raise ConfigError("need n >= 1 and m >= 1")
+    _check_count("n", n)
+    _check_count("m", m)
     if n * m > MAX_QUBITS:
         raise ConfigError(f"{n}x{m} = {n * m} qubits exceeds the "
                           f"{MAX_QUBITS}-qubit cap")
@@ -474,9 +469,7 @@ def decode_readout(state: State, losses: Iterable[int] = (),
     layout = SHOR_LAYOUT
     lost = frozenset(losses)
     for q in lost:
-        if not (0 <= q < layout.num_qubits):
-            raise ConfigError(f"lost qubit {q} outside layout")
-        _check_count("lost qubit", q, least=0)   # refuses 4.7 and True
+        _check_count("lost qubit", q, least=0, most=layout.num_qubits - 1)
     if 0 in lost:
         raise PreconditionError("output qubit lost: qubit 0 carries the "
                                 "decoded state and cannot be recovered")

@@ -47,11 +47,17 @@ from typing import (Callable, Hashable, Iterable, Mapping, NamedTuple,
 
 import numpy as np
 
-from .config import TOL
-from .errors import ConfigError, PreconditionError
-from .rates import _check_count
+from .errors import ConfigError, PreconditionError, _check_count, _check_unit
 
 MAX_QUBITS = 12
+
+# ATOL is the slack of exactness checks (normalization, unitarity,
+# hermiticity), PSD_SLACK that of eigenvalue positivity of density
+# matrices, and BRANCH_EPS the least probability at which a measurement
+# branch counts as realizable.
+ATOL = 1e-10
+PSD_SLACK = 1e-9
+BRANCH_EPS = 1e-12
 
 # Single-qubit gate constants (complex128).
 I2 = np.eye(2, dtype=complex)
@@ -171,7 +177,7 @@ class PureState(_Ensemble):
         if not np.isfinite(amps).all():
             raise ConfigError("state has a non-finite amplitude")
         norm = float(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > TOL.atol:
+        if abs(norm - 1.0) > ATOL:
             raise ConfigError(f"state not normalized: sum |a|^2 = {norm!r}")
         self.vectors = amps.reshape(1, -1)
         self.weights = np.ones(1)
@@ -201,10 +207,10 @@ class DensityMatrix(_Ensemble):
         _check_dimension(mat.shape[0], "dimension")
         if not np.isfinite(mat).all():
             raise ConfigError("density matrix has a non-finite entry")
-        if np.max(np.abs(mat - mat.conj().T)) > TOL.atol:
+        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
             raise ConfigError("density matrix not Hermitian")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TOL.atol:
+        if abs(tr - 1.0) > ATOL:
             raise ConfigError(f"density matrix trace {tr!r} != 1")
         vectors, weights = _eigen_rows(mat[None])
         self.vectors, self.weights = vectors[0], weights[0]
@@ -218,7 +224,7 @@ class DensityMatrix(_Ensemble):
     def validate(self) -> None:
         """Raise if any eigenvalue is more negative than the PSD slack."""
         evals = np.linalg.eigvalsh(self.matrix)
-        if evals.min() < -TOL.psd_slack:
+        if evals.min() < -PSD_SLACK:
             raise ConfigError(f"density matrix not PSD: min eigenvalue "
                               f"{evals.min():.3e}")
 
@@ -240,15 +246,15 @@ class PauliString:
     sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (+1, -1):
+        _check_count("sign", self.sign, least=-1, most=1)
+        if self.sign == 0:
             raise ConfigError("sign must be +1 or -1")
-        object.__setattr__(self, "factors", MappingProxyType(
-            dict(sorted(self.factors.items()))))
         for q, letter in self.factors.items():
+            _check_count("qubit index", q, least=0)
             if letter not in ("X", "Y", "Z"):
                 raise ConfigError(f"bad Pauli letter {letter!r} on qubit {q}")
-            if q < 0:
-                raise ConfigError(f"negative qubit index {q}")
+        object.__setattr__(self, "factors", MappingProxyType(
+            dict(sorted(self.factors.items()))))
 
     def commutes_with(self, other: "PauliString") -> bool:
         overlap = set(self.factors) & set(other.factors)
@@ -286,7 +292,7 @@ class MeasurementRecord:
     probability: float
 
     def __post_init__(self):
-        if not (0.0 - TOL.atol <= self.probability <= 1.0 + TOL.atol):
+        if not (0.0 - ATOL <= self.probability <= 1.0 + ATOL):
             raise ConfigError(f"probability {self.probability} out of [0,1]")
 
 
@@ -345,9 +351,7 @@ def _pauli_rows(vectors: np.ndarray, op: PauliString) -> np.ndarray:
 
 def _check_targets(targets: Sequence[int], n: int) -> None:
     for q in targets:
-        _check_count("target qubit", q, least=0)
-        if q >= n:
-            raise ConfigError(f"target qubit {q} out of range for {n} qubits")
+        _check_count("target qubit", q, least=0, most=n - 1)
     if len(set(targets)) != len(targets):
         raise ConfigError(f"duplicate target qubits {targets}")
 
@@ -364,9 +368,7 @@ def make_basis_state(num_qubits: int) -> PureState:
 def state_from_qubit(alpha: complex, beta: complex,
                      num_qubits: int = 1) -> PureState:
     """alpha|0> + beta|1> on qubit 0, all other qubits |0>."""
-    if not (1 <= num_qubits <= MAX_QUBITS):
-        raise ConfigError(f"num_qubits must be in 1..{MAX_QUBITS}, "
-                          f"got {num_qubits}")
+    _check_count("num_qubits", num_qubits, most=MAX_QUBITS)
     amps = np.zeros(2 ** num_qubits, dtype=complex)
     amps[0] = alpha
     amps[2 ** (num_qubits - 1)] = beta
@@ -387,7 +389,7 @@ def apply_unitary(state: State, matrix: np.ndarray,
                           f"{k} target(s)")
     if not np.isfinite(mat).all():   # before a matmul that would warn
         raise ConfigError("matrix is not unitary: it has a non-finite entry")
-    if not np.max(np.abs(mat.conj().T @ mat - np.eye(2 ** k))) <= TOL.atol:
+    if not np.max(np.abs(mat.conj().T @ mat - np.eye(2 ** k))) <= ATOL:
         raise ConfigError("matrix is not unitary within tolerance")
     n = state.num_qubits
     _check_targets(targets, n)
@@ -446,7 +448,7 @@ def _children(rows: np.ndarray, weights: np.ndarray):
     stack of the children's renormalized, compressed rows.
     """
     probs = _branch_probabilities(rows, weights)
-    index = np.nonzero(probs > TOL.branch_eps)
+    index = np.nonzero(probs > BRANCH_EPS)
     parents, picks = index[0].tolist(), index[1].tolist()
     kept = probs[index]
     vectors, weights = _compressed(
@@ -551,8 +553,7 @@ def apply_pauli_channel(state: State, op: PauliString, p: float) -> DensityMatri
     The rows A become [A; P A] with weights [(1-p) w; p w]; rows of
     weight zero are dropped.
     """
-    if not (0.0 <= p <= 1.0):
-        raise ConfigError(f"channel probability {p} out of [0, 1]")
+    _check_unit("channel probability", p)
     vectors, weights = state.vectors, state.weights
     rows = np.concatenate([vectors, _pauli_rows(vectors, op)])
     weights = np.concatenate([(1.0 - p) * weights, p * weights])
@@ -708,7 +709,7 @@ def correction_table(stack: PlanStack, keys: Sequence,
     ``stack.order``) is tried in turn on every branch at once
     (:meth:`PlanStack.corrected`), and a branch still open takes the
     first candidate whose fidelity sum_i w_i |<target|v_i>|^2 exceeds
-    1 - TOL.atol.  Raises RuntimeError when no candidate restores a
+    1 - ATOL.  Raises RuntimeError when no candidate restores a
     branch, or when two branches with one key need different
     corrections, at the first such branch in walk order.
     """
@@ -721,7 +722,7 @@ def correction_table(stack: PlanStack, keys: Sequence,
         fids = (fixed.weights
                 * np.abs(fixed.vectors @ target.amplitudes.conj()) ** 2).sum(1)
         for b, fid in enumerate(fids.tolist()):
-            if chosen[b] is None and fid > 1.0 - TOL.atol:
+            if chosen[b] is None and fid > 1.0 - ATOL:
                 chosen[b] = name
         if None not in chosen:
             break

@@ -179,6 +179,30 @@ class TestValidation:
             monte_carlo_coincidence(SourceParams(0.5, 0.5), sources, 0.5,
                                     pulses, 1)
 
+    SEEDED = (
+        lambda seed: monte_carlo_side(RateModel(0.9, 0.5, 2, 2), 100, seed),
+        lambda seed: monte_carlo_rate(RateModel(0.9, 0.5, 2, 2), 100, seed),
+        lambda seed: monte_carlo_bare(2, 0.9, 0.5, 100, seed),
+        lambda seed: monte_carlo_coincidence(SourceParams(0.5, 0.5), 2, 0.5,
+                                             100, seed))
+
+    @pytest.mark.parametrize("seed", (math.nan, math.inf, -math.inf, 1e300,
+                                      2.5, -1, True), ids=repr)
+    def test_seeds_follow_the_count_rule(self, seed):
+        """A float seed raised NumPy's TypeError from SeedSequence, and -1
+        a plain ValueError."""
+        for call in self.SEEDED:
+            with pytest.raises(ConfigError, match="seed"):
+                call(seed)
+
+    def test_seeds_that_are_not_numbers_keep_numpys_rules(self):
+        for call in self.SEEDED:
+            assert call(np.int64(7)) == call(7)
+            assert (call(np.random.SeedSequence(7))
+                    == call(np.random.SeedSequence(7)))
+            with pytest.raises(TypeError, match="SeedSequence"):
+                call("abc")
+
 
 # (seed, eta, q, shots): odd shot counts, losses from mild to heavy.
 ORACLE_RUNS = ((3, 0.9, 0.5, 4097), (41, 0.75, 0.35, 10_001),

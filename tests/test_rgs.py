@@ -77,7 +77,7 @@ class TestBuilders:
             build_bare_rgs(13)
         assert build_bare_rgs(12).num_qubits == 12
         assert build_partial_encoded(9).num_qubits == 12
-        with pytest.raises(ValueError, match="cap is 12"):
+        with pytest.raises(ValueError, match=r"^m 10 outside 1\.\.9$"):
             build_partial_encoded(10)
 
     def test_partial_m1_is_rotated_ghz(self):
@@ -267,10 +267,15 @@ class TestScenario:
         with pytest.raises(ConfigError):
             RgsSpec("bare", 4, 2)
         # Sizes the builders refuse, so that no scenario is built on one.
-        for size in (("bare", 1, 1), ("bare", 13, 1), ("partial", 4, 0),
-                     ("partial", 4, 10), ("encoded", 0, 3),
-                     ("encoded", 3, 0), ("encoded", 4, 4)):
+        for size in (("bare", 1, 1), ("bare", 13, 1), ("partial", 4, 10),
+                     ("encoded", 4, 4)):
             with pytest.raises(ConfigError, match="its builder takes"):
+                RgsSpec(*size)
+        # Counts below 1 fail the count rule, before the kind rules.
+        for size, match in ((("partial", 4, 0), "^need m >= 1$"),
+                            (("encoded", 0, 3), "^need n >= 1$"),
+                            (("encoded", 3, 0), "^need m >= 1$")):
+            with pytest.raises(ConfigError, match=match):
                 RgsSpec(*size)
 
     @pytest.mark.parametrize("kind,n,m", [("bare", 11, 1),
@@ -358,8 +363,8 @@ class TestConnection:
             factory(count)
 
     @pytest.mark.parametrize("factory,message", [
-        (connect_scenario, "loss count -1 is negative"),
-        (encoded_loss_scenario, "loss count -1 is negative"),
+        (connect_scenario, "need loss count >= 0"),
+        (encoded_loss_scenario, "need loss count >= 0"),
         (bare_loss_scenario, "loss count -1 outside 0..1")])
     def test_negative_loss_counts_keep_their_message(self, factory, message):
         with pytest.raises(ConfigError, match=message):

@@ -651,6 +651,24 @@ class TestLayout:
                 for b in range(4) for p in range(3)}
         assert seen == set(range(12))
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda: SHOR_LAYOUT.qubit_of(1.5, 0), "block must be an integer"),
+        (lambda: SHOR_LAYOUT.block_qubits(True), "block must be an integer"),
+        (lambda: SHOR_LAYOUT.qubit_of(3, 0), r"^block 3 outside 0\.\.2$"),
+        (lambda: SHOR_LAYOUT.qubit_of(0, -1),
+         r"^position -1 outside 0\.\.2$"),
+        (lambda: CodeLayout(2.5, 2), "n_blocks must be an integer"),
+        (lambda: CodeLayout(2, 0), "^need block_size >= 1$")])
+    def test_blocks_and_positions_follow_the_count_rule(self, call, match):
+        """qubit_of(1.5, 0) returned 4.5, block_qubits(True) block 1, and
+        CodeLayout(2.5, 2) held 5.0 qubits."""
+        with pytest.raises(ConfigError, match=match):
+            call()
+
+    def test_numpy_integer_blocks_and_positions(self):
+        assert SHOR_LAYOUT.qubit_of(np.int64(1), np.int64(2)) == 5
+        assert CodeLayout(np.int64(2), np.int64(3)).num_qubits == 6
+
 
 # Every (blocks, block size) layout the syndrome tests cover, up to the
 # 12-qubit cap.

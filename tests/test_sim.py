@@ -77,7 +77,8 @@ class TestStates:
 
     @pytest.mark.parametrize("n", [0, -1, 13])
     def test_qubit_state_size_outside_cap_is_a_value_error(self, n):
-        with pytest.raises(ValueError, match="num_qubits must be in 1..12"):
+        with pytest.raises(ValueError,
+                           match=rf"^num_qubits {n} outside 1\.\.12$"):
             state_from_qubit(0.6, 0.8, n)
 
     def test_pauli_factors_are_read_only_and_copied(self):
@@ -584,6 +585,23 @@ class TestPauliString:
         sq = op * op
         assert sq.factors == {} and sq.sign == 1
 
+    @pytest.mark.parametrize("factors,sign,match", [
+        ({True: "X"}, 1, "qubit index must be an integer, got True"),
+        ({0.0: "X"}, 1, "qubit index must be an integer, got 0.0"),
+        ({-1: "X"}, 1, "^need qubit index >= 0$"),
+        ({0: "X"}, True, "sign must be an integer, got True"),
+        ({0: "X"}, 0, "^sign must be \\+1 or -1$")], ids=repr)
+    def test_qubit_keys_and_sign_follow_the_count_rule(self, factors, sign,
+                                                       match):
+        """{True: "X"} acted on qubit 1, and {0.0: "X"} failed at first
+        use with an int << float TypeError."""
+        with pytest.raises(ConfigError, match=match):
+            PauliString(factors, sign)
+
+    def test_numpy_integer_keys_are_qubits(self):
+        op = PauliString({np.int64(1): "X"}, np.int64(-1))
+        assert op.factors == {1: "X"} and op.sign == -1
+
 
 class TestSampleDraws:
     """The one sampling rule, shared by sampled syndromes and
@@ -830,8 +848,8 @@ def test_package_exports_its_public_names_once():
 
     import qparity
     names = qparity.__all__
-    assert len(names) == len(set(names)) == 75
-    assert {"encode_qpc", "stabilizers", "PauliString", "TOL",
+    assert len(names) == len(set(names)) == 74
+    assert {"encode_qpc", "stabilizers", "PauliString",
             "draw_branches"} <= set(names)
     assert not {"LossPattern", "NoiseParams"} & set(names)
     assert not any(isinstance(getattr(qparity, name), types.ModuleType)
