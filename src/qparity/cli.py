@@ -41,6 +41,7 @@ from .rgs import (
     run_connection,
 )
 from .shor import (
+    SHOR_LAYOUT,
     LogicalInput,
     apply_flip_channel,
     decode_readout,
@@ -51,7 +52,12 @@ from .shor import (
 from .sim import expectation
 
 SCHEMA_VERSION = 1
-SYNDROME_COLUMNS = ["SZ1", "SZ2", "SZ3", "SZ4", "SZ5", "SZ6", "SX1", "SX2"]
+# Per block, a Z check on each adjacent pair; an X check per adjacent
+# block pair (the order of shor.stabilizers).
+SYNDROME_COLUMNS = (
+    [f"SZ{i}" for i in range(1, SHOR_LAYOUT.n_blocks
+                             * (SHOR_LAYOUT.block_size - 1) + 1)]
+    + [f"SX{i}" for i in range(1, SHOR_LAYOUT.n_blocks)])
 READOUT_COLUMNS = ["branch", "probability", "correction", "fidelity",
                    "degraded"]
 WITNESS_COLUMNS = ["branch", "probability", "outcomes", "correction",
@@ -166,7 +172,7 @@ def _parse_qubits(text: str) -> list:
     except ValueError as exc:
         raise ConfigError(f"bad qubit list {text!r}") from exc
     for q in nums:
-        _check_count("photon number", q, most=9)
+        _check_count("photon number", q, most=SHOR_LAYOUT.num_qubits)
     if len(set(nums)) != len(nums):
         raise ConfigError(f"photon list {text!r} repeats a photon")
     return [q - 1 for q in nums]
@@ -182,6 +188,7 @@ def cmd_encode(args) -> None:
     state = encode_shor(inp)
     rho = (state if noise is None
            else apply_visibility_noise(state, shor_encoder_sites(), noise))
+    bits = f"0{SHOR_LAYOUT.num_qubits}b"
     payload = {
         "command": "encode",
         "input": {"theta": args.theta, "phi": args.phi},
@@ -191,14 +198,14 @@ def cmd_encode(args) -> None:
     }
     if noise is None:
         payload["nonzero_amplitudes"] = {
-            format(i, "09b"): [a.real, a.imag]
+            format(i, bits): [a.real, a.imag]
             for i, a in enumerate(state.amplitudes) if abs(a) > 1e-12
         }
     else:
         payload["noise"] = {"visibility": noise}
         probs = rho.probabilities()
         payload["basis_probabilities"] = {
-            format(i, "09b"): float(p)
+            format(i, bits): float(p)
             for i, p in enumerate(probs) if p > 1e-12
         }
         snr = snr_hv(rho, state)
@@ -213,7 +220,7 @@ def cmd_syndrome_scan(args) -> None:
                           f"got {kind!r}")
     default_qubit = 4 if kind == "bit-flip" else 2
     qubit = args.qubit if args.qubit is not None else default_qubit
-    _check_count("--qubit", qubit, most=9)
+    _check_count("--qubit", qubit, most=SHOR_LAYOUT.num_qubits)
     p_values = _parse_floats(args.p_values)
     word = encode_shor(LogicalInput.from_angles(args.theta, args.phi))
     rows = []

@@ -230,12 +230,6 @@ def noisy_block_fidelity(visibility: float, m: int = 3) -> float:
     return fidelity(noisy, ideal)
 
 
-def ideal_support(ideal: PureState) -> list:
-    """Indices of computational strings carrying the ideal state."""
-    return [int(i) for i in
-            np.flatnonzero(np.abs(ideal.amplitudes) ** 2 > 1e-12)]
-
-
 def snr_hv(rho: State, ideal: PureState | None = None) -> float:
     """Signal-to-noise ratio of the computational-basis distribution.
 
@@ -249,7 +243,7 @@ def snr_hv(rho: State, ideal: PureState | None = None) -> float:
         raise ConfigError(f"state has {rho.num_qubits} qubits, ideal has "
                           f"{ideal.num_qubits}")
     probs = rho.probabilities()
-    support = ideal_support(ideal)
+    support = np.abs(ideal.amplitudes) ** 2 > 1e-12
     signal = float(probs[support].sum())
     noise = float(probs.sum() - signal)
     if noise <= 1e-15:

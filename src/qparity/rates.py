@@ -240,6 +240,11 @@ def _count_hits(rng: np.random.Generator, shots: int, stages) -> int:
     # below would be if shots or a width were one.
     shots = index(shots)
     widths = [index(width) for draws, _ in stages for width, _ in draws]
+    # NumPy sizes no array of more bytes than an intp holds (a plain
+    # ValueError); a chunk holds at least one shot's row of doubles.
+    if 8 * max(widths) > np.iinfo(np.intp).max:
+        raise ConfigError(f"{max(widths)} draws per shot exceed NumPy's "
+                          "array size limit")
     rows = _chunk_rows(widths)
     chunks = -(-shots // rows)
     n_spans = min(WORKERS, chunks)

@@ -458,7 +458,7 @@ def run_connection(scenario: Scenario, *,
     :meth:`Scenario.photon_order` (the lost ones are traced out here) or
     only the survivors (ConfigError for any other size).
     """
-    stack, _, pairs, corrected = scenario.protocol().run(
+    stack, pairs, corrected = scenario.protocol().run(
         scenario.initial_state() if initial_state is None else initial_state,
         scenario.photon_order(), scenario.loss,
         connection_corrections(scenario))

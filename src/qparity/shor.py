@@ -29,7 +29,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError, _check_count
+from .errors import (
+    ConditionViolation,
+    ConfigError,
+    PreconditionError,
+    _check_count,
+)
 from .sim import (
     ATOL,
     H,
@@ -459,6 +464,8 @@ def decode_readout(state: State, losses: Iterable[int] = (),
     is then not guaranteed (for the (3, 3) code it drops to about 0.79
     for a generic input).  Without that flag every branch has
     fidelity 1.
+    Losing qubit 0 raises PreconditionError, and losing every qubit of
+    another block ConditionViolation (condition (ii)).
     Returns every measurement branch as a list of DecodeResult in walk
     order; "enumerate" is the only ``mode``.  Sampled readouts are the
     indices :func:`qparity.sim.draw_branches` draws over its walk.
@@ -475,11 +482,11 @@ def decode_readout(state: State, losses: Iterable[int] = (),
                                 "decoded state and cannot be recovered")
     for b in range(layout.n_blocks):
         if set(layout.block_qubits(b)) <= lost:
-            raise PreconditionError(f"block {b} fully lost: no photon left "
-                                    "to measure")
+            raise ConditionViolation(f"block {b} fully lost: no photon "
+                                     "left to measure")
     degraded = bool(lost & set(layout.block_qubits(0)))
-    stack, _, names, fixed = _READOUT.run(state, range(layout.num_qubits),
-                                          lost, readout_correction_table())
+    stack, names, fixed = _READOUT.run(state, range(layout.num_qubits),
+                                       lost, readout_correction_table())
     return [DecodeResult(output=out, correction=name,
                          transcript=[r for recs in records for r in recs],
                          probability=p, degraded=degraded)

@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from types import MappingProxyType
 from typing import (Callable, Hashable, Iterable, Mapping, NamedTuple,
                     Sequence, Union)
@@ -624,9 +625,16 @@ def draw_branches(stack: PlanStack, rng: np.random.Generator,
     ends on: one uniform per walk and measurement group, walk by walk
     (the stream of walks drawn one at a time), and at each node of
     ``stack.tree`` the child that :func:`_pick` gives for the group's
-    draw.  ``shots`` must be an integer >= 1 (ConfigError otherwise)."""
+    draw.  ``shots`` must be an integer >= 1, and the draws and ends
+    must fit in NumPy's array size limit (ConfigError otherwise)."""
     _check_count("shots", shots)
-    draws = rng.random((shots, len(stack.tree)))
+    groups = len(stack.tree)
+    # The uniforms and the ends, 8 bytes each, beside NumPy's limit (in
+    # Python ints: a NumPy integer count could overflow).
+    if 8 * index(shots) * max(groups, 1) > np.iinfo(np.intp).max:
+        raise ConfigError(f"{shots} walks of {groups} draws exceed NumPy's "
+                          "array size limit")
+    draws = rng.random((shots, groups))
     ends = np.zeros(shots, dtype=np.intp)
     for (parents, kept), column in zip(stack.tree, draws.T):
         children = np.empty_like(ends)
@@ -770,7 +778,7 @@ class Protocol(NamedTuple):
         return stack, self.key(stack.records)
 
     def run(self, state: State, order, lost, table: Mapping) -> tuple:
-        """(stack, keys, names, corrected): :meth:`walk`, each branch's
+        """(stack, names, corrected): :meth:`walk`, each branch's
         correction name in ``table`` (PreconditionError for a key it
         lacks) and one :meth:`PlanStack.corrected` by those names."""
         stack, keys = self.walk(state, order, lost)
@@ -780,4 +788,4 @@ class Protocol(NamedTuple):
             raise PreconditionError(f"no correction entry for outcome "
                                     f"{missing.args[0]!r}") from None
         ops = np.array([self.candidates[name] for name in names])
-        return stack, keys, names, stack.corrected(ops)
+        return stack, names, stack.corrected(ops)

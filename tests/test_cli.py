@@ -154,6 +154,7 @@ class TestExitCodes:
         (("syndrome-scan", "--qubit", "10"), 2),
         (("loss-readout", "--lose", "10"), 2),
         (("loss-readout", "--lose", "1"), 3),   # the output qubit
+        (("loss-readout", "--lose", "4,5,6"), 3),   # condition (ii)
         (("loss-readout", "--lose", "4,4"), 2),
         (("encode", "--theta", "nan"), 2),
         (("encode", "--noise", "2"), 2),
@@ -377,8 +378,10 @@ class TestDeterminism:
 
 
 class TestGoldens:
-    """Byte-frozen outputs for fixed configurations."""
+    """Byte-frozen outputs for fixed configurations: one case in ``ALL``
+    per file in tests/golden but correction_tables.json."""
 
+    # The benchmark's golden list mirrors these four.
     CASES = [
         ("encode_d.json", ("encode",)),
         ("syndrome_bitflip.csv", ("syndrome-scan", "--channel", "bit-flip")),
@@ -387,26 +390,13 @@ class TestGoldens:
                             "--n-max", "3", "--m-max", "3")),
     ]
 
-    @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
-    def test_golden(self, tmp_path, name, argv):
-        rc, raw = run(tmp_path, *argv)
-        assert rc == 0
-        assert raw == (GOLDEN / name).read_bytes()
-
-
-class TestCorrectionGoldens:
-    """Byte-frozen outputs of the two correction paths, the readout with
-    two photons lost and a noisy connection with one lost, and of two
-    coincidence sampler runs with 10 and 8 hits; in the second, 20 of 37
-    chunks have no pulse where every source emits and advance past their
-    later draws.  Kept apart from TestGoldens.CASES, which the
-    benchmark's golden list mirrors."""
-
-    CASES = [
+    ALL = CASES + [
+        # Both correction paths: readout with 2 photons lost, noisy connect 1.
         ("loss_readout_46.json", ("loss-readout", "--lose", "4,6")),
         ("connect_loss1_noise075.csv", ("connect", "--loss", "1",
                                         "--noise", "0.75",
                                         "--format", "csv")),
+        # Coincidence runs with 10 and 8 hits; 20 of 37 chunks skip draws.
         ("photonics_rate_sparse.json", ("photonics-rate", "--shots",
                                         "300000", "--seed", "8",
                                         "--pair-prob", "0.3",
@@ -417,23 +407,7 @@ class TestCorrectionGoldens:
                                        "--pair-prob", "0.15",
                                        "--eta-pair", "0.9",
                                        "--factor", "0.5")),
-    ]
-
-    @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
-    def test_golden(self, tmp_path, name, argv):
-        rc, raw = run(tmp_path, *argv)
-        assert rc == 0
-        assert raw == (GOLDEN / name).read_bytes()
-
-
-class TestChunkSizeGoldens:
-    """Byte-frozen coincidence sampler runs whose chunks are not 8192
-    pulses: 64 sources read 1024-pulse chunks, 2 sources 32768-pulse
-    ones.  Both outputs predate chunks sized by rates.CHUNK_BYTES, which
-    leave every estimate as it was.  Kept apart from TestGoldens.CASES,
-    which the benchmark's golden list mirrors."""
-
-    CASES = [
+        # Chunks not of 8192 pulses: 1024 for 64 sources, 32768 for 2.
         ("photonics_rate_64src.json", ("photonics-rate", "--sources", "64",
                                        "--shots", "20000", "--seed", "3",
                                        "--pair-prob", "0.97",
@@ -442,22 +416,7 @@ class TestChunkSizeGoldens:
                                       "--shots", "100000", "--seed", "4",
                                       "--pair-prob", "0.5",
                                       "--eta-pair", "0.7")),
-    ]
-
-    @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
-    def test_golden(self, tmp_path, name, argv):
-        rc, raw = run(tmp_path, *argv)
-        assert rc == 0
-        assert raw == (GOLDEN / name).read_bytes()
-
-
-class TestJsonGoldens:
-    """Byte-frozen JSON outputs of the three witness commands, the noisy
-    encode and the noisy photonics-rate, which the benchmark compares only
-    with the run's own first output.  Kept apart from TestGoldens.CASES,
-    which the benchmark's golden list mirrors."""
-
-    CASES = [
+        # JSON the benchmark compares only with its run's own first output.
         ("connect_loss1.json", ("connect", "--loss", "1")),
         ("rgs_loss2.json", ("rgs-loss", "--loss", "2")),
         ("bare_control_loss1.json", ("bare-control", "--loss", "1")),
@@ -465,22 +424,7 @@ class TestJsonGoldens:
         ("photonics_rate_noise07.json", ("photonics-rate", "--shots",
                                          "300000", "--seed", "8",
                                          "--noise", "0.7")),
-    ]
-
-    @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
-    def test_golden(self, tmp_path, name, argv):
-        rc, raw = run(tmp_path, *argv)
-        assert rc == 0
-        assert raw == (GOLDEN / name).read_bytes()
-
-
-class TestEncodingGoldens:
-    """Byte-frozen outputs of the commands that build a Shor code word:
-    the phase-flip syndrome scan, encode at a generic input and the noisy
-    readout with photon 6 lost.  Kept apart from TestGoldens.CASES, which
-    the benchmark's golden list mirrors."""
-
-    CASES = [
+        # Commands that build a Shor code word.
         ("syndrome_phaseflip.csv", ("syndrome-scan", "--channel",
                                     "phase-flip")),
         ("encode_theta60_phi05.json", ("encode", "--theta",
@@ -490,11 +434,16 @@ class TestEncodingGoldens:
                                          "--noise", "0.7")),
     ]
 
-    @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("name,argv", ALL, ids=[c[0] for c in ALL])
     def test_golden(self, tmp_path, name, argv):
         rc, raw = run(tmp_path, *argv)
         assert rc == 0
         assert raw == (GOLDEN / name).read_bytes()
+
+    def test_every_golden_file_has_one_case(self):
+        files = {p.name for p in GOLDEN.iterdir()}
+        assert sorted(name for name, _ in self.ALL) == sorted(
+            files - {"correction_tables.json"})
 
     def test_noisy_encode_builds_the_word_once(self, tmp_path, monkeypatch):
         calls = []

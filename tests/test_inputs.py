@@ -96,11 +96,6 @@ LEFT_OUT = {
     ("monte_carlo_rate", "shots", 10 ** 30),
     ("monte_carlo_bare", "shots", 10 ** 30),
     ("monte_carlo_coincidence", "pulses", 10 ** 30),
-    # A row of 2n draws and an array of one uniform per walk: NumPy
-    # refuses arrays of 10**30 entries with a plain ValueError, and the
-    # samplers have no size rule of their own short of that.
-    ("monte_carlo_bare", "n", 10 ** 30),
-    ("draw_branches", "shots", 10 ** 30),
 }
 
 

@@ -19,7 +19,6 @@ from qparity.photonics import (
     coincidence_rate,
     encode_shor_noisy,
     encoder_sites,
-    ideal_support,
     monte_carlo_coincidence,
     noisy_block_fidelity,
     postselected_cnot,
@@ -321,8 +320,12 @@ class TestSnr:
         assert math.isinf(snr_hv(word, word))
 
     def test_support_set(self):
-        support = ideal_support(encode_shor(D_INPUT))
-        assert sorted(support) == [0, 63, 455, 504]
+        """A basis string is signal exactly where the ideal word has
+        weight: all signal reads inf, all noise 0."""
+        word = encode_shor(D_INPUT)
+        support = [i for i, row in enumerate(np.eye(512))
+                   if snr_hv(PureState(row), word) == math.inf]
+        assert support == [0, 63, 455, 504]
 
     def test_uniform_mixture_counts_strings(self):
         rho = DensityMatrix(np.eye(512) / 512)

@@ -303,6 +303,16 @@ class TestChunkRows:
     def test_a_row_over_budget_is_read_one_shot_at_a_time(self):
         assert rates._chunk_rows((CHUNK_BYTES,)) == 1
 
+    def test_a_row_numpy_cannot_size_is_refused(self):
+        """One shot's row of 10**30 doubles is refused before anything
+        is allocated, not left to NumPy's plain ValueError."""
+        model = RateModel(0.9, 0.5, 10 ** 30, 1)
+        for call in (lambda: monte_carlo_side(model, 10, 1),
+                     lambda: monte_carlo_rate(model, 10, 1),
+                     lambda: monte_carlo_bare(10 ** 30, 0.9, 0.5, 10, 1)):
+            with pytest.raises(ConfigError, match="NumPy's array size"):
+                call()
+
 
 class TestChunkedDraws:
     """Draws read in chunks are the numbers of the whole-array draws of

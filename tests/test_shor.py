@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from qparity.errors import ConfigError, PreconditionError
+from qparity.errors import ConditionViolation, ConfigError, PreconditionError
 from qparity.photonics import noisy_block_fidelity
 from qparity.rgs import build_partial_encoded
 from qparity.shor import (
@@ -598,12 +598,15 @@ class TestDecodeReadout:
                 assert abs(b.fidelity_to(inp) - 1) < 1e-12
 
     def test_output_qubit_loss_rejected(self):
-        with pytest.raises(PreconditionError):
-            decode_readout(encode_shor(D_INPUT), losses=[0])
+        for lost in ([0], [0, 1, 2]):
+            with pytest.raises(PreconditionError, match="output qubit lost"):
+                decode_readout(encode_shor(D_INPUT), losses=lost)
 
     def test_full_block_loss_rejected(self):
-        with pytest.raises(PreconditionError):
-            decode_readout(encode_shor(D_INPUT), losses=[3, 4, 5])
+        """A fully lost block beside the output breaks condition (ii)."""
+        for block in ([3, 4, 5], [6, 7, 8]):
+            with pytest.raises(ConditionViolation, match="fully lost"):
+                decode_readout(encode_shor(D_INPUT), losses=block)
 
     @pytest.mark.parametrize("mode", ["sample", "distribution"])
     def test_only_enumerate_mode(self, mode):

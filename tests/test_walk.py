@@ -226,6 +226,16 @@ class TestSampledWalks:
         with pytest.raises(ValueError, match="shots"):
             draw_branches(stack, np.random.default_rng(0), shots)
 
+    @pytest.mark.parametrize("shots", [10 ** 18, 10 ** 30, np.int64(2 ** 62)])
+    def test_shots_numpy_cannot_size_are_refused(self, shots):
+        """10**18 walks of 5 draws, 8 bytes each, exceed NumPy's limit;
+        the size of a NumPy integer count does not overflow."""
+        plan, state, order = SAMPLED_CASES["connect-1"]()
+        stack = walk_stack(state, order, plan)
+        assert len(stack.tree) == 5
+        with pytest.raises(ConfigError, match="NumPy's array size"):
+            draw_branches(stack, np.random.default_rng(0), shots)
+
     def test_numpy_integer_shots_draw_the_same_branches(self):
         plan, state, order = SAMPLED_CASES["readout-lose-3,5"]()
         stack = walk_stack(state, order, plan)
