@@ -10,7 +10,6 @@ from .photonics import (
     chained_postselect_factor,
     coincidence_rate,
     encode_shor_noisy,
-    encoder_sites,
     monte_carlo_coincidence,
     noisy_block_fidelity,
     postselected_cnot,
@@ -40,7 +39,6 @@ from .rgs import (
     build_encoded_rgs,
     build_partial_encoded,
     connection_corrections,
-    derive_corrections,
     encoded_loss_scenario,
     connect_scenario,
     logical_loss_test,

@@ -27,7 +27,6 @@ from .photonics import (
     chained_postselect_factor,
     coincidence_rate,
     encode_shor_noisy,
-    encoder_sites,
     monte_carlo_coincidence,
     noisy_block_fidelity,
     shor_encoder_sites,
@@ -238,7 +237,7 @@ def cmd_loss_readout(args) -> None:
     losses = _parse_qubits(args.lose) if args.lose else []
     state = encode_shor(inp) if noise is None else encode_shor_noisy(inp,
                                                                      noise)
-    branches = decode_readout(state, losses=losses, mode="enumerate")
+    branches = decode_readout(state, losses=losses)
     if args.format == "csv":
         rows = [
             [i, b.probability, b.correction, b.fidelity_to(inp), b.degraded]
@@ -261,12 +260,8 @@ def cmd_witness(args) -> None:
     command's scenario."""
     noise = args.noise
     scenario = args.scenario_factory(args.loss)
-    initial = None
-    if noise is not None:
-        index = {p: i for i, p in enumerate(scenario.photon_order())}
-        sites = encoder_sites(scenario.rgs.kind, scenario.rgs_groups, index)
-        initial = apply_visibility_noise(scenario.initial_state(), sites,
-                                         noise)
+    initial = (None if noise is None else apply_visibility_noise(
+        scenario.initial_state(), scenario.encoder_sites(), noise))
     branches = run_connection(scenario, initial_state=initial)
     if args.format == "csv":
         rows = [

@@ -9,6 +9,8 @@ in a range, :func:`_check_unit` for probabilities in [0, 1].  Both raise
 ConfigError.
 """
 
+from operator import index
+
 
 class ConfigError(ValueError):
     """A refused argument: a public function or constructor given a
@@ -30,15 +32,18 @@ def _check_unit(name: str, value) -> None:
         raise ConfigError(f"{name} {value} out of [0, 1]")
 
 
-def _check_count(name: str, value, least: int = 1, most=None) -> None:
+def _check_count(name: str, value, least: int = 1, most=None) -> int:
     """A count or index must be an integer by the ``operator.index`` rule
     (its type has ``__index__``), not a bool, within ``least``..``most``
     (unbounded above when ``most`` is None): a float is refused even
-    when whole, and True does not count as 1."""
+    when whole, and True does not count as 1.  Returns the value as a
+    Python int, so that a NumPy integer count cannot overflow later."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    value = index(value)
     if most is None:
         if value < least:
             raise ConfigError(f"need {name} >= {least}")
     elif not least <= value <= most:
         raise ConfigError(f"{name} {value} outside {least}..{most}")
+    return value

@@ -22,12 +22,13 @@ import functools
 import math
 from dataclasses import dataclass
 from operator import and_
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, _check_count, _check_unit
 from .rates import _count_hits, _estimate, _fold, _rng
+from .rgs import RgsSpec
 from .shor import LogicalInput, SHOR_LAYOUT, encode_block, encode_shor
 from .sim import (
     CNOT,
@@ -79,17 +80,17 @@ def postselected_cnot(state: State, control: int, target: int):
 def chained_postselect_factor(n_stages: int) -> float:
     """Overall acceptance of n_stages independent post-selected stages;
     ``n_stages`` must be an integer >= 0 (ConfigError otherwise)."""
-    _check_count("n_stages", n_stages, least=0)
-    return POSTSELECT_SUCCESS ** n_stages
+    return POSTSELECT_SUCCESS ** _check_count("n_stages", n_stages, least=0)
 
 
 # ---------------------------------------------------------------------------
 # coincidence rates
 # ---------------------------------------------------------------------------
 
-def _check_coincidence(n_sources: int, postselect_factor: float) -> None:
-    _check_count("n_sources", n_sources)
+def _check_coincidence(n_sources: int, postselect_factor: float) -> int:
+    n_sources = _check_count("n_sources", n_sources)
     _check_unit("postselect_factor", postselect_factor)
+    return n_sources
 
 
 def coincidence_rate(params: SourceParams, n_sources: int = 5,
@@ -134,11 +135,11 @@ def monte_carlo_coincidence(params: SourceParams, n_sources: int,
     drawing them, as almost every chunk does when all sources emit in
     under one pulse in 10^4; the estimate is the same.
     """
-    _check_coincidence(n_sources, postselect_factor)
+    n_sources = _check_coincidence(n_sources, postselect_factor)
     if n_sources > MAX_SAMPLED_SOURCES:
         raise ConfigError(f"n_sources {n_sources} exceeds the sampler's cap "
                           f"of {MAX_SAMPLED_SOURCES}")
-    _check_count("pulses", pulses)
+    pulses = _check_count("pulses", pulses)
     rng = _rng(seed)
     emitted = (((n_sources, params.pair_prob),),
                functools.partial(_fold, and_))
@@ -175,44 +176,11 @@ def apply_visibility_noise(state: State, sites: Sequence[PauliString],
     return rho
 
 
-def encoder_sites(kind: str, groups: Sequence[Sequence],
-                  index: Mapping | None = None) -> list:
-    """Effective site Paulis of an RGS's encoders, in circuit order.
-
-    ``groups`` lists each logical qubit's photons, ``index`` maps photons
-    to qubit indices (photons are indices when it is omitted).  The GHZ
-    stage kicks the second logical qubit before its basis rotation: an X
-    string over an encoded block, Z on a bare photon.  A partially
-    encoded RGS rotates its encoded leader after that stage, so the
-    block's encoder kick is an X string too; a fully encoded RGS builds
-    its blocks last, each leaving a Z kick on its second photon.  A lone
-    block (one group) has no GHZ stage.  ``kind`` is "bare", "partial"
-    or "encoded" (ConfigError otherwise).
-    """
-    if kind not in ("bare", "partial", "encoded"):
-        raise ConfigError(f"unknown RGS kind {kind!r}: expected 'bare', "
-                          "'partial' or 'encoded'")
-
-    def site(photons, letter):
-        return PauliString({(index[p] if index else p): letter
-                            for p in photons})
-
-    def ghz_kick(group):
-        return site(group, "X") if len(group) > 1 else site(group, "Z")
-
-    sites = [ghz_kick(groups[1])] if len(groups) > 1 else []
-    if kind == "partial":
-        sites += [ghz_kick(g) for g in groups if len(g) > 1]
-    elif kind == "encoded":
-        sites += [site(g[1:2] or g, "Z") for g in groups]
-    return sites
-
-
 def shor_encoder_sites() -> list:
-    """Site Paulis for the four encoders of the nine-qubit code, the
-    fully encoded (3, 3) case of :func:`encoder_sites`."""
-    return encoder_sites("encoded", [SHOR_LAYOUT.block_qubits(b)
-                                     for b in range(SHOR_LAYOUT.n_blocks)])
+    """Site Paulis for the four encoders of the nine-qubit code: those of
+    the fully encoded (3, 3) RGS, :meth:`qparity.rgs.RgsSpec.encoder_sites`."""
+    return RgsSpec("encoded", SHOR_LAYOUT.n_blocks,
+                   SHOR_LAYOUT.block_size).encoder_sites()
 
 
 def encode_shor_noisy(inp: LogicalInput, visibility: float) -> DensityMatrix:
@@ -225,20 +193,18 @@ def noisy_block_fidelity(visibility: float, m: int = 3) -> float:
     """Fidelity of one noisy code block with the ideal (|0..0>+|1..1>)/sqrt2."""
     s = 1 / math.sqrt(2)
     ideal = encode_block(LogicalInput(s, s), m)
-    noisy = apply_visibility_noise(ideal, encoder_sites("encoded", [range(m)]),
-                                   visibility)
+    noisy = apply_visibility_noise(
+        ideal, RgsSpec("encoded", 1, m).encoder_sites(), visibility)
     return fidelity(noisy, ideal)
 
 
-def snr_hv(rho: State, ideal: PureState | None = None) -> float:
+def snr_hv(rho: State, ideal: PureState) -> float:
     """Signal-to-noise ratio of the computational-basis distribution.
 
     Summed probability on the ideal state's support strings divided by
     the probability everywhere else.  A clean state has no leakage and
     returns inf.
     """
-    if ideal is None:
-        ideal = encode_shor(LogicalInput.from_angles(math.pi / 2, 0.0))
     if rho.num_qubits != ideal.num_qubits:
         raise ConfigError(f"state has {rho.num_qubits} qubits, ideal has "
                           f"{ideal.num_qubits}")

@@ -44,7 +44,7 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass
-from operator import and_, index, or_
+from operator import and_, or_
 
 import numpy as np
 
@@ -83,8 +83,8 @@ class RateModel:
     def __post_init__(self):
         _check_unit("eta", self.eta)
         _check_unit("q", self.q)
-        _check_count("n", self.n)
-        _check_count("m", self.m)
+        object.__setattr__(self, "n", _check_count("n", self.n))
+        object.__setattr__(self, "m", _check_count("m", self.m))
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class RateResult:
 def p_logical_alive(eta: float, m: int) -> float:
     """Probability an m-photon logical qubit keeps at least one photon."""
     _check_unit("eta", eta)
-    _check_count("m", m)
+    m = _check_count("m", m)
     return 1.0 - (1.0 - eta) ** m
 
 
@@ -128,22 +128,23 @@ def evaluate(model: RateModel) -> RateResult:
                       photons_used=photons, efficiency=ps ** 2 / photons)
 
 
-def _check_bare(n: int, eta: float, q: float) -> None:
-    _check_count("n", n)
+def _check_bare(n: int, eta: float, q: float) -> int:
+    n = _check_count("n", n)
     _check_unit("eta", eta)
     _check_unit("q", q)
+    return n
 
 
 def p_connect_bare(n: int, eta: float, q: float) -> float:
     """Bare GHZ scheme: all 2n photons arrive, >= 1 BSM per side."""
-    _check_bare(n, eta, q)
+    n = _check_bare(n, eta, q)
     return eta ** (2 * n) * (1.0 - (1.0 - q) ** n) ** 2
 
 
 def sweep(eta: float, q: float, n_max: int, m_max: int) -> list:
     """Evaluate the (n, m) grid, n-major order, of <= GRID_CAP points."""
-    _check_count("n_max", n_max)
-    _check_count("m_max", m_max)
+    n_max = _check_count("n_max", n_max)
+    m_max = _check_count("m_max", m_max)
     if n_max * m_max > GRID_CAP:
         raise ConfigError(f"n_max x m_max = {n_max * m_max} exceeds the "
                           f"grid cap of {GRID_CAP} points")
@@ -236,10 +237,7 @@ def _count_hits(rng: np.random.Generator, shots: int, stages) -> int:
         raise ConfigError(
             f"Monte-Carlo samplers need a PCG64 or PCG64DXSM generator to "
             f"position their chunked draws, got {type(bitgen).__name__}")
-    # advance() overflows on a NumPy integer, which the stream offsets
-    # below would be if shots or a width were one.
-    shots = index(shots)
-    widths = [index(width) for draws, _ in stages for width, _ in draws]
+    widths = [width for draws, _ in stages for width, _ in draws]
     # NumPy sizes no array of more bytes than an intp holds (a plain
     # ValueError); a chunk holds at least one shot's row of doubles.
     if 8 * max(widths) > np.iinfo(np.intp).max:
@@ -350,7 +348,7 @@ def _rng(seed) -> np.random.Generator:
     to the count rule: a bool, a float or a negative int raises
     ConfigError, not NumPy's TypeError or plain ValueError."""
     if isinstance(seed, (numbers.Number, np.bool_)):
-        _check_count("seed", seed, least=0)
+        seed = _check_count("seed", seed, least=0)
     return np.random.default_rng(seed)
 
 
@@ -373,7 +371,7 @@ def monte_carlo_side(model: RateModel, shots: int, seed):
     :func:`numpy.random.default_rng` takes that is not a number; a PCG64
     ``Generator`` is used in place and stepped past the draws.
     """
-    _check_count("shots", shots)
+    shots = _check_count("shots", shots)
     rng = _rng(seed)
     return _estimate(_count_hits(rng, shots, (_side_stage(model),)), shots)
 
@@ -389,7 +387,7 @@ def monte_carlo_rate(model: RateModel, shots: int, seed):
     estimate.  A chunk in which no left side succeeds advances past its
     right-side draws.
     """
-    _check_count("shots", shots)
+    shots = _check_count("shots", shots)
     rng = _rng(seed)
     side = _side_stage(model)
     return _estimate(_count_hits(rng, shots, (side, side)), shots)
@@ -401,8 +399,8 @@ def monte_carlo_bare(n: int, eta: float, q: float, shots: int, seed):
     Draws every photon's arrival (2 sides x n), then every BSM outcome;
     a chunk in which no shot keeps all its photons skips the BSMs.
     """
-    _check_bare(n, eta, q)
-    _check_count("shots", shots)
+    n = _check_bare(n, eta, q)
+    shots = _check_count("shots", shots)
     rng = _rng(seed)
 
     def bsms(bsm_ok):

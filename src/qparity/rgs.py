@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from types import MappingProxyType
 
 import numpy as np
@@ -50,7 +50,7 @@ PHI_PLUS_2Q = PureState(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
 
 def build_bare_rgs(n: int) -> PureState:
     """n-qubit GHZ state, the unprotected repeater graph state."""
-    _check_count("n", n, least=2, most=MAX_QUBITS)
+    n = _check_count("n", n, least=2, most=MAX_QUBITS)
     return PureState(_ghz_amps(n))
 
 
@@ -63,7 +63,7 @@ def build_partial_encoded(m: int) -> PureState:
     1, 1, 1 and m qubits (:func:`qparity.shor.encode_qpc` says why this
     is the circuit bit for bit).
     """
-    _check_count("m", m, most=MAX_QUBITS - 3)
+    m = _check_count("m", m, most=MAX_QUBITS - 3)
     register = _apply_to_axes(_ghz_amps(4).reshape([2] * 4), H, [3])
     return _spread(register.reshape(-1), (1, 1, 1, m))
 
@@ -87,13 +87,16 @@ def build_encoded_rgs(n: int, m: int) -> PureState:
 
 @dataclass(frozen=True)
 class RgsSpec:
-    kind: str   # "bare" | "partial" | "encoded"
+    """An RGS's structure: "bare" has n single photons, "partial" three
+    and a block of m (n = 4), "encoded" n blocks of m."""
+
+    kind: str
     n: int
     m: int
 
     def __post_init__(self):
-        _check_count("n", self.n)
-        _check_count("m", self.m)
+        object.__setattr__(self, "n", _check_count("n", self.n))
+        object.__setattr__(self, "m", _check_count("m", self.m))
         if self.kind not in ("bare", "partial", "encoded"):
             raise ConfigError(f"unknown RGS kind {self.kind!r}")
         if self.kind == "bare" and self.m != 1:
@@ -110,12 +113,43 @@ class RgsSpec:
 
     @property
     def qubits(self) -> int:
-        """Photons of the built state."""
-        if self.kind == "bare":
-            return self.n
+        """Photons of the built state (a bare RGS has m = 1)."""
+        return 3 + self.m if self.kind == "partial" else self.n * self.m
+
+    @property
+    def blocks(self) -> tuple:
+        """Qubit indices of each logical qubit, in state order."""
         if self.kind == "partial":
-            return 3 + self.m
-        return self.n * self.m
+            return (0,), (1,), (2,), tuple(range(3, 3 + self.m))
+        m = self.m
+        return tuple(tuple(range(b * m, b * m + m)) for b in range(self.n))
+
+    def encoder_sites(self, first: int = 0) -> list:
+        """Effective site Paulis of the RGS's encoders, in circuit order,
+        on qubits numbered from ``first``, the index of the RGS's first
+        photon.
+
+        The GHZ stage kicks the second logical qubit before its basis
+        rotation: an X string over an encoded block, Z on a bare photon.
+        A partially encoded RGS rotates its encoded leader after that
+        stage, so the block's encoder kick is an X string too; a fully
+        encoded RGS builds its blocks last, each leaving a Z kick on its
+        second photon.  A lone block (one logical qubit) has no GHZ
+        stage.
+        """
+        first = _check_count("first", first, least=0)
+        blocks = [[first + q for q in block] for block in self.blocks]
+
+        def ghz_kick(block):
+            return PauliString(dict.fromkeys(block,
+                                             "X" if len(block) > 1 else "Z"))
+
+        sites = [ghz_kick(blocks[1])] if len(blocks) > 1 else []
+        if self.kind == "partial":
+            sites += [ghz_kick(b) for b in blocks if len(b) > 1]
+        elif self.kind == "encoded":
+            sites += [PauliString({(b[1:2] or b)[0]: "Z"}) for b in blocks]
+        return sites
 
     def build(self) -> PureState:
         if self.kind == "bare":
@@ -133,7 +167,6 @@ class Scenario:
     channels: tuple            # ((terminal, interface), ...)
     rgs: RgsSpec
     rgs_order: tuple           # RGS photon labels in state order
-    rgs_groups: tuple          # labels grouped per logical qubit
     loss: tuple                # lost photon labels
     plan: tuple                # PlanStep instructions, executed in order
     terminals: tuple           # (left terminal, right terminal)
@@ -142,8 +175,6 @@ class Scenario:
         object.__setattr__(self, "channels",
                            tuple(tuple(c) for c in self.channels))
         object.__setattr__(self, "rgs_order", tuple(self.rgs_order))
-        object.__setattr__(self, "rgs_groups",
-                           tuple(tuple(g) for g in self.rgs_groups))
         object.__setattr__(self, "loss", tuple(self.loss))
         object.__setattr__(self, "plan", tuple(
             s if isinstance(s, PlanStep) else PlanStep(**s)
@@ -162,9 +193,6 @@ class Scenario:
         if len(order) > MAX_QUBITS:
             raise ConfigError(f"scenario holds {len(order)} photons, the "
                               f"state cap is {MAX_QUBITS} qubits")
-        grouped = [p for g in self.rgs_groups for p in g]
-        if sorted(grouped) != sorted(self.rgs_order):
-            raise ConfigError("rgs_groups must partition rgs_order")
         interfaces = {i for _, i in self.channels}
         rgs = set(self.rgs_order)
         known = set(order)
@@ -191,12 +219,21 @@ class Scenario:
             if t in self.loss:
                 raise ConfigError(f"terminal {t!r} is lost")
 
+    @property
+    def rgs_groups(self) -> tuple:
+        """``rgs_order``'s labels per logical qubit, by
+        :attr:`RgsSpec.blocks`."""
+        return tuple(tuple(map(self.rgs_order.__getitem__, block))
+                     for block in self.rgs.blocks)
+
+    def encoder_sites(self) -> list:
+        """:meth:`RgsSpec.encoder_sites` on the qubits of
+        :meth:`initial_state`, whose channel photons come first."""
+        return self.rgs.encoder_sites(first=2 * len(self.channels))
+
     def photon_order(self) -> tuple:
-        order = []
-        for term, iface in self.channels:
-            order.extend([term, iface])
-        order.extend(self.rgs_order)
-        return tuple(order)
+        """Each channel's (terminal, interface), then ``rgs_order``."""
+        return sum(self.channels, ()) + self.rgs_order
 
     def protocol(self) -> Protocol:
         """The connection as a :class:`qparity.sim.Protocol`: a branch's
@@ -219,8 +256,9 @@ class Scenario:
         return _initial_state(self.rgs, len(self.channels))
 
     def to_json_dict(self) -> dict:
-        """The fields as ``dataclasses.asdict`` gives them: ``rgs`` and
-        each plan step as a dict, every other field as is."""
+        """The fields as ``dataclasses.asdict`` gives them, ``rgs`` and
+        each plan step as a dict and every other field as is, and
+        ``rgs_groups``."""
         rgs = self.rgs
         return {
             "name": self.name,
@@ -236,18 +274,21 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scenario":
-        return cls(**{**data, "rgs": RgsSpec(**data["rgs"])})
+        """The scenario of a :meth:`to_json_dict` dict, whose
+        ``rgs_groups``, if given, must be the RGS's (ConfigError)."""
+        fields = {**data, "rgs": RgsSpec(**data["rgs"])}
+        groups = fields.pop("rgs_groups", None)
+        scenario = cls(**fields)
+        if groups is not None and tuple(map(tuple, groups)) != \
+                scenario.rgs_groups:
+            raise ConfigError(f"rgs_groups {groups} are not the RGS's")
+        return scenario
 
 
 @lru_cache(maxsize=16)
 def _initial_state(rgs: RgsSpec, channels: int) -> PureState:
-    amps = None
-    bell = PHI_PLUS_2Q.amplitudes
-    for _ in range(channels):
-        amps = bell if amps is None else np.kron(amps, bell)
-    rgs_amps = rgs.build().amplitudes
-    amps = rgs_amps if amps is None else np.kron(amps, rgs_amps)
-    state = PureState(amps)
+    state = PureState(reduce(np.kron, [PHI_PLUS_2Q.amplitudes] * channels
+                             + [rgs.build().amplitudes]))
     state.vectors.flags.writeable = False
     state.weights.flags.writeable = False
     return state
@@ -277,7 +318,6 @@ def connect_scenario(loss_count: int = 0) -> Scenario:
         channels=(("1'", "2'"), ("9'", "8'")),
         rgs=RgsSpec("partial", 4, 3),
         rgs_order=("3'", "10'", "7'") + _C4,
-        rgs_groups=(("3'",), ("10'",), ("7'",), _C4),
         loss=_C4[:loss_count],
         plan=(
             PlanStep("measure_x", ("10'",)),
@@ -301,7 +341,6 @@ def bare_loss_scenario(loss_count: int = 1) -> Scenario:
         channels=(("1'", "2'"), ("9'", "8'")),
         rgs=RgsSpec("bare", 4, 1),
         rgs_order=("3'", "10'", "7'", "4'"),
-        rgs_groups=(("3'",), ("10'",), ("7'",), ("4'",)),
         loss=("4'",)[:loss_count],
         plan=(
             PlanStep("measure_x", ("10'",)),
@@ -326,7 +365,6 @@ def encoded_loss_scenario(loss_count: int = 0) -> Scenario:
         channels=(),
         rgs=RgsSpec("encoded", 3, 3),
         rgs_order=("1'", "2'", "3'", "4'", "5'", "6'", "7'", "8'", "9'"),
-        rgs_groups=(("1'", "2'", "3'"), _C4, ("7'", "8'", "9'")),
         loss=_C4[:loss_count],
         plan=(
             PlanStep("measure_x", ("2'",)),
@@ -475,8 +513,22 @@ def run_connection(scenario: Scenario, *,
 _PAULI_PAIRS = tuple((left, right) for left in "IXYZ" for right in "IXYZ")
 
 
-def derive_corrections(scenario: Scenario) -> dict:
-    """Derive outcome -> (pauli, pauli) from the lossless scenario.
+@lru_cache(maxsize=None)
+def _lossless_table(lossless: Scenario) -> MappingProxyType:
+    """The correction table of a lossless scenario, read-only.  Private,
+    so that a profile counts the derivation in connection_corrections."""
+    protocol = lossless.protocol()
+    return MappingProxyType(correction_table(
+        *protocol.walk(lossless.initial_state(), lossless.photon_order()),
+        protocol.candidates, PHI_PLUS_2Q))
+
+
+@lru_cache(maxsize=256)
+def connection_corrections(scenario: Scenario) -> MappingProxyType:
+    """Outcome -> (pauli, pauli) for a scenario, derived from its lossless
+    variant once per lossless scenario (name, plan and every other field
+    included) and cached; callers share one read-only view.  A scenario
+    seen before finds its table without building that variant again.
 
     For every branch of the lossless run, the first pair of terminal
     Paulis turning the branch state into |phi+> (fidelity 1) is
@@ -485,26 +537,8 @@ def derive_corrections(scenario: Scenario) -> dict:
     whose survivor outcomes are perfectly correlated (true for every code
     this package builds).
     """
-    protocol = scenario.protocol()
-    return correction_table(*protocol.walk(scenario.initial_state(),
-                                           scenario.photon_order()),
-                            protocol.candidates, PHI_PLUS_2Q)
-
-
-# ``derive`` is bound here: a profile counts it in connection_corrections.
-@lru_cache(maxsize=None)
-def _derived(lossless: Scenario, derive=derive_corrections):
-    return MappingProxyType(derive(lossless))
-
-
-@lru_cache(maxsize=256)
-def connection_corrections(scenario: Scenario) -> MappingProxyType:
-    """Correction table for a scenario, derived from its lossless variant
-    once per lossless scenario (name, plan and every other field
-    included) and cached; callers share one read-only view.  A scenario
-    seen before finds its table without building that variant again."""
-    return _derived(replace(scenario, loss=()) if scenario.loss
-                    else scenario)
+    return _lossless_table(replace(scenario, loss=()) if scenario.loss
+                           else scenario)
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,9 @@ class CodeLayout:
     block_size: int
 
     def __post_init__(self):
-        _check_count("n_blocks", self.n_blocks)
-        _check_count("block_size", self.block_size)
+        for name in ("n_blocks", "block_size"):
+            object.__setattr__(self, name,
+                               _check_count(name, getattr(self, name)))
 
     @property
     def num_qubits(self) -> int:
@@ -224,7 +225,7 @@ def encode_block(inp: LogicalInput, m: int = 3) -> PureState:
     """Quantum encoder: alpha|0..0> + beta|1..1> over m qubits, the input
     qubit spread over a block of m with no gate, bit for bit what m-1
     CNOTs onto fresh |0> targets give."""
-    _check_count("m", m, most=MAX_QUBITS)
+    m = _check_count("m", m, most=MAX_QUBITS)
     register = np.array([inp.alpha, inp.beta], dtype=complex)
     return _spread(register + 0.0 if m > 1 else register, (m,))
 
@@ -239,8 +240,8 @@ def encode_qpc(inp: LogicalInput, n: int, m: int) -> PureState:
     blocks.  The result is alpha |0>_L^n + beta |1>_L^n with
     |0/1>_L = (|0..0> +- |1..1>)/sqrt2, bit for bit the circuit's.
     """
-    _check_count("n", n)
-    _check_count("m", m)
+    n = _check_count("n", n)
+    m = _check_count("m", m)
     if n * m > MAX_QUBITS:
         raise ConfigError(f"{n}x{m} = {n * m} qubits exceeds the "
                           f"{MAX_QUBITS}-qubit cap")

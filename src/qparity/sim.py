@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index
 from types import MappingProxyType
 from typing import (Callable, Hashable, Iterable, Mapping, NamedTuple,
                     Sequence, Union)
@@ -369,7 +368,7 @@ def make_basis_state(num_qubits: int) -> PureState:
 def state_from_qubit(alpha: complex, beta: complex,
                      num_qubits: int = 1) -> PureState:
     """alpha|0> + beta|1> on qubit 0, all other qubits |0>."""
-    _check_count("num_qubits", num_qubits, most=MAX_QUBITS)
+    num_qubits = _check_count("num_qubits", num_qubits, most=MAX_QUBITS)
     amps = np.zeros(2 ** num_qubits, dtype=complex)
     amps[0] = alpha
     amps[2 ** (num_qubits - 1)] = beta
@@ -627,11 +626,10 @@ def draw_branches(stack: PlanStack, rng: np.random.Generator,
     ``stack.tree`` the child that :func:`_pick` gives for the group's
     draw.  ``shots`` must be an integer >= 1, and the draws and ends
     must fit in NumPy's array size limit (ConfigError otherwise)."""
-    _check_count("shots", shots)
+    shots = _check_count("shots", shots)
     groups = len(stack.tree)
-    # The uniforms and the ends, 8 bytes each, beside NumPy's limit (in
-    # Python ints: a NumPy integer count could overflow).
-    if 8 * index(shots) * max(groups, 1) > np.iinfo(np.intp).max:
+    # The uniforms and the ends, 8 bytes each, beside NumPy's limit.
+    if 8 * shots * max(groups, 1) > np.iinfo(np.intp).max:
         raise ConfigError(f"{shots} walks of {groups} draws exceed NumPy's "
                           "array size limit")
     draws = rng.random((shots, groups))

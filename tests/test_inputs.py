@@ -19,7 +19,9 @@ import qparity
 from qparity.errors import ConfigError, PreconditionError
 from qparity.sim import PlanStep, walk_stack
 
-NUMBERS = [math.nan, math.inf, -math.inf, -1, 0, 1e300, 10 ** 30, 2.5, True]
+BIG = np.int64(2 ** 62)
+NUMBERS = [math.nan, math.inf, -math.inf, -1, 0, 1e300, 10 ** 30, BIG, 2.5,
+           True]
 NOT_NUMBERS = [None, "1"]
 NOT_COUNTS = [True, 2.5, math.nan]
 NUMERIC = {"int", "float", "complex"}
@@ -91,11 +93,13 @@ RECORDS = {"RateResult", "WitnessResult", "BranchResult", "DecodeResult",
            "ErrorHypothesis"}
 
 LEFT_OUT = {
-    # A sampler draws every shot or pulse: 10**30 of them run without end.
-    ("monte_carlo_side", "shots", 10 ** 30),
-    ("monte_carlo_rate", "shots", 10 ** 30),
-    ("monte_carlo_bare", "shots", 10 ** 30),
-    ("monte_carlo_coincidence", "pulses", 10 ** 30),
+    # A sampler draws every shot or pulse: 10**30 or 2**62 of them run
+    # without end.
+    (name, param, value) for value in (10 ** 30, BIG)
+    for name, param in (("monte_carlo_side", "shots"),
+                        ("monte_carlo_rate", "shots"),
+                        ("monte_carlo_bare", "shots"),
+                        ("monte_carlo_coincidence", "pulses"))
 }
 
 
@@ -165,3 +169,20 @@ INT_CASES = [(name, param, value)
 def test_counts_and_indices_refuse_bools_and_floats(name, param, value):
     with pytest.raises(ConfigError, match="must be an integer, got"):
         getattr(qparity, name)(**{**_kwargs(name), param: value})
+
+
+def test_numpy_counts_are_taken_as_python_ints():
+    """A NumPy count once wrapped round: to inf, nan and a negative
+    qubit count, past the photon and grid caps, and into a sweep that
+    never returned."""
+    assert qparity.p_connect_bare(BIG, 0.9, 0.5) == 0.0
+    result = qparity.evaluate(qparity.RateModel(0.9, 0.5, BIG, 2))
+    assert (result.photons_used, result.efficiency) == (2 ** 64, 0.0)
+    assert qparity.CodeLayout(BIG, 2).num_qubits == 2 ** 63
+    for call in (lambda: qparity.RgsSpec("encoded", BIG, 2),
+                 lambda: qparity.encode_qpc(qparity.LogicalInput(1, 0),
+                                            BIG, 2),
+                 lambda: qparity.monte_carlo_bare(BIG, 0.9, 0.5, 10, 1),
+                 lambda: qparity.sweep(0.9, 0.5, BIG, 2)):
+        with pytest.raises(ConfigError):
+            call()

@@ -18,7 +18,6 @@ from qparity.photonics import (
     chained_postselect_factor,
     coincidence_rate,
     encode_shor_noisy,
-    encoder_sites,
     monte_carlo_coincidence,
     noisy_block_fidelity,
     postselected_cnot,
@@ -284,17 +283,8 @@ class TestVisibilityNoise:
         assert abs(np.trace(rho.matrix).real - 1) < 1e-10
 
     def test_site_list(self):
-        sites = shor_encoder_sites()
-        assert len(sites) == 4
-        assert sites[0].factors == {3: "X", 4: "X", 5: "X"}
-        assert [s.factors for s in sites[1:]] == [{1: "Z"}, {4: "Z"},
-                                                  {7: "Z"}]
-
-    def test_unknown_kind_is_rejected(self):
-        with pytest.raises(ValueError, match="'bare', 'partial' or 'encoded'"):
-            encoder_sites("bogus", [[0], [1, 2]])
-        assert [s.label() for s in encoder_sites("bare", [[0], [1, 2]])] == \
-            ["X1 X2"]
+        assert [s.label() for s in shor_encoder_sites()] == [
+            "X3 X4 X5", "Z1", "Z4", "Z7"]
 
     def test_stabilizers_degrade_smoothly(self):
         word_fidelities = []

@@ -23,7 +23,6 @@ from qparity.rgs import (
     build_encoded_rgs,
     build_partial_encoded,
     connection_corrections,
-    derive_corrections,
     encoded_loss_scenario,
     connect_scenario,
     logical_loss_test,
@@ -196,21 +195,53 @@ class TestScenario:
     def test_json_dict_is_asdict(self, factory):
         for loss in (0, 1):
             scen = factory(loss)
-            assert scen.to_json_dict() == asdict(scen)
-            assert json.dumps(scen.to_json_dict()) == json.dumps(asdict(scen))
+            assert scen.to_json_dict() == {**asdict(scen),
+                                           "rgs_groups": scen.rgs_groups}
+
+    @pytest.mark.parametrize("factory,groups,sites", [
+        (connect_scenario, (("3'",), ("10'",), ("7'",), rgs._C4),
+         "Z5,X7 X8 X9"),
+        (bare_loss_scenario, (("3'",), ("10'",), ("7'",), ("4'",)), "Z5"),
+        (encoded_loss_scenario, (("1'", "2'", "3'"), rgs._C4,
+                                 ("7'", "8'", "9'")), "X3 X4 X5,Z1,Z4,Z7")])
+    def test_groups_and_sites_come_from_the_rgs(self, factory, groups,
+                                                sites):
+        """The groups each factory once typed by hand, and the sites
+        photonics.encoder_sites(kind, groups, index) gave them."""
+        assert factory(1).rgs_groups == groups
+        assert ",".join(s.label() for s in factory(0).encoder_sites()) == sites
+
+    @pytest.mark.parametrize("spec,first,sites", [
+        (("bare", 2, 1), 0, "Z1"), (("partial", 4, 1), 0, "Z1"),
+        (("encoded", 1, 1), 0, "Z0"), (("encoded", 1, 3), 0, "Z1"),
+        (("encoded", 3, 1), 0, "Z1,Z0,Z1,Z2"),
+        (("encoded", 2, 2), 3, "X5 X6,Z4,Z6")])
+    def test_encoder_sites_of_each_kind(self, spec, first, sites):
+        got = RgsSpec(*spec).encoder_sites(first)
+        assert ",".join(s.label() for s in got) == sites
+        with pytest.raises(ConfigError, match="first"):
+            RgsSpec(*spec).encoder_sites(-1)
+
+    def test_json_groups_must_be_the_rgs_blocks(self):
+        data = connect_scenario(0).to_json_dict()
+        with pytest.raises(ConfigError, match="rgs_groups"):
+            Scenario.from_json_dict({**data, "rgs_groups": (("3'", "10'"),
+                                     ("7'",), ("4'", "5'", "6'"))})
+        del data["rgs_groups"]
+        assert Scenario.from_json_dict(data) == connect_scenario(0)
 
     def test_unique_labels_enforced(self):
         with pytest.raises(ValueError):
             Scenario(name="bad", channels=(("a", "b"),),
                      rgs=RgsSpec("bare", 2, 1), rgs_order=("a", "c"),
-                     rgs_groups=(("a",), ("c",)), loss=(),
+                     loss=(),
                      plan=(), terminals=("a", "c"))
 
     def test_bsm_must_pair_interface_with_rgs(self):
         with pytest.raises(ValueError):
             Scenario(name="bad", channels=(("t", "i"),),
                      rgs=RgsSpec("bare", 2, 1), rgs_order=("r1", "r2"),
-                     rgs_groups=(("r1",), ("r2",)), loss=(),
+                     loss=(),
                      plan=(PlanStep("bsm", ("r1", "r2")),),
                      terminals=("t", "r2"))
 
@@ -252,8 +283,7 @@ class TestScenario:
         block = ("4'", "5'", "6'", "11'", "12'", "13'")
         with pytest.raises(ConfigError, match="13 photons"):
             replace(scen, rgs=RgsSpec("partial", 4, 6),
-                    rgs_order=("3'", "10'", "7'") + block,
-                    rgs_groups=(("3'",), ("10'",), ("7'",), block))
+                    rgs_order=("3'", "10'", "7'") + block)
 
     def test_unknown_plan_op_is_a_config_error(self):
         data = connect_scenario(0).to_json_dict()
@@ -295,8 +325,9 @@ class TestScenario:
             plan = (PlanStep("measure_block_z", labels[3:]),
                     PlanStep("measure_x", ("r2",)))
         scen = Scenario(name="eleven", channels=(), rgs=RgsSpec(kind, n, m),
-                        rgs_order=labels, rgs_groups=groups, loss=(),
-                        plan=plan, terminals=labels[:2])
+                        rgs_order=labels, loss=(), plan=plan,
+                        terminals=labels[:2])
+        assert scen.rgs_groups == groups
         branches = run_connection(scen)
         assert abs(sum(b.probability for b in branches) - 1) < 1e-10
         for b in branches:
@@ -397,7 +428,7 @@ class TestConnection:
         both the derivation and the run refuse it."""
         bad = replace(connect_scenario(0), name="no-x",
                       plan=connect_scenario(0).plan[1:])
-        for call in (derive_corrections, run_connection):
+        for call in (connection_corrections, run_connection):
             with pytest.raises(PreconditionError, match="malformed plan"):
                 call(bad)
 
@@ -434,7 +465,6 @@ def block_scenario(m):
     scen = connect_scenario(0)
     return replace(scen, rgs=RgsSpec("partial", 4, m),
                    rgs_order=("3'", "10'", "7'") + block,
-                   rgs_groups=(("3'",), ("10'",), ("7'",), block),
                    plan=(scen.plan[0], PlanStep("measure_block_z", block))
                    + scen.plan[2:])
 
@@ -502,7 +532,6 @@ class TestCorrections:
             frozen = {k: tuple(v)
                       for k, v in data["tables"][scen.name].items()}
             assert connection_corrections(scen) == frozen
-            assert derive_corrections(scen) == frozen
 
     def test_cached_tables_are_read_only(self):
         """Neither cached table can be edited through what a caller gets,
@@ -529,11 +558,11 @@ class TestCorrections:
         assert built == []
 
     def test_one_derivation_per_lossless_scenario(self):
-        before = rgs._derived.cache_info().misses
+        before = rgs._lossless_table.cache_info().misses
         tables = [connection_corrections(
             replace(connect_scenario(loss), name="one-derivation"))
             for loss in (1, 2, 0, 1)]
-        assert rgs._derived.cache_info().misses == before + 1
+        assert rgs._lossless_table.cache_info().misses == before + 1
         assert all(t is tables[0] for t in tables)
 
     def test_tables_do_not_depend_on_loss(self):

@@ -11,7 +11,6 @@ from qparity.errors import ConfigError, PreconditionError
 from qparity.photonics import (
     SourceParams,
     apply_visibility_noise,
-    encoder_sites,
     monte_carlo_coincidence,
 )
 from qparity.rates import (
@@ -20,6 +19,7 @@ from qparity.rates import (
     monte_carlo_rate,
     monte_carlo_side,
 )
+from qparity.rgs import RgsSpec
 from qparity.shor import CodeLayout, LogicalInput, encode_qpc, stabilizers
 from qparity.sim import (
     BELL_LABELS,
@@ -788,8 +788,7 @@ class TestMemoryAtTheCap:
         tracemalloc.start()
         try:
             word = encode_qpc(LogicalInput(0.6, 0.8), 4, 3)
-            sites = encoder_sites("encoded", [layout.block_qubits(b)
-                                              for b in range(4)])
+            sites = RgsSpec("encoded", 4, 3).encoder_sites()
             noisy = apply_visibility_noise(word, sites, 0.8)
             values = [expectation(noisy, s) for s in stabilizers(layout)]
             lossy = partial_trace(noisy, [11])
@@ -848,9 +847,10 @@ def test_package_exports_its_public_names_once():
 
     import qparity
     names = qparity.__all__
-    assert len(names) == len(set(names)) == 74
+    assert len(names) == len(set(names)) == 72
     assert {"encode_qpc", "stabilizers", "PauliString",
             "draw_branches"} <= set(names)
-    assert not {"LossPattern", "NoiseParams"} & set(names)
+    assert not {"LossPattern", "NoiseParams", "encoder_sites",
+                "derive_corrections"} & set(names)
     assert not any(isinstance(getattr(qparity, name), types.ModuleType)
                    for name in names)

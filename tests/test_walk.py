@@ -61,10 +61,8 @@ def walk_input(scenario, visibility):
     state = scenario.initial_state()
     order = list(scenario.photon_order())
     if visibility is not None:
-        index = {p: i for i, p in enumerate(order)}
-        sites = photonics.encoder_sites(scenario.rgs.kind,
-                                        scenario.rgs_groups, index)
-        state = photonics.apply_visibility_noise(state, sites, visibility)
+        state = photonics.apply_visibility_noise(
+            state, scenario.encoder_sites(), visibility)
     initial = state
     if scenario.loss:
         state = partial_trace(state, sorted(order.index(p)
