@@ -41,7 +41,6 @@ from .rgs import (
     connection_corrections,
     encoded_loss_scenario,
     connect_scenario,
-    logical_loss_test,
     run_connection,
     witness,
 )

@@ -176,9 +176,7 @@ class Scenario:
                            tuple(tuple(c) for c in self.channels))
         object.__setattr__(self, "rgs_order", tuple(self.rgs_order))
         object.__setattr__(self, "loss", tuple(self.loss))
-        object.__setattr__(self, "plan", tuple(
-            s if isinstance(s, PlanStep) else PlanStep(**s)
-            for s in self.plan))
+        object.__setattr__(self, "plan", tuple(self.plan))
         object.__setattr__(self, "terminals", tuple(self.terminals))
         self._validate()
 
@@ -200,6 +198,8 @@ class Scenario:
             if lost not in rgs:
                 raise ConfigError(f"lost photon {lost!r} is not an RGS photon")
         for step in self.plan:
+            if not isinstance(step, PlanStep):
+                raise ConfigError(f"plan step {step!r} is not a PlanStep")
             for p in step.photons:
                 if p not in known:
                     raise ConfigError(f"plan references unknown photon {p!r}")
@@ -271,18 +271,6 @@ class Scenario:
                           for s in self.plan),
             "terminals": self.terminals,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Scenario":
-        """The scenario of a :meth:`to_json_dict` dict, whose
-        ``rgs_groups``, if given, must be the RGS's (ConfigError)."""
-        fields = {**data, "rgs": RgsSpec(**data["rgs"])}
-        groups = fields.pop("rgs_groups", None)
-        scenario = cls(**fields)
-        if groups is not None and tuple(map(tuple, groups)) != \
-                scenario.rgs_groups:
-            raise ConfigError(f"rgs_groups {groups} are not the RGS's")
-        return scenario
 
 
 @lru_cache(maxsize=16)
@@ -539,17 +527,3 @@ def connection_corrections(scenario: Scenario) -> MappingProxyType:
     """
     return _lossless_table(replace(scenario, loss=()) if scenario.loss
                            else scenario)
-
-
-# ---------------------------------------------------------------------------
-# encoded-RGS loss test
-# ---------------------------------------------------------------------------
-
-def logical_loss_test(losses_on_c3: int = 0) -> list:
-    """Loss tolerance of the encoded RGS: every branch of the witness
-    between photons 1', 9' while 0..2 photons of the middle logical
-    qubit are lost.
-
-    Three losses destroy the logical qubit and raise ConditionViolation.
-    """
-    return run_connection(encoded_loss_scenario(losses_on_c3))

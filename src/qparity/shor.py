@@ -178,8 +178,8 @@ class DecodeResult:
     def fidelity_to(self, inp: LogicalInput) -> float:
         return fidelity(self.output, inp.to_state())
 
-    def to_json_dict(self, inp: LogicalInput | None = None) -> dict:
-        out = {
+    def to_json_dict(self, inp: LogicalInput) -> dict:
+        return {
             "correction": self.correction,
             "probability": self.probability,
             "degraded": self.degraded,
@@ -188,10 +188,8 @@ class DecodeResult:
                  "probability": r.probability}
                 for r in self.transcript
             ],
+            "fidelity": self.fidelity_to(inp),
         }
-        if inp is not None:
-            out["fidelity"] = self.fidelity_to(inp)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +452,7 @@ def readout_correction_table() -> MappingProxyType:
     return MappingProxyType(table)
 
 
-def decode_readout(state: State, losses: Iterable[int] = (),
-                   mode: str = "enumerate") -> list:
+def decode_readout(state: State, losses: Iterable[int] = ()) -> list:
     """Read the encoded qubit back out of a (possibly lossy) code word.
 
     ``state`` may be the full 9-qubit word (losses are traced out here)
@@ -468,12 +465,9 @@ def decode_readout(state: State, losses: Iterable[int] = (),
     Losing qubit 0 raises PreconditionError, and losing every qubit of
     another block ConditionViolation (condition (ii)).
     Returns every measurement branch as a list of DecodeResult in walk
-    order; "enumerate" is the only ``mode``.  Sampled readouts are the
-    indices :func:`qparity.sim.draw_branches` draws over its walk.
+    order.  Sampled readouts are the indices
+    :func:`qparity.sim.draw_branches` draws over its walk.
     """
-    if mode != "enumerate":
-        raise ConfigError(f"unknown mode {mode!r}: decode_readout only "
-                          "enumerates; sample with draw_branches")
     layout = SHOR_LAYOUT
     lost = frozenset(losses)
     for q in lost:

@@ -767,8 +767,9 @@ class Protocol(NamedTuple):
         if lost and state.num_qubits == len(order):
             state = partial_trace(state, [order.index(p) for p in lost])
         elif state.num_qubits != len(alive):
-            raise ConfigError(f"state has {state.num_qubits} qubits; expected "
-                              f"{len(order)} or {len(alive)}")
+            sizes = f"{len(order)} or {len(alive)}" if lost else len(order)
+            raise ConfigError(f"state has {state.num_qubits} qubits; "
+                              f"expected {sizes}")
         stack = walk_stack(state, alive, self.plan)
         if stack.order != self.keep:
             raise PreconditionError(f"malformed plan: {list(stack.order)} "

@@ -36,7 +36,7 @@ from qparity.rates import (
 from qparity.rgs import (
     bare_loss_scenario,
     connect_scenario,
-    logical_loss_test,
+    encoded_loss_scenario,
     run_connection,
 )
 from qparity.shor import (
@@ -142,7 +142,7 @@ def test_criterion_4_loss_tolerant_readout():
     for inp in random_inputs(12, seed=202):
         word = encode_shor(inp)
         for losses in patterns:
-            branches = decode_readout(word, losses=losses, mode="enumerate")
+            branches = decode_readout(word, losses=losses)
             assert abs(sum(b.probability for b in branches) - 1) < ATOL
             for branch in branches:
                 assert abs(branch.fidelity_to(inp) - 1) < ATOL, \
@@ -172,11 +172,11 @@ def test_criterion_5_connection_protocol():
 def test_criterion_6_encoded_rgs_loss():
     start = time.monotonic()
     for loss in (0, 1, 2):
-        branches = logical_loss_test(loss)
+        branches = run_connection(encoded_loss_scenario(loss))
         for b in branches:
             assert abs(b.witness.fidelity - 1) < ATOL
     with pytest.raises(ConditionViolation):
-        logical_loss_test(3)
+        run_connection(encoded_loss_scenario(3))
     elapsed = time.monotonic() - start
     report(6, "encoded-RGS witness invariant under 0/1/2 losses, "
               "3 losses rejected", elapsed)

@@ -67,7 +67,6 @@ BASE = {
     "build_partial_encoded": dict(m=2),
     "connect_scenario": dict(loss_count=1),
     "encoded_loss_scenario": dict(loss_count=1),
-    "logical_loss_test": dict(losses_on_c3=1),
     "CodeLayout": dict(n_blocks=2, block_size=2),
     "LogicalInput": dict(alpha=0.6, beta=0.8),
     "apply_flip_channel": lambda: dict(state=qparity.make_basis_state(2),

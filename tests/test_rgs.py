@@ -25,7 +25,6 @@ from qparity.rgs import (
     connection_corrections,
     encoded_loss_scenario,
     connect_scenario,
-    logical_loss_test,
     run_connection,
     witness,
 )
@@ -183,12 +182,6 @@ class TestWitness:
 
 
 class TestScenario:
-    def test_json_round_trip(self):
-        scen = connect_scenario(1)
-        data = json.loads(json.dumps(scen.to_json_dict()))
-        back = Scenario.from_json_dict(data)
-        assert back == scen
-
     @pytest.mark.parametrize("factory", [connect_scenario,
                                          encoded_loss_scenario,
                                          bare_loss_scenario])
@@ -221,14 +214,6 @@ class TestScenario:
         assert ",".join(s.label() for s in got) == sites
         with pytest.raises(ConfigError, match="first"):
             RgsSpec(*spec).encoder_sites(-1)
-
-    def test_json_groups_must_be_the_rgs_blocks(self):
-        data = connect_scenario(0).to_json_dict()
-        with pytest.raises(ConfigError, match="rgs_groups"):
-            Scenario.from_json_dict({**data, "rgs_groups": (("3'", "10'"),
-                                     ("7'",), ("4'", "5'", "6'"))})
-        del data["rgs_groups"]
-        assert Scenario.from_json_dict(data) == connect_scenario(0)
 
     def test_unique_labels_enforced(self):
         with pytest.raises(ValueError):
@@ -286,10 +271,16 @@ class TestScenario:
                     rgs_order=("3'", "10'", "7'") + block)
 
     def test_unknown_plan_op_is_a_config_error(self):
-        data = connect_scenario(0).to_json_dict()
-        data["plan"] = ({"op": "teleport", "photons": ("3'",)},)
         with pytest.raises(ConfigError, match="unknown plan op 'teleport'"):
-            Scenario.from_json_dict(data)
+            replace(connect_scenario(0), plan=(PlanStep("teleport", ("3'",)),))
+
+    @pytest.mark.parametrize("step", [{"op": "measure_x", "photons": ("10'",)},
+                                      5, None], ids=repr)
+    def test_plan_steps_must_be_plan_steps(self, step):
+        """A dict step was turned into a PlanStep; 5 and None raised
+        TypeError."""
+        with pytest.raises(ConfigError, match="is not a PlanStep"):
+            replace(connect_scenario(0), plan=(step,))
 
     def test_bad_rgs_spec_is_a_config_error(self):
         with pytest.raises(ConfigError):
@@ -384,7 +375,7 @@ class TestConnection:
         (connect_scenario, 2.5), (connect_scenario, 1.0),
         (connect_scenario, True), (encoded_loss_scenario, math.nan),
         (encoded_loss_scenario, False), (bare_loss_scenario, 1.0),
-        (bare_loss_scenario, True), (logical_loss_test, 1.5)],
+        (bare_loss_scenario, True), (encoded_loss_scenario, 1.5)],
         ids=lambda v: getattr(v, "__name__", repr(v)))
     def test_loss_counts_must_be_integers(self, factory, count):
         """2.5 and nan raised NumPy's slice TypeError; True lost a
@@ -590,7 +581,7 @@ class TestCorrections:
 class TestLogicalLossTest:
     @pytest.mark.parametrize("loss", [0, 1, 2])
     def test_fidelity_invariant_under_loss(self, loss):
-        res = logical_loss_test(loss)
+        res = run_connection(encoded_loss_scenario(loss))
         assert abs(sum(b.probability for b in res) - 1) < 1e-10
         for b in res:
             assert abs(b.witness.fidelity - 1) < 1e-10
@@ -598,11 +589,11 @@ class TestLogicalLossTest:
 
     def test_three_losses_raise(self):
         with pytest.raises(ConditionViolation) as err:
-            logical_loss_test(3)
+            run_connection(encoded_loss_scenario(3))
         assert "condition (ii)" in str(err.value)
 
     def test_branch_count(self):
-        assert len(logical_loss_test(0)) == 32
+        assert len(run_connection(encoded_loss_scenario(0))) == 32
 
 
 class TestSampleFrequencies:

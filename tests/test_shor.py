@@ -608,11 +608,6 @@ class TestDecodeReadout:
             with pytest.raises(ConditionViolation, match="fully lost"):
                 decode_readout(encode_shor(D_INPUT), losses=block)
 
-    @pytest.mark.parametrize("mode", ["sample", "distribution"])
-    def test_only_enumerate_mode(self, mode):
-        with pytest.raises(ValueError, match="draw_branches"):
-            decode_readout(encode_shor(D_INPUT), losses=[4], mode=mode)
-
     @pytest.mark.parametrize("lost", [-1, 9])
     def test_lost_qubit_outside_layout_rejected(self, lost):
         with pytest.raises(ValueError, match=f"lost qubit {lost} outside"):

@@ -847,10 +847,11 @@ def test_package_exports_its_public_names_once():
 
     import qparity
     names = qparity.__all__
-    assert len(names) == len(set(names)) == 72
+    assert len(names) == len(set(names)) == 71
     assert {"encode_qpc", "stabilizers", "PauliString",
             "draw_branches"} <= set(names)
     assert not {"LossPattern", "NoiseParams", "encoder_sites",
                 "derive_corrections"} & set(names)
+    assert not [name for name in names if name.startswith("logical_loss")]
     assert not any(isinstance(getattr(qparity, name), types.ModuleType)
                    for name in names)

@@ -23,7 +23,6 @@ from qparity.rgs import (
     connect_scenario,
     connection_corrections,
     encoded_loss_scenario,
-    logical_loss_test,
     run_connection,
 )
 from qparity.shor import (
@@ -41,6 +40,7 @@ from qparity.sim import (
     _eigen_rows,
     correction_table,
     draw_branches,
+    make_basis_state,
     partial_trace,
     walk_stack,
 )
@@ -213,7 +213,7 @@ class TestSampledWalks:
 
     def test_walkers_take_no_mode_or_rng(self):
         """Walkers only enumerate; draw_branches is the one sampler."""
-        for walker in (walk_stack, run_connection, logical_loss_test):
+        for walker in (walk_stack, run_connection, decode_readout):
             params = inspect.signature(walker).parameters
             assert not {"mode", "rng"} & set(params), walker.__name__
 
@@ -498,6 +498,18 @@ class TestProtocol:
             with pytest.raises(ConfigError, match="state has 9 qubits; "
                                                   "expected 10 or 8"):
                 call()
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: decode_readout(make_basis_state(8)),
+         "state has 8 qubits; expected 9"),
+        (lambda: run_connection(connect_scenario(0),
+                                initial_state=make_basis_state(3)),
+         "state has 3 qubits; expected 10")], ids=["readout", "connect"])
+    def test_lossless_size_refusal_names_one_count(self, call, message):
+        """With nothing lost, the survivors are every photon: the refusal
+        said "expected 9 or 9"."""
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            call()
 
     def test_lost_labels_must_be_in_the_order(self):
         scen = connect_scenario(0)
