@@ -275,10 +275,11 @@ class TestScenario:
             replace(connect_scenario(0), plan=(PlanStep("teleport", ("3'",)),))
 
     @pytest.mark.parametrize("step", [{"op": "measure_x", "photons": ("10'",)},
-                                      5, None], ids=repr)
+                                      5, None, ("measure_x", ("10'",)),
+                                      "measure_x"], ids=repr)
     def test_plan_steps_must_be_plan_steps(self, step):
-        """A dict step was turned into a PlanStep; 5 and None raised
-        TypeError."""
+        """A dict step was turned into a PlanStep; 5, None, a bare tuple
+        and a string raised TypeError."""
         with pytest.raises(ConfigError, match="is not a PlanStep"):
             replace(connect_scenario(0), plan=(step,))
 

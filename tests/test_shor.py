@@ -636,6 +636,21 @@ class TestDecodeReadout:
         assert abs(d["fidelity"] - 1) < 1e-10
         assert len(d["transcript"]) == 8
 
+    @pytest.mark.parametrize("losses,branches", [
+        ((5,), 16), ((3, 5), 16), ((4,), 16), ((4, 6), 16), ((1,), 8)])
+    def test_json_dict_under_loss(self, losses, branches):
+        """Every branch's dict carries its fidelity to the input, and a
+        transcript of the surviving measured qubits only."""
+        inp = LogicalInput.from_angles(math.pi / 3, 0.5)
+        got = decode_readout(encode_shor(inp), losses=losses)
+        assert len(got) == branches
+        for b in got:
+            d = b.to_json_dict(inp)
+            assert d["fidelity"] == b.fidelity_to(inp)
+            assert d["degraded"] is b.degraded
+            assert len(d["transcript"]) == 8 - len(losses)
+            assert not set(losses) & {r["qubit"] for r in d["transcript"]}
+
 
 class TestLayout:
     def test_shor_layout_blocks(self):

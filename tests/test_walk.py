@@ -511,6 +511,26 @@ class TestProtocol:
         with pytest.raises(ConfigError, match=re.escape(message) + "$"):
             call()
 
+    @pytest.mark.parametrize("walker,loss,expected", [
+        (connect_scenario, 0, "10"), (connect_scenario, 1, "10 or 9"),
+        (connect_scenario, 2, "10 or 8"), (encoded_loss_scenario, 0, "9"),
+        (encoded_loss_scenario, 1, "9 or 8"),
+        (encoded_loss_scenario, 2, "9 or 7"), (bare_loss_scenario, 0, "8"),
+        (bare_loss_scenario, 1, "8 or 7"), (decode_readout, (), "9"),
+        (decode_readout, (4,), "9 or 8"), (decode_readout, (4, 6), "9 or 7")],
+        ids=lambda v: getattr(v, "__name__", repr(v)))
+    def test_size_refusal_names_every_photon_and_the_survivors(
+            self, walker, loss, expected):
+        """Every walker refuses a 3-qubit state with its photon count,
+        and its survivor count only when a photon is lost."""
+        state = make_basis_state(3)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"state has 3 qubits; expected {expected}") + "$"):
+            if walker is decode_readout:
+                decode_readout(state, losses=loss)
+            else:
+                run_connection(walker(loss), initial_state=state)
+
     def test_lost_labels_must_be_in_the_order(self):
         scen = connect_scenario(0)
         with pytest.raises(ConfigError, match="not in order"):
