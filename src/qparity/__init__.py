@@ -35,9 +35,6 @@ from .rgs import (
     Scenario,
     WitnessResult,
     bare_loss_scenario,
-    build_bare_rgs,
-    build_encoded_rgs,
-    build_partial_encoded,
     connection_corrections,
     encoded_loss_scenario,
     connect_scenario,

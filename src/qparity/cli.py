@@ -150,11 +150,17 @@ def _write_json(payload: dict) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    """Write ``text`` to the file ``out``, or to stdout when it is empty
+    or None; a file that cannot be written is a ConfigError."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ConfigError(f"cannot write {out}: {reason}") from exc
 
 
 def _parse_floats(text: str) -> list:
@@ -298,14 +304,8 @@ def cmd_rate(args) -> None:
         "metric": args.metric,
         "optimum": best.to_json_dict(),
     })
-    if args.out:
-        _emit(text, args.out)
-        json_path = (args.out[:-4] if args.out.endswith(".csv")
-                     else args.out) + ".json"
-        _emit(report, json_path)
-    else:
-        sys.stdout.write(text)
-        sys.stdout.write(report)
+    _emit(text, args.out)
+    _emit(report, args.out and args.out.removesuffix(".csv") + ".json")
 
 
 def _stage_factors(factor: float) -> list | None:

@@ -45,44 +45,7 @@ PHI_PLUS_2Q = PureState(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
 
 
 # ---------------------------------------------------------------------------
-# state builders
-# ---------------------------------------------------------------------------
-
-def build_bare_rgs(n: int) -> PureState:
-    """n-qubit GHZ state, the unprotected repeater graph state."""
-    n = _check_count("n", n, least=2, most=MAX_QUBITS)
-    return PureState(_ghz_amps(n))
-
-
-def build_partial_encoded(m: int) -> PureState:
-    """(|000>|0_l> + |111>|1_l>)/sqrt2 with an m-photon encoded qubit.
-
-    Qubits 0..2 are the bare GHZ arms, qubits 3..2+m the encoded block.
-    The circuit's GHZ over the three arms plus the block leader, with the
-    leader rotated, is a 4-qubit register; it is spread over blocks of
-    1, 1, 1 and m qubits (:func:`qparity.shor.encode_qpc` says why this
-    is the circuit bit for bit).
-    """
-    m = _check_count("m", m, most=MAX_QUBITS - 3)
-    register = _apply_to_axes(_ghz_amps(4).reshape([2] * 4), H, [3])
-    return _spread(register.reshape(-1), (1, 1, 1, m))
-
-
-def _ghz_amps(k: int) -> np.ndarray:
-    """(|0..0> + |1..1>)/sqrt2 on k qubits."""
-    amps = np.zeros(2 ** k, dtype=complex)
-    amps[[0, -1]] = 1 / math.sqrt(2)
-    return amps
-
-
-def build_encoded_rgs(n: int, m: int) -> PureState:
-    """Fully encoded RGS: every GHZ qubit becomes an m-photon block."""
-    s = 1 / math.sqrt(2)
-    return encode_qpc(LogicalInput(s, s), n, m)
-
-
-# ---------------------------------------------------------------------------
-# scenarios
+# RGS specs and scenarios
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -152,11 +115,27 @@ class RgsSpec:
         return sites
 
     def build(self) -> PureState:
+        """The RGS's state.  A bare RGS is the n-photon GHZ state, a fully
+        encoded one every GHZ qubit as an m-photon block: the parity-code
+        word of |+> over n blocks of m.
+
+        A partial RGS is (|000>|0_l> + |111>|1_l>)/sqrt2, qubits 0..2 the
+        bare GHZ arms and 3..2+m the encoded block.  The circuit's GHZ
+        over the three arms plus the block leader, with the leader
+        rotated, is a 4-qubit register; it is spread over blocks of 1, 1,
+        1 and m qubits (:func:`qparity.shor.encode_qpc` says why this is
+        the circuit bit for bit).
+        """
+        if self.kind == "encoded":
+            s = 1 / math.sqrt(2)
+            return encode_qpc(LogicalInput(s, s), self.n, self.m)
+        ghz = np.zeros(2 ** (4 if self.kind == "partial" else self.n),
+                       dtype=complex)
+        ghz[[0, -1]] = 1 / math.sqrt(2)
         if self.kind == "bare":
-            return build_bare_rgs(self.n)
-        if self.kind == "partial":
-            return build_partial_encoded(self.m)
-        return build_encoded_rgs(self.n, self.m)
+            return PureState(ghz)
+        register = _apply_to_axes(ghz.reshape([2] * 4), H, [3])
+        return _spread(register.reshape(-1), (1, 1, 1, self.m))
 
 
 @dataclass(frozen=True)
@@ -172,12 +151,17 @@ class Scenario:
     terminals: tuple           # (left terminal, right terminal)
 
     def __post_init__(self):
-        object.__setattr__(self, "channels",
-                           tuple(tuple(c) for c in self.channels))
-        object.__setattr__(self, "rgs_order", tuple(self.rgs_order))
-        object.__setattr__(self, "loss", tuple(self.loss))
-        object.__setattr__(self, "plan", tuple(self.plan))
-        object.__setattr__(self, "terminals", tuple(self.terminals))
+        if not isinstance(self.rgs, RgsSpec):
+            raise ConfigError(f"rgs {self.rgs!r} is not an RgsSpec")
+        for name in ("channels", "rgs_order", "loss", "plan", "terminals"):
+            object.__setattr__(self, name,
+                               _as_tuple(name, getattr(self, name)))
+        object.__setattr__(self, "channels", tuple(
+            _as_tuple("channel", c) for c in self.channels))
+        for channel in self.channels:
+            if len(channel) != 2:
+                raise ConfigError(f"channel {channel!r} is not a "
+                                  "(terminal, interface) pair")
         self._validate()
 
     def _validate(self):
@@ -271,6 +255,13 @@ class Scenario:
                           for s in self.plan),
             "terminals": self.terminals,
         }
+
+
+def _as_tuple(name: str, value) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ConfigError(f"{name} {value!r} is not a sequence") from None
 
 
 @lru_cache(maxsize=16)

@@ -171,6 +171,19 @@ class TestExitCodes:
         assert rc == code
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [("encode",), ("rate", "--eta", "0.9"),
+                                      ("connect",)], ids=" ".join)
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, argv, where):
+        """An --out in a missing directory, or naming a directory, ends
+        in one error line naming it, with no traceback."""
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "x"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+
     def test_negative_grid_counts_name_the_count(self, tmp_path, capsys):
         """Two negative counts multiplied into a grid above the cap, and
         the error reported the cap."""

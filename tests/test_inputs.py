@@ -62,9 +62,6 @@ BASE = {
     "p_logical_alive": dict(eta=0.9, m=2),
     "RgsSpec": dict(kind="encoded", n=2, m=2),
     "bare_loss_scenario": dict(loss_count=1),
-    "build_bare_rgs": dict(n=3),
-    "build_encoded_rgs": dict(n=2, m=2),
-    "build_partial_encoded": dict(m=2),
     "connect_scenario": dict(loss_count=1),
     "encoded_loss_scenario": dict(loss_count=1),
     "CodeLayout": dict(n_blocks=2, block_size=2),
@@ -85,6 +82,12 @@ BASE = {
     "measure": lambda: dict(state=qparity.make_basis_state(2), qubit=1),
     "state_from_qubit": dict(alpha=0.6, beta=0.8, num_qubits=2),
 }
+
+# RgsSpec(kind, n, m).build() for the two kinds the RgsSpec base call
+# leaves out, each swept on the size it is built from: n of a bare RGS,
+# m of a partial one.
+BUILDS = {"RgsSpec.build bare": ("n", dict(kind="bare", n=3, m=1)),
+          "RgsSpec.build partial": ("m", dict(kind="partial", n=4, m=2))}
 
 # Records the library returns: their fields are its outputs, never read
 # back as input, and they are not checked.
@@ -120,8 +123,16 @@ def _numeric(params, base) -> list:
 
 
 def _kwargs(name) -> dict:
-    base = BASE[name]
+    base = BUILDS[name][1] if name in BUILDS else BASE[name]
     return dict(base() if callable(base) else base)
+
+
+def _call(name, kwargs):
+    """The public callable ``name``, or for a BUILDS name the RgsSpec
+    built."""
+    if name in BUILDS:
+        return qparity.RgsSpec(**kwargs).build()
+    return getattr(qparity, name)(**kwargs)
 
 
 def test_every_callable_with_a_number_has_a_base_call():
@@ -131,16 +142,18 @@ def test_every_callable_with_a_number_has_a_base_call():
     assert not missing
 
 
-@pytest.mark.parametrize("name", sorted(BASE))
+@pytest.mark.parametrize("name", sorted(BASE) + sorted(BUILDS))
 def test_base_calls_are_valid(name):
-    getattr(qparity, name)(**_kwargs(name))
+    _call(name, _kwargs(name))
 
 
 CASES = [(name, param, value)
          for name, params in _public_callables() if name in BASE
          for param in _numeric(params, _kwargs(name))
          for value in NUMBERS + NOT_NUMBERS
-         if (name, param, value) not in LEFT_OUT]
+         if (name, param, value) not in LEFT_OUT] + [
+    (name, param, value) for name, (param, _) in BUILDS.items()
+    for value in NUMBERS + NOT_NUMBERS]
 
 
 @pytest.mark.parametrize("name,param,value", CASES, ids=repr)
@@ -152,7 +165,7 @@ def test_bad_numbers_raise_only_the_documented_errors(name, param, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            getattr(qparity, name)(**kwargs)
+            _call(name, kwargs)
         except allowed:
             pass
 
@@ -161,13 +174,15 @@ INT_CASES = [(name, param, value)
              for name, params in _public_callables() if name in BASE
              for param in _numeric(params, _kwargs(name))
              if params[param].annotation == "int"
-             for value in NOT_COUNTS]
+             for value in NOT_COUNTS] + [
+    (name, param, value) for name, (param, _) in BUILDS.items()
+    for value in NOT_COUNTS]
 
 
 @pytest.mark.parametrize("name,param,value", INT_CASES, ids=repr)
 def test_counts_and_indices_refuse_bools_and_floats(name, param, value):
     with pytest.raises(ConfigError, match="must be an integer, got"):
-        getattr(qparity, name)(**{**_kwargs(name), param: value})
+        _call(name, {**_kwargs(name), param: value})
 
 
 def test_numpy_counts_are_taken_as_python_ints():

@@ -19,9 +19,6 @@ from qparity.rgs import (
     Scenario,
     _branch_tokens,
     bare_loss_scenario,
-    build_bare_rgs,
-    build_encoded_rgs,
-    build_partial_encoded,
     connection_corrections,
     encoded_loss_scenario,
     connect_scenario,
@@ -52,40 +49,41 @@ GOLDEN = Path(__file__).parent / "golden"
 
 class TestBuilders:
     def test_bare_2_is_bell(self):
-        s = build_bare_rgs(2)
+        s = RgsSpec("bare", 2, 1).build()
         np.testing.assert_allclose(s.amplitudes, [S2, 0, 0, S2], atol=1e-12)
 
     def test_bare_4_strings(self):
-        s = build_bare_rgs(4)
+        s = RgsSpec("bare", 4, 1).build()
         nz = {i: a for i, a in enumerate(s.amplitudes) if abs(a) > 1e-12}
         assert set(nz) == {0, 15}
         assert abs(nz[0] - S2) < 1e-12 and abs(nz[15] - S2) < 1e-12
 
     def test_bare_3_stabilizers(self):
-        s = build_bare_rgs(3)
+        s = RgsSpec("bare", 3, 1).build()
         for factors in ({0: "X", 1: "X", 2: "X"}, {0: "Z", 1: "Z"},
                         {1: "Z", 2: "Z"}):
             assert abs(expectation(s, PauliString(factors)) - 1) < 1e-10
 
     def test_bare_size_limits(self):
-        """The builders share the state cap, sim.MAX_QUBITS = 12."""
+        """Every kind shares the state cap, sim.MAX_QUBITS = 12."""
         with pytest.raises(ValueError):
-            build_bare_rgs(1)
+            RgsSpec("bare", 1, 1).build()
         with pytest.raises(ValueError):
-            build_bare_rgs(13)
-        assert build_bare_rgs(12).num_qubits == 12
-        assert build_partial_encoded(9).num_qubits == 12
-        with pytest.raises(ValueError, match=r"^m 10 outside 1\.\.9$"):
-            build_partial_encoded(10)
+            RgsSpec("bare", 13, 1).build()
+        assert RgsSpec("bare", 12, 1).build().num_qubits == 12
+        assert RgsSpec("partial", 4, 9).build().num_qubits == 12
+        with pytest.raises(ValueError, match=r"^partial RGS n = 4, m = 10 "
+                                             r"makes 13 photons; "):
+            RgsSpec("partial", 4, 10).build()
 
     def test_partial_m1_is_rotated_ghz(self):
-        got = build_partial_encoded(1)
-        want = apply_unitary(build_bare_rgs(4), ref.H, [3])
+        got = RgsSpec("partial", 4, 1).build()
+        want = apply_unitary(RgsSpec("bare", 4, 1).build(), ref.H, [3])
         np.testing.assert_allclose(got.amplitudes, want.amplitudes,
                                    atol=1e-12)
 
     def test_partial_m3_strings(self):
-        got = build_partial_encoded(3)
+        got = RgsSpec("partial", 4, 3).build()
         nz = {format(i, "06b"): a
               for i, a in enumerate(got.amplitudes) if abs(a) > 1e-12}
         want = {"000000": 0.5, "000111": 0.5, "111000": 0.5, "111111": -0.5}
@@ -101,7 +99,7 @@ class TestBuilders:
         of the block, i.e. a single block Z; a bare X string across all
         six photons is *not* a stabilizer (expectation 0).
         """
-        state = build_partial_encoded(3)
+        state = RgsSpec("partial", 4, 3).build()
 
         def value(factors):
             got = expectation(state, PauliString(factors))
@@ -119,19 +117,19 @@ class TestBuilders:
         assert abs(value({q: "X" for q in range(6)})) < 1e-10
 
     def test_encoded_33_is_code_word(self):
-        got = build_encoded_rgs(3, 3)
+        got = RgsSpec("encoded", 3, 3).build()
         want = encode_shor(LogicalInput(S2, S2))
         np.testing.assert_allclose(got.amplitudes, want.amplitudes,
                                    atol=1e-12)
 
     def test_encoded_21_is_bell(self):
         # (|++> + |-->)/sqrt2 equals |phi+> exactly
-        got = build_encoded_rgs(2, 1)
+        got = RgsSpec("encoded", 2, 1).build()
         np.testing.assert_allclose(got.amplitudes, [S2, 0, 0, S2],
                                    atol=1e-12)
 
     def test_encoded_31_strings(self):
-        got = build_encoded_rgs(3, 1)
+        got = RgsSpec("encoded", 3, 1).build()
         nz = {i: a for i, a in enumerate(got.amplitudes) if abs(a) > 1e-12}
         # H-rotated GHZ3: even-weight strings at amplitude 1/2
         assert set(nz) == {0b000, 0b011, 0b101, 0b110}
@@ -222,6 +220,20 @@ class TestScenario:
                      loss=(),
                      plan=(), terminals=("a", "c"))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("rgs", "x", "is not an RgsSpec"),
+        ("channels", (("1'",),), r"is not a \(terminal, interface\) pair"),
+        ("plan", 5, "^plan 5 is not a sequence$"),
+        ("channels", 5, "^channels 5 is not a sequence$"),
+        ("loss", 5, "^loss 5 is not a sequence$"),
+        ("terminals", 5, "^terminals 5 is not a sequence$"),
+        ("rgs_order", 5, "^rgs_order 5 is not a sequence$")],
+        ids=["rgs-str", "channels-one-label", "plan-int", "channels-int",
+             "loss-int", "terminals-int", "rgs_order-int"])
+    def test_malformed_field_is_a_config_error(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            replace(connect_scenario(0), **{field: value})
+
     def test_bsm_must_pair_interface_with_rgs(self):
         with pytest.raises(ValueError):
             Scenario(name="bad", channels=(("t", "i"),),
@@ -236,7 +248,7 @@ class TestScenario:
         assert state.num_qubits == 10
         bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
         want = np.kron(np.kron(bell, np.kron(bell,
-                       build_partial_encoded(3).amplitudes)), [1])
+                       RgsSpec("partial", 4, 3).build().amplitudes)), [1])
         np.testing.assert_allclose(state.amplitudes, want, atol=1e-15)
         # channels are listed (left, right) around the RGS in photon order
         order = scen.photon_order()

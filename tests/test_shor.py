@@ -15,7 +15,7 @@ import pytest
 import reference as ref
 from qparity.errors import ConditionViolation, ConfigError, PreconditionError
 from qparity.photonics import noisy_block_fidelity
-from qparity.rgs import build_partial_encoded
+from qparity.rgs import RgsSpec
 from qparity.shor import (
     CodeLayout,
     LogicalInput,
@@ -178,9 +178,10 @@ class TestGateOracle:
                                           bits(want))
 
     @pytest.mark.parametrize("m", range(1, MAX_QUBITS - 2))
-    def test_build_partial_encoded(self, m):
-        np.testing.assert_array_equal(bits(build_partial_encoded(m)),
-                                      bits(ref.partial_encoded_circuit(m)))
+    def test_partial_rgs(self, m):
+        np.testing.assert_array_equal(
+            bits(RgsSpec("partial", 4, m).build()),
+            bits(ref.partial_encoded_circuit(m)))
 
     def test_signed_zero_inputs_are_covered(self):
         """Each of the four amplitude parts is -0 in some inputs and +0

@@ -847,7 +847,8 @@ def test_package_exports_its_public_names_once():
 
     import qparity
     names = qparity.__all__
-    assert len(names) == len(set(names)) == 71
+    assert len(names) == len(set(names)) == 68
+    assert not [name for name in names if name.startswith("build_")]
     assert {"encode_qpc", "stabilizers", "PauliString",
             "draw_branches"} <= set(names)
     assert not {"LossPattern", "NoiseParams", "encoder_sites",
