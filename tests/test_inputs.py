@@ -83,11 +83,13 @@ BASE = {
     "state_from_qubit": dict(alpha=0.6, beta=0.8, num_qubits=2),
 }
 
-# RgsSpec(kind, n, m).build() for the two kinds the RgsSpec base call
-# leaves out, each swept on the size it is built from: n of a bare RGS,
-# m of a partial one.
-BUILDS = {"RgsSpec.build bare": ("n", dict(kind="bare", n=3, m=1)),
-          "RgsSpec.build partial": ("m", dict(kind="partial", n=4, m=2))}
+# RgsSpec(kind, n, m).build() for each kind, swept on the sizes it is
+# built from: n of a bare RGS, m of a partial one, n and m of an encoded
+# one.
+BUILDS = {"RgsSpec.build bare": (("n",), dict(kind="bare", n=3, m=1)),
+          "RgsSpec.build partial": (("m",), dict(kind="partial", n=4, m=2)),
+          "RgsSpec.build encoded": (("n", "m"),
+                                    dict(kind="encoded", n=2, m=2))}
 
 # Records the library returns: their fields are its outputs, never read
 # back as input, and they are not checked.
@@ -152,8 +154,8 @@ CASES = [(name, param, value)
          for param in _numeric(params, _kwargs(name))
          for value in NUMBERS + NOT_NUMBERS
          if (name, param, value) not in LEFT_OUT] + [
-    (name, param, value) for name, (param, _) in BUILDS.items()
-    for value in NUMBERS + NOT_NUMBERS]
+    (name, param, value) for name, (params, _) in BUILDS.items()
+    for param in params for value in NUMBERS + NOT_NUMBERS]
 
 
 @pytest.mark.parametrize("name,param,value", CASES, ids=repr)
@@ -175,8 +177,8 @@ INT_CASES = [(name, param, value)
              for param in _numeric(params, _kwargs(name))
              if params[param].annotation == "int"
              for value in NOT_COUNTS] + [
-    (name, param, value) for name, (param, _) in BUILDS.items()
-    for value in NOT_COUNTS]
+    (name, param, value) for name, (params, _) in BUILDS.items()
+    for param in params for value in NOT_COUNTS]
 
 
 @pytest.mark.parametrize("name,param,value", INT_CASES, ids=repr)
