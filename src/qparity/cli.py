@@ -17,6 +17,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 
 from .errors import ConfigError, PreconditionError, _check_count
@@ -63,20 +64,12 @@ WITNESS_COLUMNS = ["branch", "probability", "outcomes", "correction",
                    "xx", "yy", "zz", "fidelity", "witness"]
 
 
-def _fmt(x) -> str:
-    """Deterministic text form for CSV cells."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(rows: list, header: list, schema: str) -> str:
     buf = io.StringIO()
     buf.write(f"# schema: {schema}/v{SCHEMA_VERSION}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -149,18 +142,28 @@ def _write_json(payload: dict) -> str:
     return _json_text({"schema_version": SCHEMA_VERSION, **payload})
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write ``text`` to the file ``out``, or to stdout when it is empty
-    or None; a file that cannot be written is a ConfigError."""
-    if not out:
-        sys.stdout.write(text)
-        return
+def _emit(*outputs) -> None:
+    """Write each (text, path) pair to the file ``path``, or to stdout
+    when it is empty or None.  Every file is opened before any is
+    written: a file that cannot be written is a ConfigError, and the
+    files this call created are removed."""
+    files = [out for _, out in outputs if out]
+    created = [out for out in files if not os.path.lexists(out)]
     try:
-        with open(out, "w") as fh:
-            fh.write(text)
+        for out in files:
+            open(out, "a").close()
+        for text, out in outputs:
+            if out:
+                with open(out, "w") as fh:
+                    fh.write(text)
     except OSError as exc:
+        for path in filter(os.path.lexists, created):
+            os.remove(path)
         reason = exc.strerror or exc
         raise ConfigError(f"cannot write {out}: {reason}") from exc
+    for text, out in outputs:
+        if not out:
+            sys.stdout.write(text)
 
 
 def _parse_floats(text: str) -> list:
@@ -215,7 +218,7 @@ def cmd_encode(args) -> None:
         }
         snr = snr_hv(rho, state)
         payload["snr_hv"] = "clean" if math.isinf(snr) else snr
-    _emit(_write_json(payload), args.out)
+    _emit((_write_json(payload), args.out))
 
 
 def cmd_syndrome_scan(args) -> None:
@@ -234,7 +237,7 @@ def cmd_syndrome_scan(args) -> None:
         record, _ = measure_syndromes(rho, mode="expectation")
         rows.append([p] + list(record.values))
     text = _write_csv(rows, ["p"] + SYNDROME_COLUMNS, "syndrome-scan")
-    _emit(text, args.out)
+    _emit((text, args.out))
 
 
 def cmd_loss_readout(args) -> None:
@@ -249,7 +252,7 @@ def cmd_loss_readout(args) -> None:
             [i, b.probability, b.correction, b.fidelity_to(inp), b.degraded]
             for i, b in enumerate(branches)
         ]
-        _emit(_write_csv(rows, READOUT_COLUMNS, "loss-readout"), args.out)
+        _emit((_write_csv(rows, READOUT_COLUMNS, "loss-readout"), args.out))
         return
     payload = {
         "command": "loss-readout",
@@ -258,7 +261,7 @@ def cmd_loss_readout(args) -> None:
         "noise_visibility": noise,
         "branches": [b.to_json_dict(inp) for b in branches],
     }
-    _emit(_write_json(payload), args.out)
+    _emit((_write_json(payload), args.out))
 
 
 def cmd_witness(args) -> None:
@@ -276,7 +279,7 @@ def cmd_witness(args) -> None:
              b.witness.witness]
             for i, b in enumerate(branches)
         ]
-        _emit(_write_csv(rows, WITNESS_COLUMNS, args.command), args.out)
+        _emit((_write_csv(rows, WITNESS_COLUMNS, args.command), args.out))
         return
     payload = {
         "command": args.command,
@@ -285,7 +288,7 @@ def cmd_witness(args) -> None:
         "scenario": scenario.to_json_dict(),
         "branches": [b.to_json_dict() for b in branches],
     }
-    _emit(_write_json(payload), args.out)
+    _emit((_write_json(payload), args.out))
 
 
 def cmd_rate(args) -> None:
@@ -304,8 +307,8 @@ def cmd_rate(args) -> None:
         "metric": args.metric,
         "optimum": best.to_json_dict(),
     })
-    _emit(text, args.out)
-    _emit(report, args.out and args.out.removesuffix(".csv") + ".json")
+    _emit((text, args.out),
+          (report, args.out and args.out.removesuffix(".csv") + ".json"))
 
 
 def _stage_factors(factor: float) -> list | None:
@@ -352,7 +355,7 @@ def cmd_photonics_rate(args) -> None:
                                           args.shots, args.seed)
         payload["monte_carlo"] = {"pulses": args.shots, "seed": args.seed,
                                   "rate_hz": est, "rate_se_hz": se}
-    _emit(_write_json(payload), args.out)
+    _emit((_write_json(payload), args.out))
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConditionViolation, ConfigError, _check_count
-from .shor import LogicalInput, _spread, encode_qpc
+from .shor import _code_word
 from .sim import (
-    H,
     MAX_QUBITS,
     PAULI,
     PauliString,
@@ -36,7 +35,7 @@ from .sim import (
     Protocol,
     PureState,
     State,
-    _apply_to_axes,
+    _check_labels,
     _pauli_rows,
     correction_table,
 )
@@ -115,27 +114,15 @@ class RgsSpec:
         return sites
 
     def build(self) -> PureState:
-        """The RGS's state.  A bare RGS is the n-photon GHZ state, a fully
-        encoded one every GHZ qubit as an m-photon block: the parity-code
-        word of |+> over n blocks of m.
-
-        A partial RGS is (|000>|0_l> + |111>|1_l>)/sqrt2, qubits 0..2 the
-        bare GHZ arms and 3..2+m the encoded block.  The circuit's GHZ
-        over the three arms plus the block leader, with the leader
-        rotated, is a 4-qubit register; it is spread over blocks of 1, 1,
-        1 and m qubits (:func:`qparity.shor.encode_qpc` says why this is
-        the circuit bit for bit).
-        """
-        if self.kind == "encoded":
-            s = 1 / math.sqrt(2)
-            return encode_qpc(LogicalInput(s, s), self.n, self.m)
-        ghz = np.zeros(2 ** (4 if self.kind == "partial" else self.n),
-                       dtype=complex)
+        """The GHZ state of the RGS's logical qubits, each encoded one's
+        leader rotated, fanned out over :attr:`blocks`.  A partial RGS
+        is (|000>|0_l> + |111>|1_l>)/sqrt2, qubits 0..2 the bare arms
+        and 3..2+m the encoded block."""
+        blocks = self.blocks
+        ghz = np.zeros(2 ** len(blocks), dtype=complex)
         ghz[[0, -1]] = 1 / math.sqrt(2)
-        if self.kind == "bare":
-            return PureState(ghz)
-        register = _apply_to_axes(ghz.reshape([2] * 4), H, [3])
-        return _spread(register.reshape(-1), (1, 1, 1, self.m))
+        rotated = {"bare": (), "partial": (3,), "encoded": range(self.n)}
+        return _code_word(ghz, tuple(map(len, blocks)), rotated[self.kind])
 
 
 @dataclass(frozen=True)
@@ -162,6 +149,7 @@ class Scenario:
             if len(channel) != 2:
                 raise ConfigError(f"channel {channel!r} is not a "
                                   "(terminal, interface) pair")
+        _check_labels(self.photon_order() + self.loss + self.terminals)
         self._validate()
 
     def _validate(self):

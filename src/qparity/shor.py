@@ -209,13 +209,25 @@ def _spread_index(sizes: tuple) -> np.ndarray:
     return index
 
 
-def _spread(register: np.ndarray, sizes: tuple) -> PureState:
-    """The word whose block i repeats register bit i sizes[i] times, as
-    CNOTs fanning each bit out over fresh |0> qubits give it.  Their
-    matmul also turns a zero of either sign into +0; a caller standing
-    in for them does that with ``register + 0.0``."""
+def _code_word(register, sizes: tuple, rotated=()) -> PureState:
+    """The encoding circuit's word from its leader register: a Hadamard
+    on each leader in ``rotated``, then leader i fanned out over a block
+    of sizes[i] qubits.  A zero column 1 keeps the Hadamards' products
+    at two or more columns, as on the full word (a one-column product
+    runs through another BLAS kernel, whose last bits differ), and
+    ``+ 0.0`` turns a zero of either sign into +0, as the matmul of the
+    CNOTs that copy and fan out the leaders does."""
+    fanned = max(sizes) > 1
+    column = np.zeros((2 ** len(sizes), 2 if fanned else 1), dtype=complex)
+    column[:, 0] = register
+    if len(sizes) > 1:
+        column += 0.0
+    tensor = column.reshape([2] * len(sizes) + [-1])
+    for leader in rotated:
+        tensor = _apply_to_axes(tensor, H, [leader])
+    leaders = tensor.reshape(len(column), -1)[:, 0]
     amps = np.zeros(2 ** sum(sizes), dtype=complex)
-    amps[_spread_index(sizes)] = register
+    amps[_spread_index(sizes)] = leaders + 0.0 if fanned else leaders
     return PureState(amps)
 
 
@@ -224,37 +236,22 @@ def encode_block(inp: LogicalInput, m: int = 3) -> PureState:
     qubit spread over a block of m with no gate, bit for bit what m-1
     CNOTs onto fresh |0> targets give."""
     m = _check_count("m", m, most=MAX_QUBITS)
-    register = np.array([inp.alpha, inp.beta], dtype=complex)
-    return _spread(register + 0.0 if m > 1 else register, (m,))
+    return _code_word([inp.alpha, inp.beta], (m,))
 
 
 def encode_qpc(inp: LogicalInput, n: int, m: int) -> PureState:
-    """Quantum parity code over n blocks of m qubits.
-
-    The circuit copies the input qubit onto the block leaders, applies a
-    Hadamard to each leader, then expands every leader into its block.
-    Here the Hadamards act, with the circuit's matmul, on the n-leader
-    register alpha|0..0> + beta|1..1>, which is then spread over the
-    blocks.  The result is alpha |0>_L^n + beta |1>_L^n with
-    |0/1>_L = (|0..0> +- |1..1>)/sqrt2, bit for bit the circuit's.
-    """
+    """Quantum parity code over n blocks of m qubits: the input copied
+    onto the block leaders, each leader rotated and fanned out over its
+    block.  The word is alpha |0>_L^n + beta |1>_L^n with |0/1>_L =
+    (|0..0> +- |1..1>)/sqrt2, bit for bit the circuit's."""
     n = _check_count("n", n)
     m = _check_count("m", m)
     if n * m > MAX_QUBITS:
         raise ConfigError(f"{n}x{m} = {n * m} qubits exceeds the "
                           f"{MAX_QUBITS}-qubit cap")
-    # A zero column 1 keeps each product at two or more columns, as on
-    # a full word of two or more qubits: NumPy runs a one-column product
-    # through another BLAS kernel, whose last bits differ.
-    register = np.zeros((2 ** n, 2 if m > 1 else 1), dtype=complex)
-    register[0, 0], register[-1, 0] = inp.alpha, inp.beta
-    if n > 1:
-        register += 0.0     # zeros as the fan-out's CNOTs leave them
-    tensor = register.reshape([2] * n + [-1])
-    for leader in range(n):
-        tensor = _apply_to_axes(tensor, H, [leader])
-    leaders = tensor.reshape(2 ** n, -1)[:, 0]
-    return _spread(leaders + 0.0 if m > 1 else leaders, (m,) * n)
+    register = np.zeros(2 ** n, dtype=complex)
+    register[0], register[-1] = inp.alpha, inp.beta
+    return _code_word(register, (m,) * n, range(n))
 
 
 def encode_shor(inp: LogicalInput) -> PureState:

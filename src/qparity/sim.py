@@ -565,6 +565,15 @@ def apply_pauli_channel(state: State, op: PauliString, p: float) -> DensityMatri
 # measurement plans
 # ---------------------------------------------------------------------------
 
+def _check_labels(labels) -> None:
+    """Photon labels key sets and dicts, so each must be hashable."""
+    for label in labels:
+        try:
+            hash(label)
+        except TypeError:
+            raise ConfigError(f"unhashable photon label {label!r}") from None
+
+
 @dataclass(frozen=True)
 class PlanStep:
     """One protocol instruction.
@@ -582,6 +591,7 @@ class PlanStep:
         if self.op not in _STEP_BASIS:
             raise ConfigError(f"unknown plan op {self.op!r}")
         object.__setattr__(self, "photons", tuple(self.photons))
+        _check_labels(self.photons)
         if self.op == "measure_x" and len(self.photons) != 1:
             raise ConfigError("measure_x takes exactly one photon")
         if self.op == "bsm" and len(set(self.photons)) != 2:

@@ -184,6 +184,30 @@ class TestExitCodes:
         assert captured.err.startswith(f"error: cannot write {out}: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("blocked,other", [("x.json", "x.csv"),
+                                               ("x.csv", "x.json")])
+    @pytest.mark.parametrize("existed", [False, True],
+                             ids=["other-new", "other-existed"])
+    def test_rate_with_an_unwritable_output_writes_neither(
+            self, tmp_path, capsys, blocked, other, existed):
+        """The sweep CSV was written before the report, so a report path
+        naming a directory left a new x.csv behind, or overwrote an old
+        one."""
+        (tmp_path / blocked).mkdir()
+        if existed:
+            (tmp_path / other).write_bytes(b"old\n")
+        assert main(["rate", "--eta", "0.9",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: cannot write {tmp_path / blocked}: ")
+        assert captured.err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [blocked] + [other] * existed)
+        if existed:
+            assert (tmp_path / other).read_bytes() == b"old\n"
+
     def test_negative_grid_counts_name_the_count(self, tmp_path, capsys):
         """Two negative counts multiplied into a grid above the cap, and
         the error reported the cap."""

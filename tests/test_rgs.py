@@ -234,6 +234,24 @@ class TestScenario:
         with pytest.raises(ConfigError, match=message):
             replace(connect_scenario(0), **{field: value})
 
+    @pytest.mark.parametrize("build", [
+        lambda s: replace(s, loss=([4],)),
+        lambda s: replace(s, channels=(([1], "2'"),) + s.channels[1:]),
+        lambda s: replace(s, channels=(("1'", [2]),) + s.channels[1:]),
+        lambda s: replace(s, terminals=("1'", [9])),
+        lambda s: replace(s, rgs_order=([3],) + s.rgs_order[1:]),
+        lambda s: replace(s, plan=(PlanStep("measure_x", ([10],)),)
+                          + s.plan[1:]),
+        lambda s: replace(s, plan=s.plan[:2]
+                          + (PlanStep("bsm", ("2'", [3])),) + s.plan[3:])],
+        ids=["loss", "channel-terminal", "channel-interface", "terminals",
+             "rgs_order", "measure_x", "bsm"])
+    def test_unhashable_label_is_a_config_error(self, build):
+        """Each raised TypeError: unhashable type: 'list'."""
+        with pytest.raises(ConfigError,
+                           match=r"^unhashable photon label \[\d+\]$"):
+            build(connect_scenario(0))
+
     def test_bsm_must_pair_interface_with_rgs(self):
         with pytest.raises(ValueError):
             Scenario(name="bad", channels=(("t", "i"),),

@@ -177,11 +177,24 @@ class TestGateOracle:
             np.testing.assert_array_equal(bits(encode_block(inp, m)),
                                           bits(want))
 
-    @pytest.mark.parametrize("m", range(1, MAX_QUBITS - 2))
-    def test_partial_rgs(self, m):
-        np.testing.assert_array_equal(
-            bits(RgsSpec("partial", 4, m).build()),
-            bits(ref.partial_encoded_circuit(m)))
+    @pytest.mark.parametrize(
+        "kind,n,m",
+        [("partial", 4, m) for m in range(1, MAX_QUBITS - 2)]
+        + [("encoded", n, m) for n, m in LAYOUTS]
+        + [("bare", n, 1) for n in range(2, MAX_QUBITS + 1)])
+    def test_rgs(self, kind, n, m):
+        """Every RGS the spec accepts: the partial circuit, the parity
+        code word of |+>, and the GHZ literal."""
+        if kind == "partial":
+            want = ref.partial_encoded_circuit(m)
+        elif kind == "encoded":
+            want = ref.encode_qpc_circuit(S2, S2, n, m)
+        else:
+            amps = np.zeros(2 ** n, dtype=complex)
+            amps[[0, -1]] = S2
+            want = PureState(amps)
+        np.testing.assert_array_equal(bits(RgsSpec(kind, n, m).build()),
+                                      bits(want))
 
     def test_signed_zero_inputs_are_covered(self):
         """Each of the four amplitude parts is -0 in some inputs and +0
