@@ -469,6 +469,9 @@ class TestGoldens:
                                        "--phi", "0.5")),
         ("loss_readout_6_noise07.json", ("loss-readout", "--lose", "6",
                                          "--noise", "0.7")),
+        # The noisy encoded-RGS walk: a lost photon of a noisy ensemble.
+        ("rgs_loss1_noise07.json", ("rgs-loss", "--loss", "1",
+                                    "--noise", "0.7")),
     ]
 
     @pytest.mark.parametrize("name,argv", ALL, ids=[c[0] for c in ALL])
