@@ -20,6 +20,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .errors import ConfigError, PreconditionError, _check_count
 from .photonics import (
     MAX_SAMPLED_SOURCES,
@@ -190,13 +192,21 @@ def _parse_qubits(text: str) -> list:
 # commands
 # ---------------------------------------------------------------------------
 
+def _above_floor(values: np.ndarray, sizes: np.ndarray) -> dict:
+    """The code word's entries of ``values`` whose size exceeds 1e-12,
+    keyed by basis string."""
+    index = np.flatnonzero(sizes > 1e-12)
+    bits = f"0{SHOR_LAYOUT.num_qubits}b"
+    return dict(zip([format(i, bits) for i in index.tolist()],
+                    values[index].tolist()))
+
+
 def cmd_encode(args) -> None:
     inp = LogicalInput.from_angles(args.theta, args.phi)
     noise = args.noise
     state = encode_shor(inp)
     rho = (state if noise is None
            else apply_visibility_noise(state, shor_encoder_sites(), noise))
-    bits = f"0{SHOR_LAYOUT.num_qubits}b"
     payload = {
         "command": "encode",
         "input": {"theta": args.theta, "phi": args.phi},
@@ -205,17 +215,13 @@ def cmd_encode(args) -> None:
                                     for s in stabilizers()],
     }
     if noise is None:
-        payload["nonzero_amplitudes"] = {
-            format(i, bits): [a.real, a.imag]
-            for i, a in enumerate(state.amplitudes) if abs(a) > 1e-12
-        }
+        amps = state.amplitudes
+        payload["nonzero_amplitudes"] = _above_floor(
+            np.stack([amps.real, amps.imag], axis=1), np.abs(amps))
     else:
         payload["noise"] = {"visibility": noise}
         probs = rho.probabilities()
-        payload["basis_probabilities"] = {
-            format(i, bits): float(p)
-            for i, p in enumerate(probs) if p > 1e-12
-        }
+        payload["basis_probabilities"] = _above_floor(probs, probs)
         snr = snr_hv(rho, state)
         payload["snr_hv"] = "clean" if math.isinf(snr) else snr
     _emit((_write_json(payload), args.out))

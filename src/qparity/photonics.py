@@ -36,6 +36,7 @@ from .sim import (
     PauliString,
     PureState,
     State,
+    _compressed,
     apply_pauli_channel,
     apply_unitary,
     fidelity,
@@ -166,14 +167,18 @@ def apply_visibility_noise(state: State, sites: Sequence[PauliString],
     """Dephase each interference site: rho -> V rho + (1-V) dephased.
 
     Per site this equals a phase-kick channel applying the site's Pauli
-    with probability (1-V)/2; sites compose left to right.
+    with probability (1-V)/2; sites compose left to right.  Each channel
+    doubles the rows, so after the last site the ensemble takes one
+    rank step (``sim._compressed``): the Shor word's 16 rows become 8,
+    the connect state's 4 become 2.
     """
     _check_unit("visibility", visibility)
     p_kick = (1.0 - visibility) / 2.0
     rho = state.to_density()
     for site in sites:
         rho = apply_pauli_channel(rho, site, p_kick)
-    return rho
+    vectors, weights = _compressed(rho.vectors[None], rho.weights[None])
+    return DensityMatrix._from_rows(vectors[0], weights[0])
 
 
 def shor_encoder_sites() -> list:

@@ -35,6 +35,7 @@ from .sim import (
     Protocol,
     PureState,
     State,
+    _as_tuple,
     _check_labels,
     _pauli_rows,
     correction_table,
@@ -243,13 +244,6 @@ class Scenario:
                           for s in self.plan),
             "terminals": self.terminals,
         }
-
-
-def _as_tuple(name: str, value) -> tuple:
-    try:
-        return tuple(value)
-    except TypeError:
-        raise ConfigError(f"{name} {value!r} is not a sequence") from None
 
 
 @lru_cache(maxsize=16)

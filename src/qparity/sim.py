@@ -119,18 +119,30 @@ def _eigen_rows(mats: np.ndarray) -> tuple:
     keep = size > (size.max(axis=1, keepdims=True) * evals.shape[1]
                    * np.finfo(float).eps)
     first = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(1).max()]
-    rows = np.take_along_axis(evecs, first[:, None, :], axis=2)
-    weights = np.where(np.take_along_axis(keep, first, axis=1),
-                       np.take_along_axis(evals, first, axis=1), 0.0)
-    return np.ascontiguousarray(rows.swapaxes(1, 2)), weights
+    member = np.arange(len(mats))[:, None]
+    weights = np.where(keep[member, first], evals[member, first], 0.0)
+    return evecs[member, :, first], weights
 
 
 def _compressed(vectors: np.ndarray, weights: np.ndarray) -> tuple:
-    """A stack of ensembles (B x r x d, B x r) with more rows than
-    amplitudes, rebuilt from one stacked ``eigh``; others unchanged."""
-    if vectors.shape[1] > vectors.shape[2]:
+    """The rank step: a stack of ensembles (B x r x d, B x r) rebuilt at
+    each member's numerical rank through one stacked ``eigh``.
+
+    With r < d and no negative weight that is the eigh of the r x r Gram
+    matrix G = A* A^T of the weighted rows A = sqrt(w) v: an eigenpair
+    (u, g) of G gives the eigenpair (u^T A / sqrt(g), g) of the matrix.
+    Otherwise it is the eigh of the dense d x d matrix.  Members of
+    lower rank are padded as by :func:`_eigen_rows`, here with zero
+    rows on the Gram path.
+    """
+    if vectors.shape[1] >= vectors.shape[2] or (weights < 0).any():
         return _eigen_rows(_dense(vectors, weights))
-    return vectors, weights
+    scaled = np.sqrt(weights)[..., None] * vectors
+    coeffs, weights = _eigen_rows(scaled.conj() @ scaled.swapaxes(1, 2))
+    norms = np.sqrt(np.abs(weights))
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms),
+                      where=weights != 0)
+    return (coeffs @ scaled) * scale[..., None], weights
 
 
 class _Ensemble:
@@ -141,7 +153,7 @@ class _Ensemble:
     @classmethod
     def _from_rows(cls, vectors: np.ndarray, weights: np.ndarray):
         """Unchecked constructor for states made by library operations;
-        more rows than amplitudes are compressed through ``eigh``."""
+        more rows than amplitudes take the rank step."""
         if len(vectors) > vectors.shape[1]:
             vectors, weights = _compressed(vectors[None], weights[None])
             vectors, weights = vectors[0], weights[0]
@@ -445,15 +457,14 @@ def _children(rows: np.ndarray, weights: np.ndarray):
 
     Returns (parents, picks, probabilities, vectors, weights): per
     child its parent branch, outcome index and probability, and the
-    stack of the children's renormalized, compressed rows.
+    stack of the children's renormalized rows.
     """
     probs = _branch_probabilities(rows, weights)
     index = np.nonzero(probs > BRANCH_EPS)
     parents, picks = index[0].tolist(), index[1].tolist()
     kept = probs[index]
-    vectors, weights = _compressed(
-        rows[index] / np.sqrt(kept)[:, None, None], weights[index[0]])
-    return parents, picks, kept.tolist(), vectors, weights
+    return (parents, picks, kept.tolist(),
+            rows[index] / np.sqrt(kept)[:, None, None], weights[index[0]])
 
 
 def _outcomes(state: State, labels: Sequence, rows: np.ndarray) -> list:
@@ -565,6 +576,13 @@ def apply_pauli_channel(state: State, op: PauliString, p: float) -> DensityMatri
 # measurement plans
 # ---------------------------------------------------------------------------
 
+def _as_tuple(name: str, value) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ConfigError(f"{name} {value!r} is not a sequence") from None
+
+
 def _check_labels(labels) -> None:
     """Photon labels key sets and dicts, so each must be hashable."""
     for label in labels:
@@ -590,7 +608,8 @@ class PlanStep:
     def __post_init__(self):
         if self.op not in _STEP_BASIS:
             raise ConfigError(f"unknown plan op {self.op!r}")
-        object.__setattr__(self, "photons", tuple(self.photons))
+        object.__setattr__(self, "photons", _as_tuple("photons",
+                                                      self.photons))
         _check_labels(self.photons)
         if self.op == "measure_x" and len(self.photons) != 1:
             raise ConfigError("measure_x takes exactly one photon")
@@ -667,11 +686,14 @@ def walk_stack(state: State, order: Sequence,
     them; measure_x on a photon an earlier step consumed, or a BSM on a
     missing photon, raises PreconditionError.
 
-    Each measurement group is one projection of every live branch; a
-    stack outgrowing 2^n rows per branch is compressed through one
-    stacked ``eigh``.  The children of a branch follow it, in
-    outcome-label order, and ``tree`` keeps each group's parents and
-    probabilities for :func:`draw_branches`.
+    Each measurement group is one projection of every live branch.  A
+    group that makes L children per branch leaves 2^n / L amplitudes,
+    so the stack never holds more numbers than the walked state and the
+    rows are left as they are until the walk ends; a stack with more
+    rows than amplitudes then takes one rank step (one stacked
+    ``eigh``).  The children of a branch follow it, in outcome-label
+    order, and ``tree`` keeps each group's parents and probabilities
+    for :func:`draw_branches`.
     """
     order = list(order)
     if len(order) != state.num_qubits:
@@ -711,6 +733,8 @@ def walk_stack(state: State, order: Sequence,
             order = [p for p in order if p not in group]
         records = [recs + (m,) for recs, m in zip(records, made)]
         probs = [p * s for p, s in zip(probs, p_step)]
+    if vectors.shape[1] > vectors.shape[2]:
+        vectors, weights = _compressed(vectors, weights)
     return PlanStack(vectors, weights, probs, records, tuple(order),
                      type(state), tuple(tree))
 

@@ -313,6 +313,15 @@ class TestScenario:
         with pytest.raises(ConfigError, match="is not a PlanStep"):
             replace(connect_scenario(0), plan=(step,))
 
+    @pytest.mark.parametrize("op,photons", [("measure_x", 5), ("bsm", None),
+                                            ("measure_block_z", 3.0)],
+                             ids=repr)
+    def test_plan_step_photons_must_be_a_sequence(self, op, photons):
+        """Each raised TypeError: '<type>' object is not iterable."""
+        with pytest.raises(ConfigError,
+                           match=f"^photons {photons} is not a sequence$"):
+            PlanStep(op, photons)
+
     def test_bad_rgs_spec_is_a_config_error(self):
         with pytest.raises(ConfigError):
             RgsSpec("ring", 4, 3)

@@ -19,7 +19,7 @@ from qparity.rates import (
     monte_carlo_rate,
     monte_carlo_side,
 )
-from qparity.rgs import RgsSpec
+from qparity.rgs import RgsSpec, connect_scenario
 from qparity.shor import CodeLayout, LogicalInput, encode_qpc, stabilizers
 from qparity.sim import (
     BELL_LABELS,
@@ -777,6 +777,101 @@ class TestEnsembleOracle:
             mat = 0.7 * mat + 0.3 * pauli @ mat @ pauli
         assert len(state.vectors) <= 4
         np.testing.assert_allclose(state.matrix, mat, atol=1e-12)
+
+
+def random_stack(rng, ranks, rows, n, zero=0, negative=False):
+    """A stack of len(ranks) ensembles of ``rows`` rows on n qubits, each
+    row a random combination of ``rank`` random vectors; the last
+    ``zero`` rows of every member weigh zero, and with ``negative`` the
+    first row of every member weighs minus a tenth of the rest."""
+    vectors = np.empty((len(ranks), rows, 2 ** n), dtype=complex)
+    for b, rank in enumerate(ranks):
+        basis = (rng.normal(size=(rank, 2 ** n))
+                 + 1j * rng.normal(size=(rank, 2 ** n)))
+        vectors[b] = (rng.normal(size=(rows, rank))
+                      + 1j * rng.normal(size=(rows, rank))) @ basis
+    weights = rng.uniform(0.2, 1.0, size=(len(ranks), rows))
+    weights[:, rows - zero:] = 0.0
+    if negative:
+        weights[:, 0] = -0.1 * weights[:, 1:].sum(axis=1)
+    return vectors, weights
+
+
+class TestRankStep:
+    """``sim._compressed`` against the dense sums of tests/reference.py:
+    the Gram path (r < 2^n, no negative weight) and the dense path."""
+
+    CASES = {
+        # name: (per-member ranks, rows, qubits, zero-weight rows, negative)
+        "gram": ((3, 1, 2), 5, 4, 0, False),
+        "gram-one-member": ((4,), 16, 9, 0, False),
+        "gram-zero-padding": ((2, 3), 6, 3, 2, False),
+        "dense-rows-equal-amplitudes": ((2, 4), 4, 2, 0, False),
+        "dense-more-rows": ((1, 3, 4), 7, 2, 0, False),
+        "dense-negative": ((2, 3), 5, 4, 0, True),
+        "dense-negative-zero-padding": ((2, 3), 6, 3, 1, True),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_member_keeps_its_matrix_at_its_rank(self, case):
+        ranks, rows, n, zero, negative = self.CASES[case]
+        vectors, weights = random_stack(np.random.default_rng(len(case)),
+                                        ranks, rows, n, zero, negative)
+        got, got_weights = sim._compressed(vectors, weights)
+        assert got.shape == (len(ranks), max(ranks), 2 ** n)
+        for b, rank in enumerate(ranks):
+            want = ref.ensemble_matrix(vectors[b], weights[b])
+            np.testing.assert_allclose(
+                ref.ensemble_matrix(got[b], got_weights[b]), want,
+                atol=1e-12 * np.abs(want).max())
+            kept = got_weights[b] != 0
+            assert np.count_nonzero(kept) == rank
+            # The kept rows are orthonormal eigenvectors.
+            np.testing.assert_allclose(got[b][kept].conj() @ got[b][kept].T,
+                                       np.eye(rank), atol=1e-12)
+
+    def test_gram_path_never_forms_the_dense_matrix(self, monkeypatch):
+        """Sixteen rows of 512 amplitudes: one 16 x 16 eigh."""
+        sizes = []
+        eigen_rows = sim._eigen_rows
+        monkeypatch.setattr(sim, "_eigen_rows",
+                            lambda mats: sizes.append(mats.shape)
+                            or eigen_rows(mats))
+        vectors, weights = random_stack(np.random.default_rng(3), (8,), 16, 9)
+        sim._compressed(vectors, weights)
+        assert sizes == [(1, 16, 16)]
+
+
+class TestVisibilityRankStep:
+    """apply_visibility_noise ends in one rank step: the ensemble the
+    channels make, at its rank, with the same matrix."""
+
+    @staticmethod
+    def channel_by_channel(state, sites, visibility):
+        rho = state.to_density()
+        for site in sites:
+            rho = apply_pauli_channel(rho, site, (1 - visibility) / 2)
+        return rho
+
+    @pytest.mark.parametrize("name,rows,ranked", [("shor", 16, 8),
+                                                  ("connect", 4, 2)])
+    def test_noise_at_point_seven_keeps_the_channel_matrix(self, name, rows,
+                                                           ranked):
+        if name == "shor":
+            state = encode_qpc(LogicalInput.from_angles(1.0471975511965976,
+                                                         0.5), 3, 3)
+            sites = RgsSpec("encoded", 3, 3).encoder_sites()
+        else:
+            scenario = connect_scenario(1)
+            state, sites = scenario.initial_state(), scenario.encoder_sites()
+        channels = self.channel_by_channel(state, sites, 0.7)
+        noisy = apply_visibility_noise(state, sites, 0.7)
+        assert len(channels.vectors) == rows
+        assert len(noisy.vectors) == ranked and np.all(noisy.weights > 0)
+        np.testing.assert_allclose(
+            ref.ensemble_matrix(noisy.vectors, noisy.weights),
+            ref.ensemble_matrix(channels.vectors, channels.weights),
+            atol=1e-12)
 
 
 class TestMemoryAtTheCap:

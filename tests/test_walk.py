@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from qparity import photonics, shor
+from qparity import photonics, shor, sim
 from qparity.errors import ConfigError, PreconditionError
 from qparity.rgs import (
     _PAULI_PAIRS,
@@ -38,6 +38,7 @@ from qparity.sim import (
     PlanStep,
     PureState,
     _eigen_rows,
+    apply_pauli_channel,
     correction_table,
     draw_branches,
     make_basis_state,
@@ -243,6 +244,93 @@ class TestSampledWalks:
             ends)
 
 
+def noisy_readout_case():
+    """The noisy code word (V = 0.7) read out with photon 6 lost."""
+    word = photonics.encode_shor_noisy(
+        LogicalInput.from_angles(1.0471975511965976, 0.5), 0.7)
+    return _READOUT_PLAN, partial_trace(word, [5]), [0, 1, 2, 3, 4, 6, 7, 8]
+
+
+# The noisy walks of the cli: every shipped scenario at each legal loss
+# count, and the readout, at the cli's visibility 0.7.
+NOISY_CASES = {
+    **{f"{factory(loss).name}-{loss}": scenario_case(factory, loss, 0.7)
+       for factory, loss in SCENARIOS},
+    "readout-lose-6": noisy_readout_case,
+}
+
+
+class TestRankStepInWalks:
+    """A walk takes the rank step once, at its end, and never holds more
+    numbers than the state it walks."""
+
+    @pytest.mark.parametrize("case", NOISY_CASES)
+    def test_noisy_walk_takes_at_most_one_rank_step(self, case,
+                                                    monkeypatch):
+        plan, state, order = NOISY_CASES[case]()
+        eigh_calls, sizes = [], []
+        eigen_rows, children = sim._eigen_rows, sim._children
+        monkeypatch.setattr(sim, "_eigen_rows",
+                            lambda mats: eigh_calls.append(mats.shape)
+                            or eigen_rows(mats))
+
+        def sized_children(rows, weights):
+            out = children(rows, weights)
+            sizes.extend((rows.nbytes, out[3].nbytes))
+            return out
+
+        monkeypatch.setattr(sim, "_children", sized_children)
+        stack = walk_stack(state, order, plan)
+        assert len(eigh_calls) <= 1
+        assert sizes and max(sizes) <= state.vectors.nbytes
+        assert stack.vectors.shape[1] <= stack.vectors.shape[2]
+
+    @pytest.mark.parametrize("factory,loss", SCENARIOS, ids=SCENARIO_IDS)
+    def test_noisy_connection_matches_the_channel_by_channel_walk(
+            self, factory, loss):
+        """The cli's noisy run (rank-stepped noise) against the per-branch
+        walker on the noise channels' own ensemble: same branches, same
+        probabilities, same terminal matrices before correction."""
+        scen = factory(loss)
+        initial = scen.initial_state().to_density()
+        for site in scen.encoder_sites():
+            initial = apply_pauli_channel(initial, site, 0.15)
+        order = list(scen.photon_order())
+        lost = sorted(order.index(p) for p in scen.loss)
+        walked = partial_trace(initial, lost) if lost else initial
+        want = ref.walk_plan_per_branch(
+            walked.vectors, walked.weights,
+            [p for p in order if p not in scen.loss], scen.plan)
+        results = run_connection(scen, initial_state=photonics.
+                                 apply_visibility_noise(
+                                     scen.initial_state(),
+                                     scen.encoder_sites(), 0.7))
+        assert len(results) == len(want)
+        for res, (recs, prob, vecs, weights, left) in zip(results, want):
+            assert res.outcomes == _branch_tokens(scen.plan, [recs])[0]
+            assert abs(res.probability - prob) < ATOL
+            fix = pair_operator(res.correction, left, scen.terminals)
+            np.testing.assert_allclose(
+                matrix(res.terminal),
+                fix @ ref.ensemble_matrix(vecs, weights) @ fix.conj().T,
+                atol=ATOL)
+
+    def test_noisy_readout_matches_the_channel_by_channel_walk(self):
+        inp = LogicalInput.from_angles(1.0471975511965976, 0.5)
+        word = encode_shor(inp).to_density()
+        for site in photonics.shor_encoder_sites():
+            word = apply_pauli_channel(word, site, 0.15)
+        lossy = partial_trace(word, [5])
+        want = ref.walk_plan_per_branch(lossy.vectors, lossy.weights,
+                                        [0, 1, 2, 3, 4, 6, 7, 8],
+                                        _READOUT_PLAN)
+        got = decode_readout(photonics.encode_shor_noisy(inp, 0.7),
+                             losses=[5])
+        assert len(got) == len(want)
+        for res, (_, prob, *_) in zip(got, want):
+            assert abs(res.probability - prob) < ATOL
+
+
 class TestStack:
     def test_order_must_label_every_qubit(self):
         scen = connect_scenario(0)
@@ -396,7 +484,7 @@ class TestCorrected:
 
     @staticmethod
     def noisy_stack():
-        """The branches of a noisy lossy connect walk, two rows each."""
+        """The branches of a noisy lossy connect walk, four rows each."""
         _, state, order = walk_input(connect_scenario(1), 0.741)
         return walk_stack(state, order, connect_scenario(1).plan)
 
