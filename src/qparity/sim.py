@@ -14,9 +14,17 @@ and everything else acts row by row, so a mixed state costs r vectors
 instead of a 4^n matrix.  A Pauli string acts on all rows at once
 as one cached index gather and one phase multiply.  Dense matrices
 exist only at the boundary: ``DensityMatrix(matrix)`` decomposes its
-argument once with ``eigh``, ``DensityMatrix.matrix`` is rebuilt on
-demand, and a stack outgrowing 2^n rows is compressed back through one
-``eigh``.
+argument once with ``eigh``, and ``DensityMatrix.matrix`` is rebuilt on
+demand.
+
+Rows are compressed by one rank step (:func:`_compressed`), which
+rebuilds a stack of ensembles at their numerical rank through one
+stacked ``eigh`` of the r x r Gram matrix of the weighted rows, or of
+the dense matrix when r >= 2^n or a weight is negative.  It runs in
+three places only: where noise makes rows, at the end of
+``photonics.apply_visibility_noise``; where a walk ends, in
+:func:`walk_stack`, if its rows outnumber its amplitudes; and in every
+state built with more rows than amplitudes.
 
 Every measurement of one state (:func:`measure_pauli`, :func:`measure`,
 :func:`measure_out`) returns the list of realizable

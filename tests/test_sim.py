@@ -853,17 +853,19 @@ class TestVisibilityRankStep:
             rho = apply_pauli_channel(rho, site, (1 - visibility) / 2)
         return rho
 
-    @pytest.mark.parametrize("name,rows,ranked", [("shor", 16, 8),
-                                                  ("connect", 4, 2)])
-    def test_noise_at_point_seven_keeps_the_channel_matrix(self, name, rows,
-                                                           ranked):
-        if name == "shor":
-            state = encode_qpc(LogicalInput.from_angles(1.0471975511965976,
-                                                         0.5), 3, 3)
-            sites = RgsSpec("encoded", 3, 3).encoder_sites()
-        else:
-            scenario = connect_scenario(1)
-            state, sites = scenario.initial_state(), scenario.encoder_sites()
+    # name: (state, sites), channel rows, rank
+    CASES = {
+        "shor": (lambda: (encode_qpc(LogicalInput.from_angles(
+            1.0471975511965976, 0.5), 3, 3),
+            RgsSpec("encoded", 3, 3).encoder_sites()), 16, 8),
+        "connect": (lambda: (connect_scenario(1).initial_state(),
+                             connect_scenario(1).encoder_sites()), 4, 2),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_noise_at_point_seven_keeps_the_channel_matrix(self, case):
+        build, rows, ranked = self.CASES[case]
+        state, sites = build()
         channels = self.channel_by_channel(state, sites, 0.7)
         noisy = apply_visibility_noise(state, sites, 0.7)
         assert len(channels.vectors) == rows

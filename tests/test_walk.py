@@ -251,6 +251,15 @@ def noisy_readout_case():
     return _READOUT_PLAN, partial_trace(word, [5]), [0, 1, 2, 3, 4, 6, 7, 8]
 
 
+def channel_by_channel(state, sites):
+    """Visibility noise 0.7 as its channels alone, without the rank
+    step of apply_visibility_noise."""
+    rho = state.to_density()
+    for site in sites:
+        rho = apply_pauli_channel(rho, site, 0.15)
+    return rho
+
+
 # The noisy walks of the cli: every shipped scenario at each legal loss
 # count, and the readout, at the cli's visibility 0.7.
 NOISY_CASES = {
@@ -290,21 +299,19 @@ class TestRankStepInWalks:
             self, factory, loss):
         """The cli's noisy run (rank-stepped noise) against the per-branch
         walker on the noise channels' own ensemble: same branches, same
-        probabilities, same terminal matrices before correction."""
+        probabilities, same corrected terminal matrices."""
         scen = factory(loss)
-        initial = scen.initial_state().to_density()
-        for site in scen.encoder_sites():
-            initial = apply_pauli_channel(initial, site, 0.15)
+        initial = channel_by_channel(scen.initial_state(),
+                                     scen.encoder_sites())
         order = list(scen.photon_order())
         lost = sorted(order.index(p) for p in scen.loss)
         walked = partial_trace(initial, lost) if lost else initial
         want = ref.walk_plan_per_branch(
             walked.vectors, walked.weights,
             [p for p in order if p not in scen.loss], scen.plan)
-        results = run_connection(scen, initial_state=photonics.
-                                 apply_visibility_noise(
-                                     scen.initial_state(),
-                                     scen.encoder_sites(), 0.7))
+        noisy = photonics.apply_visibility_noise(
+            scen.initial_state(), scen.encoder_sites(), 0.7)
+        results = run_connection(scen, initial_state=noisy)
         assert len(results) == len(want)
         for res, (recs, prob, vecs, weights, left) in zip(results, want):
             assert res.outcomes == _branch_tokens(scen.plan, [recs])[0]
@@ -317,10 +324,8 @@ class TestRankStepInWalks:
 
     def test_noisy_readout_matches_the_channel_by_channel_walk(self):
         inp = LogicalInput.from_angles(1.0471975511965976, 0.5)
-        word = encode_shor(inp).to_density()
-        for site in photonics.shor_encoder_sites():
-            word = apply_pauli_channel(word, site, 0.15)
-        lossy = partial_trace(word, [5])
+        lossy = partial_trace(channel_by_channel(
+            encode_shor(inp), photonics.shor_encoder_sites()), [5])
         want = ref.walk_plan_per_branch(lossy.vectors, lossy.weights,
                                         [0, 1, 2, 3, 4, 6, 7, 8],
                                         _READOUT_PLAN)
