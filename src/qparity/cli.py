@@ -26,6 +26,7 @@ from .errors import ConfigError, PreconditionError, _check_count
 from .photonics import (
     MAX_SAMPLED_SOURCES,
     SourceParams,
+    _snr,
     apply_visibility_noise,
     chained_postselect_factor,
     coincidence_rate,
@@ -51,7 +52,6 @@ from .shor import (
     measure_syndromes,
     stabilizers,
 )
-from .sim import expectation
 
 SCHEMA_VERSION = 1
 # Per block, a Z check on each adjacent pair; an X check per adjacent
@@ -211,8 +211,7 @@ def cmd_encode(args) -> None:
         "command": "encode",
         "input": {"theta": args.theta, "phi": args.phi},
         "stabilizers": [s.label() for s in stabilizers()],
-        "stabilizer_expectations": [expectation(rho, s)
-                                    for s in stabilizers()],
+        "stabilizer_expectations": list(measure_syndromes(rho)[0].values),
     }
     if noise is None:
         amps = state.amplitudes
@@ -222,7 +221,7 @@ def cmd_encode(args) -> None:
         payload["noise"] = {"visibility": noise}
         probs = rho.probabilities()
         payload["basis_probabilities"] = _above_floor(probs, probs)
-        snr = snr_hv(rho, state)
+        snr = _snr(probs, state)
         payload["snr_hv"] = "clean" if math.isinf(snr) else snr
     _emit((_write_json(payload), args.out))
 

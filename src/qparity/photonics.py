@@ -213,7 +213,11 @@ def snr_hv(rho: State, ideal: PureState) -> float:
     if rho.num_qubits != ideal.num_qubits:
         raise ConfigError(f"state has {rho.num_qubits} qubits, ideal has "
                           f"{ideal.num_qubits}")
-    probs = rho.probabilities()
+    return _snr(rho.probabilities(), ideal)
+
+
+def _snr(probs: np.ndarray, ideal: PureState) -> float:
+    """:func:`snr_hv` of a state whose basis probabilities are ``probs``."""
     support = np.abs(ideal.amplitudes) ** 2 > 1e-12
     signal = float(probs[support].sum())
     noise = float(probs.sum() - signal)

@@ -26,7 +26,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ConditionViolation, ConfigError, _check_count
-from .shor import _code_word
+from .shor import CodeLayout, _code_word
 from .sim import (
     MAX_QUBITS,
     PAULI,
@@ -84,8 +84,8 @@ class RgsSpec:
         """Qubit indices of each logical qubit, in state order."""
         if self.kind == "partial":
             return (0,), (1,), (2,), tuple(range(3, 3 + self.m))
-        m = self.m
-        return tuple(tuple(range(b * m, b * m + m)) for b in range(self.n))
+        layout = CodeLayout(self.n, self.m)
+        return tuple(map(layout.block_qubits, range(self.n)))
 
     def encoder_sites(self, first: int = 0) -> list:
         """Effective site Paulis of the RGS's encoders, in circuit order,

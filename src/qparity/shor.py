@@ -48,9 +48,10 @@ from .sim import (
     PureState,
     State,
     _apply_to_axes,
+    _check_targets,
     _pick,
+    apply_pauli,
     apply_pauli_channel,
-    apply_unitary,
     correction_table,
     expectation,
     fidelity,
@@ -109,9 +110,6 @@ class CodeLayout:
     def block_qubits(self, block: int) -> tuple:
         return tuple(self.qubit_of(block, i) for i in range(self.block_size))
 
-    def leaders(self) -> tuple:
-        return tuple(self.qubit_of(b, 0) for b in range(self.n_blocks))
-
 
 SHOR_LAYOUT = CodeLayout(3, 3)
 
@@ -142,9 +140,6 @@ class SyndromeRecord:
     def sx(self) -> tuple:
         return self.values[len(self.values) - (self.layout.n_blocks - 1):]
 
-    def to_json_dict(self) -> dict:
-        return {"SZ": list(self.sz), "SX": list(self.sx)}
-
 
 @dataclass(frozen=True)
 class ErrorHypothesis:
@@ -154,15 +149,6 @@ class ErrorHypothesis:
     kind: str                 # "none" | "x" | "z" | "y" | "unidentifiable"
     qubit: int | None = None  # for x / y
     block: int | None = None  # for z (degeneracy: identified per block)
-
-    def label(self) -> str:
-        if self.kind == "x":
-            return f"X on qubit {self.qubit}"
-        if self.kind == "y":
-            return f"Y on qubit {self.qubit}"
-        if self.kind == "z":
-            return f"Z on block {self.block}"
-        return self.kind
 
 
 @dataclass
@@ -363,7 +349,7 @@ def diagnose(record: SyndromeRecord) -> ErrorHypothesis:
         pos = _flip_site(vals[b * links:(b + 1) * links])
         if pos is not None:
             x_hits.append((b, pos))
-    z_block = _flip_site(vals[layout.n_blocks * links:])
+    z_block = _flip_site(vals[len(record.sz):])
     if len(x_hits) > 1 or -1 in (z_block, *(p for _, p in x_hits)):
         return ErrorHypothesis("unidentifiable")
 
@@ -391,14 +377,15 @@ def correct(state: State, hypothesis: ErrorHypothesis,
         return state
     if hypothesis.kind == "unidentifiable":
         raise PreconditionError("cannot correct an unidentifiable syndrome")
-    if hypothesis.kind == "x":
-        return apply_unitary(state, X, [hypothesis.qubit])
-    if hypothesis.kind == "z":
-        return apply_unitary(state, Z, [layout.qubit_of(hypothesis.block, 0)])
-    if hypothesis.kind == "y":
-        q = hypothesis.qubit
-        return apply_unitary(apply_unitary(state, Z, [q]), X, [q])
-    raise ConfigError(f"unknown hypothesis kind {hypothesis.kind!r}")
+    letters = {"x": "X", "z": "Z", "y": "ZX"}.get(hypothesis.kind)
+    if letters is None:
+        raise ConfigError(f"unknown hypothesis kind {hypothesis.kind!r}")
+    q = (layout.qubit_of(hypothesis.block, 0) if hypothesis.kind == "z"
+         else hypothesis.qubit)
+    _check_targets([q], state.num_qubits)
+    for letter in letters:
+        state = apply_pauli(state, PauliString({q: letter}))
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,60 @@ def qpc_codeword(alpha: complex, beta: complex, n: int, m: int) -> np.ndarray:
     return amps
 
 
+def single_error_diagnoser(n: int, m: int):
+    """An oracle for diagnosing a +-1 syndrome record of the (n, m) code.
+
+    Each single-qubit X and Z error's syndrome is read off the damaged
+    code word by index arithmetic, over the generators in their
+    documented order: per block the ZZ pairs of adjacent qubits, then
+    the X strings over each pair of adjacent blocks.  The X errors' ZZ
+    parts locate a qubit, the Z errors' X-string parts a block (Z is
+    degenerate within a block).  A record is split into its two parts:
+    an all +1 part locates nothing, a part that one site explains
+    locates that site, and any other part (no site, or two sites alike)
+    is unidentifiable.  An X site and a Z block combine into Y when the
+    qubit lies in the block.  Returns record -> (kind, qubit, block).
+    """
+    total, split = n * m, n * (m - 1)
+    word = qpc_codeword(0.6, 0.8j, n, m)
+    gens = ([{b * m + i: "Z", b * m + i + 1: "Z"}
+             for b in range(n) for i in range(m - 1)]
+            + [dict.fromkeys(range(b * m, b * m + 2 * m), "X")
+               for b in range(n - 1)])
+
+    def syndrome(q, letter):
+        damaged = pauli_on_vector({q: letter}, word, total)
+        return tuple(int(round(np.vdot(damaged, pauli_on_vector(
+            g, damaged, total)).real)) for g in gens)
+
+    qubits, blocks = {}, {}
+    for q in range(total):
+        qubits.setdefault(syndrome(q, "X")[:split], set()).add(q)
+        blocks.setdefault(syndrome(q, "Z")[split:], set()).add(q // m)
+
+    def locate(sites, part):
+        if all(v == 1 for v in part):
+            return None
+        found = sites.get(part, ())
+        return next(iter(found)) if len(found) == 1 else -1
+
+    def diagnose(record):
+        qubit = locate(qubits, tuple(record[:split]))
+        block = locate(blocks, tuple(record[split:]))
+        if -1 in (qubit, block):
+            return "unidentifiable", None, None
+        if qubit is None:
+            return ("none", None, None) if block is None else ("z", None,
+                                                               block)
+        if block is None:
+            return "x", qubit, None
+        if qubit // m == block:
+            return "y", qubit, None
+        return "unidentifiable", None, None
+
+    return diagnose
+
+
 # ---------------------------------------------------------------------------
 # Gate-by-gate encoders
 # ---------------------------------------------------------------------------

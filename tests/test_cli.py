@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qparity import cli, shor
+from qparity import cli, shor, sim
 from qparity.cli import RATE_GRID_CAP, _json_text, build_parser, main
 from qparity.photonics import MAX_SAMPLED_SOURCES
 
@@ -170,6 +170,11 @@ class TestExitCodes:
         rc, _ = run(tmp_path, *argv)
         assert rc == code
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_photon_list_must_hold_numbers(self, tmp_path, capsys):
+        rc, _ = run(tmp_path, "loss-readout", "--lose", "a,b")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: bad qubit list 'a,b'\n"
 
     @pytest.mark.parametrize("argv", [("encode",), ("rate", "--eta", "0.9"),
                                       ("connect",)], ids=" ".join)
@@ -382,6 +387,13 @@ class TestConfigFile:
         assert rc == 0
         assert raw.decode().splitlines()[2].startswith("0.9,0.5,1,1,")
 
+    def test_config_must_hold_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[1]")
+        assert main(["encode", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == ("error: config file must hold a "
+                                           "JSON object\n")
+
     def test_config_needs_a_path(self, capsys):
         assert main(["encode", "--config"]) == 2
         assert capsys.readouterr().err == "error: --config needs a path\n"
@@ -493,6 +505,25 @@ class TestGoldens:
         rc, raw = run(tmp_path, "encode", "--noise", "0.7")
         assert rc == 0 and len(calls) == 1
         assert raw == (GOLDEN / "encode_noise07.json").read_bytes()
+
+    def test_noisy_encode_computes_the_distribution_once(self, tmp_path,
+                                                         monkeypatch):
+        """basis_probabilities and snr_hv share one probabilities()
+        call (the ratio alone is photonics._snr)."""
+        calls = []
+        probabilities = sim._Ensemble.probabilities
+        monkeypatch.setattr(sim._Ensemble, "probabilities",
+                            lambda self: calls.append(self)
+                            or probabilities(self))
+        rc, raw = run(tmp_path, "encode", "--noise", "0.7")
+        assert rc == 0 and len(calls) == 1
+        assert raw == (GOLDEN / "encode_noise07.json").read_bytes()
+
+    def test_no_out_writes_to_stdout(self, capsys):
+        assert main(["encode"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (GOLDEN / "encode_d.json").read_text()
+        assert captured.err == ""
 
 
 class Level(enum.IntEnum):

@@ -591,6 +591,11 @@ class TestOptimizer:
                     better.append((n, m))
         assert better
 
+    def test_unknown_metric_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^metric must be 'p_connect' "
+                           "or 'efficiency', got 'rate'$"):
+            optimize(0.9, 0.5, 2, 2, metric="rate")
+
     def test_sweep_grid_shape(self):
         rows = sweep(0.9, 0.5, 3, 2)
         assert len(rows) == 6

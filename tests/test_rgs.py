@@ -234,6 +234,17 @@ class TestScenario:
         with pytest.raises(ConfigError, match=message):
             replace(connect_scenario(0), **{field: value})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("loss", ("1'",), "^lost photon \"1'\" is not an RGS photon$"),
+        ("plan", (PlanStep("measure_x", ("99'",)),),
+         "^plan references unknown photon \"99'\"$"),
+        ("terminals", ("1'", "99'"), "^terminal \"99'\" unknown$")],
+        ids=["loss-terminal", "plan-unknown", "terminals-unknown"])
+    def test_photon_outside_its_role_is_a_config_error(self, field, value,
+                                                       message):
+        with pytest.raises(ConfigError, match=message):
+            replace(connect_scenario(0), **{field: value})
+
     @pytest.mark.parametrize("build", [
         lambda s: replace(s, loss=([4],)),
         lambda s: replace(s, channels=(([1], "2'"),) + s.channels[1:]),

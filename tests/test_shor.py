@@ -8,6 +8,7 @@ decoder.
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qparity.photonics import noisy_block_fidelity
 from qparity.rgs import RgsSpec
 from qparity.shor import (
     CodeLayout,
+    ErrorHypothesis,
     LogicalInput,
     SHOR_LAYOUT,
     SyndromeRecord,
@@ -39,6 +41,7 @@ from qparity.sim import (
     apply_unitary,
     expectation,
     fidelity,
+    make_basis_state,
     partial_trace,
 )
 
@@ -371,10 +374,19 @@ class TestSyndromes:
         with pytest.raises(ValueError, match="sample mode needs an rng"):
             measure_syndromes(encode_shor(D_INPUT), mode="sample")
 
-    def test_json_shape(self):
-        record, _ = measure_syndromes(encode_shor(D_INPUT))
-        d = record.to_json_dict()
-        assert len(d["SZ"]) == 6 and len(d["SX"]) == 2
+    def test_value_outside_unit_interval_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^syndrome value 2 outside "
+                           r"\[-1, 1\]$"):
+            SyndromeRecord((2,) + (1,) * 7)
+
+    def test_state_must_fit_the_layout(self):
+        with pytest.raises(ConfigError, match="^state has 8 qubits, layout "
+                           "needs 9$"):
+            measure_syndromes(make_basis_state(8))
+
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(ConfigError, match="^unknown mode 'bogus'$"):
+            measure_syndromes(encode_shor(D_INPUT), mode="bogus")
 
 
 def _sampled_syndrome_states():
@@ -466,6 +478,11 @@ class TestFlipChannel:
         record, _ = measure_syndromes(rho)
         assert abs(record.values[6] + 1) < 1e-10
 
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ConfigError, match="^kind must be 'bit-flip' or "
+                           "'phase-flip', got 'depolarizing'$"):
+            apply_flip_channel(encode_shor(D_INPUT), 0, "depolarizing", 0.1)
+
     def test_bad_probability(self):
         with pytest.raises(ValueError):
             apply_flip_channel(encode_shor(D_INPUT), 0, "bit-flip", 1.5)
@@ -503,6 +520,30 @@ class TestDiagnoseCorrect:
         with pytest.raises(PreconditionError):
             correct(encode_shor(D_INPUT), diagnose(
                 SyndromeRecord((-1, 1, -1, 1, 1, 1, 1, 1))))
+
+    def test_diagnose_refuses_an_expectation_record(self):
+        with pytest.raises(ConfigError, match="^diagnose needs a sampled "
+                           "record with \\+-1 entries$"):
+            diagnose(SyndromeRecord((0.5,) + (1,) * 7))
+
+    def test_correct_refuses_an_unknown_kind(self):
+        with pytest.raises(ConfigError,
+                           match="^unknown hypothesis kind 'w'$"):
+            correct(encode_shor(D_INPUT), ErrorHypothesis("w"))
+
+    @pytest.mark.parametrize("hypothesis,layout,match", [
+        (ErrorHypothesis("x", qubit=9), SHOR_LAYOUT,
+         "^target qubit 9 outside 0..8$"),
+        (ErrorHypothesis("y", qubit=-1), SHOR_LAYOUT,
+         "^target qubit -1 outside 0..8$"),
+        (ErrorHypothesis("z", block=3), CodeLayout(4, 3),
+         "^target qubit 9 outside 0..8$")], ids=["x", "y", "z"])
+    def test_correct_refuses_a_qubit_outside_the_state(self, hypothesis,
+                                                       layout, match):
+        """The Pauli kernel would call an out-of-range factor a
+        PreconditionError; a correction checks its target first."""
+        with pytest.raises(ConfigError, match=match):
+            correct(encode_shor(D_INPUT), hypothesis, layout)
 
     def test_all_27_single_errors_recover(self):
         """Complete single-error table: diagnose then correct restores
@@ -670,7 +711,6 @@ class TestLayout:
     def test_shor_layout_blocks(self):
         assert SHOR_LAYOUT.block_qubits(0) == (0, 1, 2)
         assert SHOR_LAYOUT.block_qubits(2) == (6, 7, 8)
-        assert SHOR_LAYOUT.leaders() == (0, 3, 6)
 
     def test_bijection(self):
         layout = CodeLayout(4, 3)
@@ -755,6 +795,26 @@ class TestLayoutSyndromes:
             ref.inverse_circuit_decode(
                 ref.qpc_codeword(inp.alpha, inp.beta, 2, 3), 2, 3),
             [inp.alpha, inp.beta], atol=1e-12)
+
+    def test_diagnose_every_record_against_oracle(self):
+        """Every +-1 record of every layout with n*m <= 12 (35 layouts,
+        17 989 records) diagnoses as the single-error oracle of
+        tests/reference.py does, within a 3 s budget."""
+        start = time.perf_counter()
+        layouts = [(n, m) for n in range(1, MAX_QUBITS + 1)
+                   for m in range(1, MAX_QUBITS // n + 1)]
+        records = 0
+        for n, m in layouts:
+            layout = CodeLayout(n, m)
+            oracle = ref.single_error_diagnoser(n, m)
+            for values in itertools.product((1, -1), repeat=n * m - 1):
+                hyp = diagnose(SyndromeRecord(values, layout))
+                assert (hyp.kind, hyp.qubit, hyp.block) == oracle(values), \
+                    (n, m, values)
+                records += 1
+        elapsed = time.perf_counter() - start
+        assert (len(layouts), records) == (35, 17989)
+        assert elapsed < 3.0, f"took {elapsed:.2f}s (budget 3s)"
 
     def test_record_length_follows_layout(self):
         layout = CodeLayout(2, 3)

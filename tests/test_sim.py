@@ -27,6 +27,7 @@ from qparity.sim import (
     H,
     DensityMatrix,
     PauliString,
+    PlanStep,
     PureState,
     _pick,
     apply_pauli,
@@ -40,6 +41,7 @@ from qparity.sim import (
     measure_pauli,
     partial_trace,
     state_from_qubit,
+    walk_stack,
 )
 
 
@@ -598,9 +600,58 @@ class TestPauliString:
         with pytest.raises(ConfigError, match=match):
             PauliString(factors, sign)
 
+    def test_product_with_an_imaginary_phase_is_refused(self):
+        with pytest.raises(ConfigError, match="^product would carry an "
+                           "imaginary phase$"):
+            PauliString({0: "X"}) * PauliString({0: "Z"})
+
+    def test_product_of_disjoint_factors_joins_them(self):
+        op = PauliString({0: "X"}) * PauliString({1: "Z"}, -1)
+        assert op.factors == {0: "X", 1: "Z"} and op.sign == -1
+
     def test_numpy_integer_keys_are_qubits(self):
         op = PauliString({np.int64(1): "X"}, np.int64(-1))
         assert op.factors == {1: "X"} and op.sign == -1
+
+
+class TestRefusals:
+    """Each bad argument raises its own message."""
+
+    def test_amplitude_count_must_be_a_power_of_two(self):
+        with pytest.raises(ConfigError, match="not a power of two"):
+            PureState(np.ones(3) / np.sqrt(3))
+
+    def test_density_matrix_must_be_square(self):
+        with pytest.raises(ConfigError, match="^density matrix must be "
+                           "square$"):
+            DensityMatrix(np.ones((2, 4)) / 2)
+
+    def test_unitary_must_match_its_targets(self):
+        with pytest.raises(ConfigError,
+                           match=r"does not match 2 target\(s\)$"):
+            apply_unitary(make_basis_state(2), sim.X, [0, 1])
+
+    def test_measure_out_keeps_a_qubit(self):
+        with pytest.raises(ConfigError, match="^cannot remove every qubit$"):
+            measure_out(make_basis_state(1), [0])
+
+    def test_partial_trace_needs_a_qubit_to_discard(self):
+        with pytest.raises(ConfigError, match="^discard set is empty$"):
+            partial_trace(make_basis_state(2), [])
+
+    @pytest.mark.parametrize("op,photons,message", [
+        ("measure_x", ("a", "b"), "^measure_x takes exactly one photon$"),
+        ("bsm", ("a", "a"), "^bsm takes exactly two distinct photons$")])
+    def test_plan_step_photon_count(self, op, photons, message):
+        with pytest.raises(ConfigError, match=message):
+            PlanStep(op, photons)
+
+    def test_a_photon_is_measured_once(self):
+        plan = [PlanStep("measure_x", ("a",))] * 2
+        with pytest.raises(PreconditionError,
+                           match="^malformed plan: photon 'a' already "
+                           "consumed$"):
+            walk_stack(make_basis_state(2), "ab", plan)
 
 
 class TestSampleDraws:
