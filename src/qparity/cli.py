@@ -36,7 +36,7 @@ from .photonics import (
     shor_encoder_sites,
     snr_hv,
 )
-from .rates import GRID_CAP as RATE_GRID_CAP, optimize, sweep
+from .rates import GRID_CAP as RATE_GRID_CAP, _best, sweep
 from .rgs import (
     bare_loss_scenario,
     encoded_loss_scenario,
@@ -297,20 +297,17 @@ def cmd_witness(args) -> None:
 
 
 def cmd_rate(args) -> None:
-    rows = [
-        [args.eta, args.q, r.n, r.m, r.p_side, r.p_connect, r.efficiency]
-        for r in sweep(args.eta, args.q, args.n_max, args.m_max)
-    ]
+    results = sweep(args.eta, args.q, args.n_max, args.m_max)
+    rows = [[args.eta, args.q, r.n, r.m, r.p_side, r.p_connect, r.efficiency]
+            for r in results]
     text = _write_csv(rows, ["eta", "q", "n", "m", "p_side", "p_connect",
                              "efficiency"], "rate")
-    n, m, best = optimize(args.eta, args.q, args.n_max, args.m_max,
-                          args.metric)
     report = _write_json({
         "command": "rate",
         "eta": args.eta,
         "q": args.q,
         "metric": args.metric,
-        "optimum": best.to_json_dict(),
+        "optimum": _best(results, args.metric).to_json_dict(),
     })
     _emit((text, args.out),
           (report, args.out and args.out.removesuffix(".csv") + ".json"))

@@ -162,13 +162,14 @@ def optimize(eta: float, q: float, n_max: int, m_max: int,
     if metric not in ("p_connect", "efficiency"):
         raise ConfigError(f"metric must be 'p_connect' or 'efficiency', "
                           f"got {metric!r}")
-    best = None
-    for res in sweep(eta, q, n_max, m_max):
-        key = (-getattr(res, metric), res.photons_used, res.n)
-        if best is None or key < best[0]:
-            best = (key, res)
-    res = best[1]
+    res = _best(sweep(eta, q, n_max, m_max), metric)
     return res.n, res.m, res
+
+
+def _best(results, metric: str) -> RateResult:
+    """The optimum of ``results`` by :func:`optimize`'s ranking."""
+    return min(results, key=lambda r: (-getattr(r, metric), r.photons_used,
+                                       r.n))
 
 
 def _fold(op, flags: np.ndarray) -> np.ndarray:

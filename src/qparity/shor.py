@@ -382,6 +382,7 @@ def correct(state: State, hypothesis: ErrorHypothesis,
         raise ConfigError(f"unknown hypothesis kind {hypothesis.kind!r}")
     q = (layout.qubit_of(hypothesis.block, 0) if hypothesis.kind == "z"
          else hypothesis.qubit)
+    # Before PauliString, which would call a negative q a bad index.
     _check_targets([q], state.num_qubits)
     for letter in letters:
         state = apply_pauli(state, PauliString({q: letter}))

@@ -339,14 +339,14 @@ def _pauli_action(factors: tuple, sign: int, n: int) -> tuple:
     arrays (src, phase) with (P v)[k] = phase[k] * v[src[k]]: src flips
     the bits of the X and Y factors, and phase is the sign times -1 per
     set Z or Y bit of k times -i per Y factor, since
-    (Y v)[b] = -i (-1)^b v[1 - b].
+    (Y v)[b] = -i (-1)^b v[1 - b].  A factor on a qubit >= n is refused
+    as every target qubit is.
     """
+    _check_targets([q for q, _ in factors], n)
     k = np.arange(2 ** n)
     signs = np.full(2 ** n, sign)
     xmask = n_y = 0
     for q, letter in factors:
-        if q >= n:
-            raise PreconditionError(f"Pauli factor on qubit {q} out of range")
         bit = 1 << (n - 1 - q)
         if letter != "Z":
             xmask |= bit
@@ -487,7 +487,6 @@ def measure(state: State, qubit: int, basis: str = "Z") -> list:
     """Projective single-qubit measurement in basis X, Y or Z: the
     :func:`measure_pauli` of that one-letter Pauli, with its
     ``(outcome, probability, collapsed_state)`` triples."""
-    _check_targets([qubit], state.num_qubits)
     return measure_pauli(state, PauliString({qubit: basis}))
 
 

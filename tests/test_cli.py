@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qparity import cli, shor, sim
+from qparity import cli, rates, shor, sim
 from qparity.cli import RATE_GRID_CAP, _json_text, build_parser, main
 from qparity.photonics import MAX_SAMPLED_SOURCES
+from qparity.rates import sweep
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -99,6 +100,22 @@ class TestCommands:
             assert abs(cells[5] - cells[4] ** 2) < 1e-12  # p_connect
         report = json.loads((tmp_path / "sweep.json").read_text())
         assert report["optimum"]["p_connect"] <= 1.0
+
+    def test_rate_sweeps_its_grid_once(self, monkeypatch):
+        """The optimum is ranked from the sweep the CSV was written
+        from; it once came from a second sweep inside rates.optimize."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        # Every module that binds rates.sweep by name.
+        for module in (rates, cli):
+            monkeypatch.setattr(module, "sweep", counted)
+        assert main(["rate", "--eta", "0.9", "--q", "0.5", "--n-max", "3",
+                     "--m-max", "3"]) == 0
+        assert calls == [(0.9, 0.5, 3, 3)]
 
     def test_photonics_rate_report(self, tmp_path):
         rc, raw = run(tmp_path, "photonics-rate", "--shots", "100000",

@@ -202,3 +202,62 @@ def test_numpy_counts_are_taken_as_python_ints():
                  lambda: qparity.sweep(0.9, 0.5, BIG, 2)):
         with pytest.raises(ConfigError):
             call()
+
+
+def _two():
+    return qparity.make_basis_state(2)
+
+
+def _word():
+    return qparity.encode_shor(qparity.LogicalInput(0.6, 0.8))
+
+
+X5 = qparity.PauliString({5: "X"})
+TARGET_5 = "^target qubit 5 outside 0..1$"
+
+# Every public function that takes a qubit index, once per such
+# argument, given one past the state (qubit 5 of two) or past the code
+# (qubit 9 of the nine-qubit word, block 3 of three), and the range
+# message it must refuse it with.  A PauliString factor takes no state
+# size, so the functions that apply one check it.
+OUT_OF_RANGE = {
+    "apply_unitary": (lambda: qparity.apply_unitary(_two(), np.eye(2), [5]),
+                      TARGET_5),
+    "measure": (lambda: qparity.measure(_two(), 5), TARGET_5),
+    "measure_out": (lambda: qparity.measure_out(_two(), [5]), TARGET_5),
+    "measure_pauli": (lambda: qparity.measure_pauli(_two(), X5), TARGET_5),
+    "expectation": (lambda: qparity.expectation(_two(), X5), TARGET_5),
+    "apply_pauli": (lambda: qparity.apply_pauli(_two(), X5), TARGET_5),
+    "apply_pauli_channel": (
+        lambda: qparity.apply_pauli_channel(_two(), X5, 0.25), TARGET_5),
+    "apply_flip_channel": (
+        lambda: qparity.apply_flip_channel(_two(), 5, "bit-flip", 0.25),
+        TARGET_5),
+    "apply_visibility_noise": (
+        lambda: qparity.apply_visibility_noise(_two(), [X5], 0.9), TARGET_5),
+    "postselected_cnot control": (
+        lambda: qparity.postselected_cnot(_two(), 5, 0), TARGET_5),
+    "postselected_cnot target": (
+        lambda: qparity.postselected_cnot(_two(), 0, 5), TARGET_5),
+    "partial_trace": (lambda: qparity.partial_trace(_two(), [5]), TARGET_5),
+    "correct": (lambda: qparity.correct(
+        _word(), qparity.ErrorHypothesis("x", qubit=9)),
+        "^target qubit 9 outside 0..8$"),
+    "decode_readout": (lambda: qparity.decode_readout(_word(), [9]),
+                       "^lost qubit 9 outside 0..8$"),
+    "CodeLayout.qubit_of block": (
+        lambda: qparity.CodeLayout(3, 3).qubit_of(3, 0),
+        "^block 3 outside 0..2$"),
+    "CodeLayout.qubit_of position": (
+        lambda: qparity.CodeLayout(3, 3).qubit_of(0, 3),
+        "^position 3 outside 0..2$"),
+}
+
+
+@pytest.mark.parametrize("call,message", OUT_OF_RANGE.values(),
+                         ids=OUT_OF_RANGE)
+def test_qubit_indices_past_the_state_are_config_errors(call, message):
+    """A Pauli factor past the state was a PreconditionError (exit 3),
+    where every other index past it is a ConfigError (exit 2)."""
+    with pytest.raises(ConfigError, match=message):
+        call()

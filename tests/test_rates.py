@@ -565,18 +565,19 @@ class TestOptimizer:
         assert (n, m) == (8, 1)
 
     def test_argmax_reproduced_by_full_rescan(self):
-        eta, q, n_max, m_max = 0.9, 0.5, 5, 4
-        for metric in ("p_connect", "efficiency"):
-            n, m, res = optimize(eta, q, n_max, m_max, metric)
-            best = None
-            for nn in range(1, n_max + 1):
-                for mm in range(1, m_max + 1):
-                    r = evaluate(RateModel(eta, q, nn, mm))
-                    key = (-getattr(r, metric), r.photons_used, r.n)
-                    if best is None or key < best[0]:
-                        best = (key, r)
-            assert (best[1].n, best[1].m) == (n, m)
-            assert getattr(res, metric) == getattr(best[1], metric)
+        # At eta = q = 1 every p_connect is 1: the tie rule decides.
+        for eta, q, n_max, m_max in ((0.9, 0.5, 5, 4), (1.0, 1.0, 4, 4)):
+            for metric in ("p_connect", "efficiency"):
+                n, m, res = optimize(eta, q, n_max, m_max, metric)
+                best = None
+                for nn in range(1, n_max + 1):
+                    for mm in range(1, m_max + 1):
+                        r = evaluate(RateModel(eta, q, nn, mm))
+                        key = (-getattr(r, metric), r.photons_used, r.n)
+                        if best is None or key < best[0]:
+                            best = (key, r)
+                assert (best[1].n, best[1].m) == (n, m)
+                assert getattr(res, metric) == getattr(best[1], metric)
 
     def test_encoding_beats_bare_at_equal_budget(self):
         """Some encoded grid point outperforms the bare scheme using the

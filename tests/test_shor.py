@@ -540,8 +540,9 @@ class TestDiagnoseCorrect:
          "^target qubit 9 outside 0..8$")], ids=["x", "y", "z"])
     def test_correct_refuses_a_qubit_outside_the_state(self, hypothesis,
                                                        layout, match):
-        """The Pauli kernel would call an out-of-range factor a
-        PreconditionError; a correction checks its target first."""
+        """A correction checks its target before it builds a
+        PauliString, which would call a negative qubit a bad index
+        rather than one outside the state."""
         with pytest.raises(ConfigError, match=match):
             correct(encode_shor(D_INPUT), hypothesis, layout)
 

@@ -558,7 +558,8 @@ class TestPauliKernel:
                      lambda: apply_pauli_channel(state, op, 0.5),
                      lambda: expectation(state, op),
                      lambda: measure_pauli(state, op)):
-            with pytest.raises(PreconditionError):
+            with pytest.raises(ConfigError,
+                               match="^target qubit 3 outside 0..2$"):
                 call()
 
     def test_cached_arrays_are_read_only_and_the_cache_bounded(self):
